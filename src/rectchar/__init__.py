@@ -63,24 +63,10 @@ from .partitions import (
     sq_shape,
     syt_count,
 )
-from .permutations import (
-    canonical_permutation,
-    compose,
-    conjugacy_class_size,
-    cycle_count,
-    cycle_type,
-    cycles,
-    enumerate_sym,
-    inverse,
-)
+from .permutations import canonical_permutation, compose, inverse
 from .polynomials import MultivarPoly, default_names
-from .schur import lemma_check, schur_negative, schur_principal
-from .series import (
-    InsufficientDepthError,
-    LaurentSeriesAtInfinity,
-    PowerSeries,
-    expand_reciprocal_linear,
-)
+from .schur import lemma_check, schur_principal
+from .series import InsufficientDepthError, LaurentSeriesAtInfinity, PowerSeries
 from .verify import VerifyReport, run_criteria
 
 __version__ = "0.1.0"
@@ -101,16 +87,10 @@ __all__ = [
     "complement",
     "compose",
     "conjecture1_check",
-    "conjugacy_class_size",
     "conjugate",
     "content",
-    "cycle_count",
-    "cycle_type",
-    "cycles",
     "default_names",
     "elizalde_formula",
-    "enumerate_sym",
-    "expand_reciprocal_linear",
     "f_k_polynomial",
     "f_k_special_value",
     "f_mu_interpolate",
@@ -146,7 +126,6 @@ __all__ = [
     "run_criteria",
     "s_k_from_coefficient_sums",
     "s_k_sequence",
-    "schur_negative",
     "schur_principal",
     "sq_shape",
     "sss_identity_check",

@@ -4,6 +4,8 @@ The recursion peels one cycle length at a time off the evaluation type, in
 the order given, and sums signed border-strip removals of that length.  When
 only fixed points remain the value is the standard-tableaux count of the
 remaining shape, which turns long 1-tails into a single hook-formula call.
+Types that would recurse deeper than _CHI_DEPTH levels are evaluated bottom-up
+in slices of that many levels, so no valid input overflows the stack.
 """
 
 from __future__ import annotations
@@ -61,6 +63,11 @@ def border_strip_removals(lam: Partition, size: int) -> list[BorderStripRemoval]
     return out
 
 
+#: most levels of _chi recursion one call may start; each level costs about
+#: two interpreter frames, so this stays well inside the default limit of 1000
+_CHI_DEPTH = 200
+
+
 @cache
 def _chi(lam: Partition, nu: tuple[int, ...]) -> int:
     if not lam:
@@ -75,6 +82,26 @@ def _chi(lam: Partition, nu: tuple[int, ...]) -> int:
     return total
 
 
+def _fill_chi_cache(lam: Partition, nu: tuple[int, ...], depth: int) -> None:
+    """Evaluate _chi bottom-up at every _CHI_DEPTH-th level of the recursion
+    from (lam, nu), so that each later call finds cached values at most
+    _CHI_DEPTH levels down.  depth is the number of levels that recurse: the
+    parts of nu before its trailing run of fixed points."""
+    level = {lam}
+    slices = []
+    for j in range(depth):
+        if j and j % _CHI_DEPTH == 0:
+            slices.append((j, level))
+        level = {
+            removal.result
+            for shape in level
+            for removal in border_strip_removals(shape, nu[j])
+        }
+    for j, shapes in reversed(slices):
+        for shape in shapes:
+            _chi(shape, nu[j:])
+
+
 def mn_character(lam: Partition, nu: Sequence[int]) -> int:
     """Character value of shape lam at a permutation of cycle type nu.
 
@@ -87,6 +114,12 @@ def mn_character(lam: Partition, nu: Sequence[int]) -> int:
         raise ValueError(f"cycle lengths must be positive: {nu}")
     if sum(nu) != sum(lam):
         raise ValueError(f"type {nu} does not have size |{lam}| = {sum(lam)}")
+    if len(nu) > _CHI_DEPTH:
+        depth = len(nu)
+        while depth and nu[depth - 1] == 1:
+            depth -= 1
+        if depth > _CHI_DEPTH:
+            _fill_chi_cache(lam, nu, depth)
     return _chi(lam, nu)
 
 

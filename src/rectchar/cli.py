@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .characters import mn_character, normalized_character
@@ -23,23 +22,15 @@ from .frobenius import f_k_polynomial, flipped_polynomial
 from .interpolation import conjecture1_check, off_grid_fidelity
 from .leading import elizalde_formula, g_k_leading, narayana_number, s_k_sequence
 from .partitions import (
-    cellset_hooks,
-    cells,
-    complement,
-    conjugate,
-    content,
     fits_in_box,
     format_partition,
-    hook_lengths,
-    hook_product,
     parse_partition,
     partitions_in_box,
     rectangle,
-    sq_shape,
 )
 from .polynomials import MultivarPoly, default_names
 from .schur import lemma_check
-from .verify import CRITERIA, run_criteria
+from .verify import CRITERIA, hook_identities, run_criteria
 
 
 def _emit_json(obj) -> None:
@@ -131,28 +122,13 @@ def cmd_lemma(args) -> int:
     return 0
 
 
-def _hooks_single(lam, p: int, q: int) -> tuple[bool, bool, dict[int, int]]:
-    actual = cellset_hooks(sq_shape(lam, p, q))
-    expected = cellset_hooks(frozenset(cells(rectangle(p, q))))
-    for h in hook_lengths(lam):
-        expected[h] += 1
-    multiset_ok = actual == expected
-    product = math.prod(h**c for h, c in actual.items())
-    content_form = (
-        hook_product(complement(lam, p, q))
-        * math.prod(p + content(u) for u in cells(lam))
-        * math.prod(q + content(v) for v in cells(conjugate(lam)))
-    )
-    return multiset_ok, product == content_form, dict(sorted(actual.items()))
-
-
 def cmd_hooks(args) -> int:
     p = _require_positive("p", args.p)
     q = _require_positive("q", args.q)
     if args.lam is None:
         count = 0
         for lam in partitions_in_box(p, q):
-            multiset_ok, product_ok, _ = _hooks_single(lam, p, q)
+            _, multiset_ok, product_ok = hook_identities(lam, p, q)
             if not (multiset_ok and product_ok):
                 print(f"FAIL at lam={format_partition(lam)}")
                 return 1
@@ -162,7 +138,8 @@ def cmd_hooks(args) -> int:
     lam = parse_partition(args.lam)
     if not fits_in_box(lam, p, q):
         raise ValueError(f"lam={format_partition(lam)} does not fit in {p}x{q}")
-    multiset_ok, product_ok, hooks = _hooks_single(lam, p, q)
+    hooks, multiset_ok, product_ok = hook_identities(lam, p, q)
+    hooks = dict(sorted(hooks.items()))
     if args.json:
         _emit_json(
             {
@@ -300,7 +277,7 @@ def cmd_verify(args) -> int:
             if not 1 <= idx <= len(CRITERIA):
                 raise ValueError(f"criterion number out of range: {idx}")
             numbers.append(idx)
-    reports = run_criteria(numbers=numbers, full=args.full, threads=args.threads)
+    reports = run_criteria(numbers=numbers, full=args.full)
     if args.json:
         _emit_json([r.to_dict() for r in reports])
     else:
@@ -343,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--mu", required=True)
     s.add_argument("--p", type=int)
     s.add_argument("--q", type=int)
-    s.add_argument("--poly", action="store_true", help="print the polynomial")
     s.add_argument("--json", action="store_true")
     s.set_defaults(handler=cmd_theorem1)
 
@@ -411,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--quick", action="store_true", help="default grid")
     mode.add_argument("--full", action="store_true", help="one notch larger")
     s.add_argument("--only", help="comma-separated criterion numbers")
-    s.add_argument("--threads", type=int, default=None)
     s.add_argument("--json", action="store_true")
     s.set_defaults(handler=cmd_verify)
 

@@ -19,23 +19,20 @@ from .partitions import (
     partitions_of,
     rectangle,
 )
-from .permutations import (
-    DEFAULT_ENUMERATION_CAP,
-    Permutation,
-    canonical_permutation,
-)
+from .permutations import Permutation, canonical_permutation
 from .polynomials import MultivarPoly
-from .schur import schur_negative, schur_principal
+from .schur import schur_principal
 
-#: polynomials in the two box dimensions (p, q)
-BivariatePoly = MultivarPoly
+#: largest k whose k! pairs are enumerated; k! grows fast enough that
+#: anything beyond this is a caller mistake rather than a workload
+_ENUMERATION_CAP = 10
 
 
-def _pair_cycle_counts(w: Permutation, cap: int) -> list[list[int]]:
+def _pair_cycle_counts(w: Permutation) -> list[list[int]]:
     """counts[a][b] = number of u with u v = w, cycles(u) = a, cycles(v) = b."""
     k = len(w)
-    if k > cap:
-        raise ValueError(f"k={k} exceeds enumeration cap {cap}")
+    if k > _ENUMERATION_CAP:
+        raise ValueError(f"k={k} exceeds enumeration cap {_ENUMERATION_CAP}")
     w0 = tuple(x - 1 for x in w)
     counts = [[0] * (k + 1) for _ in range(k + 1)]
     rng = range(k)
@@ -67,10 +64,10 @@ def _pair_cycle_counts(w: Permutation, cap: int) -> list[list[int]]:
     return counts
 
 
-def factorization_poly_for(w: Permutation, cap: int = DEFAULT_ENUMERATION_CAP) -> BivariatePoly:
-    """The pair-sum polynomial for an explicit representative w."""
+def factorization_poly_for(w: Permutation) -> MultivarPoly:
+    """The pair-sum polynomial in (p, q) for an explicit representative w."""
     k = len(w)
-    counts = _pair_cycle_counts(w, cap)
+    counts = _pair_cycle_counts(w)
     terms: dict[tuple[int, ...], int] = {}
     for a in range(k + 1):
         row = counts[a]
@@ -82,10 +79,10 @@ def factorization_poly_for(w: Permutation, cap: int = DEFAULT_ENUMERATION_CAP) -
 
 
 @lru_cache(maxsize=None)
-def factorization_poly(mu: Partition, cap: int = DEFAULT_ENUMERATION_CAP) -> BivariatePoly:
+def factorization_poly(mu: Partition) -> MultivarPoly:
     """Sum of (-1)^k p^cycles(u) (-q)^cycles(v) over pairs u v = w_mu."""
     mu = as_partition(mu)
-    return factorization_poly_for(canonical_permutation(mu), cap)
+    return factorization_poly_for(canonical_permutation(mu))
 
 
 def theorem1_check(p: int, q: int, mu: Partition) -> bool:
@@ -102,7 +99,7 @@ def sss_identity_check(k: int, p: int, q: int, mu: Partition) -> bool:
     """Shape-sum route equals the pair-sum route.
 
     Left side: (-1)^k sum over lam of k of hook_product(lam)
-    * schur_principal(lam, p) * schur_negative(lam, q) * chi^lam(mu).
+    * schur_principal(lam, p) * schur_principal(lam, -q) * chi^lam(mu).
     Right side: factorization_poly(mu) at (p, q).
     """
     mu = as_partition(mu)
@@ -112,7 +109,7 @@ def sss_identity_check(k: int, p: int, q: int, mu: Partition) -> bool:
     lhs = sign * sum(
         Fraction(hook_product(lam))
         * schur_principal(lam, p)
-        * schur_negative(lam, q)
+        * schur_principal(lam, -q)
         * mn_character(lam, mu)
         for lam in partitions_of(k)
     )
@@ -120,9 +117,9 @@ def sss_identity_check(k: int, p: int, q: int, mu: Partition) -> bool:
     return lhs == rhs
 
 
-def catalan_pair_count(k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
+def catalan_pair_count(k: int) -> int:
     """Pairs u v = (1 2 ... k) whose cycle counts sum to k + 1."""
-    counts = _pair_cycle_counts(canonical_permutation((k,)), cap)
+    counts = _pair_cycle_counts(canonical_permutation((k,)))
     return sum(
         counts[a][b]
         for a in range(k + 1)
@@ -131,9 +128,9 @@ def catalan_pair_count(k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     )
 
 
-def narayana_refinement(k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> dict[int, int]:
+def narayana_refinement(k: int) -> dict[int, int]:
     """For each i, pairs u v = (1 2 ... k) with cycles(u) = i, cycles(v) = k+1-i."""
-    counts = _pair_cycle_counts(canonical_permutation((k,)), cap)
+    counts = _pair_cycle_counts(canonical_permutation((k,)))
     out: dict[int, int] = {}
     for i in range(1, k + 1):
         c = counts[i][k + 1 - i]

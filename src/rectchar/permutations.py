@@ -1,4 +1,4 @@
-"""Permutations of {1..k} in one-line notation, cycle types, and enumeration.
+"""Permutations of {1..k} in one-line notation and cycle-type representatives.
 
 A permutation w is stored as a tuple of images: w[i - 1] is the image of i.
 Composition is (u * v)(i) = u(v(i)), so the right factor acts first.
@@ -8,27 +8,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterator
-from itertools import permutations as _permutations
 
 from .partitions import Partition, as_partition
 
 Permutation = tuple[int, ...]
-
-#: cap on brute-force S_k enumeration; k! grows fast enough that anything
-#: beyond this is a caller mistake rather than a workload.
-DEFAULT_ENUMERATION_CAP = 10
-
-
-def as_permutation(images: Iterator[int] | tuple[int, ...] | list[int]) -> Permutation:
-    w = tuple(int(x) for x in images)
-    if sorted(w) != list(range(1, len(w) + 1)):
-        raise ValueError(f"not a permutation of 1..{len(w)}: {w}")
-    return w
-
-
-def identity(k: int) -> Permutation:
-    return tuple(range(1, k + 1))
 
 
 def compose(u: Permutation, v: Permutation) -> Permutation:
@@ -45,40 +28,6 @@ def inverse(w: Permutation) -> Permutation:
     return tuple(inv)
 
 
-def cycles(w: Permutation) -> list[tuple[int, ...]]:
-    """Cycles of w, each starting at its smallest element, sorted by that element."""
-    seen = [False] * len(w)
-    out: list[tuple[int, ...]] = []
-    for start in range(1, len(w) + 1):
-        if seen[start - 1]:
-            continue
-        cyc = []
-        j = start
-        while not seen[j - 1]:
-            seen[j - 1] = True
-            cyc.append(j)
-            j = w[j - 1]
-        out.append(tuple(cyc))
-    return out
-
-
-def cycle_count(w: Permutation) -> int:
-    seen = [False] * len(w)
-    count = 0
-    for start in range(len(w)):
-        if not seen[start]:
-            count += 1
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = w[j] - 1
-    return count
-
-
-def cycle_type(w: Permutation) -> Partition:
-    return as_partition(sorted((len(c) for c in cycles(w)), reverse=True))
-
-
 def canonical_permutation(mu: Partition) -> Permutation:
     """The permutation whose cycles are consecutive blocks 1..mu_1, mu_1+1.., etc."""
     mu = as_partition(mu)
@@ -91,22 +40,6 @@ def canonical_permutation(mu: Partition) -> Permutation:
     return tuple(images)
 
 
-def cycle_string(w: Permutation) -> str:
-    """Display form like "(1 2 3)(4)"."""
-    if not w:
-        return "()"
-    return "".join("(" + " ".join(str(x) for x in c) + ")" for c in cycles(w))
-
-
-def enumerate_sym(k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Permutation]:
-    """All of S_k in lexicographic order on image tuples; refuses k beyond cap."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k > cap:
-        raise ValueError(f"k={k} exceeds enumeration cap {cap}")
-    return _permutations(range(1, k + 1))
-
-
 def centralizer_order(mu: Partition) -> int:
     """Order of the centralizer of a permutation of cycle type mu."""
     mu = as_partition(mu)
@@ -114,8 +47,3 @@ def centralizer_order(mu: Partition) -> int:
     return math.prod(
         part**count * math.factorial(count) for part, count in mult.items()
     )
-
-
-def conjugacy_class_size(mu: Partition) -> int:
-    mu = as_partition(mu)
-    return math.factorial(sum(mu)) // centralizer_order(mu)

@@ -1,6 +1,8 @@
 """Sparse multivariate polynomials with exact integer or rational coefficients.
 
-Terms are stored as a dict from exponent tuples to nonzero coefficients.
+Terms are stored as a dict from exponent tuples to nonzero coefficients and
+exposed read-only, so a polynomial returned from a cache cannot be changed
+by its caller.
 Rational coefficients that are actually integers are normalized to int, so a
 polynomial is integral exactly when every stored coefficient is an int.
 
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from types import MappingProxyType
 
 Scalar = int | Fraction
 
@@ -44,7 +47,7 @@ class MultivarPoly:
                 c = _clean_coef(c)
                 if c:
                     clean[exps] = c
-        self.terms = clean
+        self.terms = MappingProxyType(clean)
 
     # -- constructors ------------------------------------------------------
 
@@ -72,7 +75,7 @@ class MultivarPoly:
     def __add__(self, other):
         if isinstance(other, MultivarPoly):
             self._check_compatible(other)
-            out = dict(self.terms)
+            out = self.terms.copy()
             for exps, c in other.terms.items():
                 out[exps] = out.get(exps, 0) + c
             return MultivarPoly(self.nvars, out)
@@ -142,31 +145,14 @@ class MultivarPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
     # -- queries -----------------------------------------------------------
 
     def coefficient(self, exps: Sequence[int]) -> Scalar:
         return self.terms.get(tuple(exps), 0)
 
-    def constant_term(self) -> Scalar:
-        return self.terms.get((0,) * self.nvars, 0)
-
-    def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
-
-    def as_constant(self) -> Scalar:
-        if not self.is_constant():
-            raise ValueError(f"not a constant polynomial: {self!r}")
-        return self.constant_term()
-
     def total_degree(self) -> int:
         """Largest total degree of a term; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
-
-    def degree_in(self, index: int) -> int:
-        return max((e[index] for e in self.terms), default=0)
 
     def homogeneous_part(self, degree: int) -> "MultivarPoly":
         return MultivarPoly(

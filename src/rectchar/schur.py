@@ -13,7 +13,6 @@ from .partitions import (
     Partition,
     as_partition,
     cells,
-    conjugate,
     content,
     fits_in_box,
     complement,
@@ -31,16 +30,12 @@ def content_product(lam: Partition, shift: int) -> int:
 
 
 def schur_principal(lam: Partition, p: int) -> Fraction | int:
-    """Schur function of shape lam at p variables all set to 1."""
+    """Schur function of shape lam at p variables all set to 1.
+
+    A negative p gives the polynomial continuation used by the lemma.
+    """
     lam = as_partition(lam)
     value = Fraction(content_product(lam, p), hook_product(lam))
-    return int(value) if value.denominator == 1 else value
-
-
-def schur_negative(lam: Partition, q: int) -> Fraction | int:
-    """Polynomial continuation of the principal specialization to -q ones."""
-    lam = as_partition(lam)
-    value = Fraction(content_product(lam, -q), hook_product(lam))
     return int(value) if value.denominator == 1 else value
 
 
@@ -48,7 +43,7 @@ def lemma_check(lam: Partition, p: int, q: int) -> bool:
     """Box hook product as a signed product over a contained shape.
 
     Checks hook_product(p-by-q box) == (-1)^|lam| * hook_product(lam)
-    * hook_product(complement) * schur_principal(lam, p) * schur_negative(lam, q)
+    * hook_product(complement) * schur_principal(lam, p) * schur_principal(lam, -q)
     exactly.
     """
     lam = as_partition(lam)
@@ -60,6 +55,6 @@ def lemma_check(lam: Partition, p: int, q: int) -> bool:
         * hook_product(lam)
         * hook_product(complement(lam, p, q))
         * schur_principal(lam, p)
-        * schur_negative(lam, q)
+        * schur_principal(lam, -q)
     )
     return hook_product(rectangle(p, q)) == rhs

@@ -51,11 +51,6 @@ class LaurentSeriesAtInfinity:
     def constant(cls, value) -> "LaurentSeriesAtInfinity":
         return cls(0, [value])
 
-    @classmethod
-    def linear(cls, c) -> "LaurentSeriesAtInfinity":
-        """The exact polynomial x - c."""
-        return cls(1, [1, -c])
-
     def bottom(self) -> int:
         """Lowest exponent with a stored coefficient."""
         return self.top - len(self.coeffs) + 1
@@ -80,67 +75,6 @@ class LaurentSeriesAtInfinity:
             )
         window = [self.coefficient(i) for i in range(self.top, new_floor - 1, -1)]
         return LaurentSeriesAtInfinity(self.top, window, new_floor)
-
-    def __add__(self, other):
-        if not isinstance(other, LaurentSeriesAtInfinity):
-            return NotImplemented
-        top = max(self.top, other.top)
-        if self.floor is None and other.floor is None:
-            bottom = min(self.bottom(), other.bottom())
-            coeffs = [
-                self.coefficient(i) + other.coefficient(i)
-                for i in range(top, bottom - 1, -1)
-            ]
-            return LaurentSeriesAtInfinity(top, coeffs)
-        floors = [f for f in (self.floor, other.floor) if f is not None]
-        floor = max(floors)
-        coeffs = [
-            self.coefficient(i) + other.coefficient(i)
-            for i in range(top, floor - 1, -1)
-        ]
-        return LaurentSeriesAtInfinity(top, coeffs, floor)
-
-    def __neg__(self):
-        return LaurentSeriesAtInfinity(
-            self.top, [-c for c in self.coeffs], self.floor
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, LaurentSeriesAtInfinity):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, LaurentSeriesAtInfinity):
-            return NotImplemented
-        top = self.top + other.top
-        if self.floor is None and other.floor is None:
-            floor = None
-            bottom = self.bottom() + other.bottom()
-        else:
-            # an unknown term below one factor's floor meets the other factor's
-            # top term at floor + top, so nothing below that is trustworthy
-            candidates = []
-            if self.floor is not None:
-                candidates.append(self.floor + other.top)
-            if other.floor is not None:
-                candidates.append(other.floor + self.top)
-            floor = max(candidates)
-            bottom = floor
-        coeffs = [0] * (top - bottom + 1)
-        sb = self.bottom()
-        ob = other.bottom()
-        for i1, c1 in enumerate(self.coeffs):
-            if not c1:
-                continue
-            e1 = self.top - i1
-            for i2, c2 in enumerate(other.coeffs):
-                if not c2:
-                    continue
-                e = e1 + (other.top - i2)
-                if e >= bottom:
-                    coeffs[top - e] += c1 * c2
-        return LaurentSeriesAtInfinity(top, coeffs, floor)
 
     def mul_linear(self, c) -> "LaurentSeriesAtInfinity":
         """Multiply by the exact polynomial x - c."""
@@ -188,21 +122,6 @@ def linear_product(roots: Iterable, window: int) -> LaurentSeriesAtInfinity:
     return series
 
 
-def expand_reciprocal_linear(c, depth: int) -> LaurentSeriesAtInfinity:
-    """1/(x - c) as a series at infinity with `depth` terms.
-
-    1/(x - c) = x^{-1} + c x^{-2} + c^2 x^{-3} + ...; exact when c == 0.
-    """
-    if depth < 1:
-        raise ValueError("depth must be positive")
-    if not c:
-        return LaurentSeriesAtInfinity(-1, [1])
-    coeffs = [1]
-    for _ in range(depth - 1):
-        coeffs.append(coeffs[-1] * c)
-    return LaurentSeriesAtInfinity(-1, coeffs, -depth)
-
-
 class PowerSeries:
     """Truncated ordinary power series: coeffs[n] is the x^n coefficient.
 
@@ -227,10 +146,6 @@ class PowerSeries:
     def one(cls, order: int) -> "PowerSeries":
         return cls([1], order)
 
-    @classmethod
-    def x(cls, order: int) -> "PowerSeries":
-        return cls([0, 1], order)
-
     def coefficient(self, n: int):
         if n < 0:
             return 0
@@ -239,29 +154,6 @@ class PowerSeries:
                 f"coefficient of x^{n} requested at truncation order {self.order}"
             )
         return self.coeffs[n]
-
-    def truncate(self, order: int) -> "PowerSeries":
-        if order > self.order:
-            raise InsufficientDepthError(
-                f"cannot extend truncation order {self.order} to {order}"
-            )
-        return PowerSeries(self.coeffs, order)
-
-    def __add__(self, other):
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        order = min(self.order, other.order)
-        return PowerSeries(
-            [self.coeffs[n] + other.coeffs[n] for n in range(order + 1)], order
-        )
-
-    def __neg__(self):
-        return PowerSeries([-c for c in self.coeffs], self.order)
-
-    def __sub__(self, other):
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, PowerSeries):
@@ -276,9 +168,6 @@ class PowerSeries:
                         out[i + j] = out[i + j] + a * b
             return PowerSeries(out, order)
         return PowerSeries([other * c for c in self.coeffs], self.order)
-
-    def __rmul__(self, other):
-        return self * other
 
     def shift_down(self) -> "PowerSeries":
         """Divide by x; the constant term must be zero."""
@@ -325,8 +214,3 @@ class PowerSeries:
             if isinstance(out[n], Fraction) and out[n].denominator == 1:
                 out[n] = int(out[n])
         return PowerSeries(out, n_max)
-
-
-def geometric_factor(a, order: int) -> PowerSeries:
-    """The series 1 - a*x, ready for products like prod(1 - A_i x)."""
-    return PowerSeries([1, -a], order)

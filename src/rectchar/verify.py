@@ -1,17 +1,16 @@
 """Umbrella checks: every identity the package implements, run end to end.
 
 Each criterion function sweeps a fixed parameter grid with exact arithmetic
-and returns (passed, detail); run_criteria wraps them with timing and an
-optional thread pool.  The quick grids are the acceptance targets; full=True
-extends each one notch for longer soak runs.
+and returns (passed, detail); run_criteria wraps them with timing.  The quick
+grids are the acceptance targets; full=True extends each one notch for longer
+soak runs.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 
 from .characters import (
@@ -149,27 +148,34 @@ def criterion_lemma(full: bool = False) -> tuple[bool, str]:
     return True, f"{checked} shapes verified"
 
 
+def hook_identities(lam, p: int, q: int) -> tuple[Counter[int], bool, bool]:
+    """Hook multiset of the glued cell set sq_shape(lam, p, q), whether it is
+    the box's hooks plus lam's hooks, and whether its hook product equals the
+    content-product form."""
+    actual = cellset_hooks(sq_shape(lam, p, q))
+    expected = cellset_hooks(frozenset(cells(rectangle(p, q))))
+    for h in hook_lengths(lam):
+        expected[h] += 1
+    product = math.prod(h**c for h, c in actual.items())
+    content_form = (
+        hook_product(complement(lam, p, q))
+        * math.prod(p + content(u) for u in cells(lam))
+        * math.prod(q + content(v) for v in cells(conjugate(lam)))
+    )
+    return actual, actual == expected, product == content_form
+
+
 def criterion_hooks(full: bool = False) -> tuple[bool, str]:
     """Hook multiset union and the content-product form of the same product."""
     side = 6 if full else 5
     checked = 0
     for p in range(1, side + 1):
         for q in range(1, side + 1):
-            box_hooks = cellset_hooks(frozenset(cells(rectangle(p, q))))
             for lam in partitions_in_box(p, q):
-                actual = cellset_hooks(sq_shape(lam, p, q))
-                expected = box_hooks.copy()
-                for h in hook_lengths(lam):
-                    expected[h] += 1
-                if actual != expected:
+                _, multiset_ok, product_ok = hook_identities(lam, p, q)
+                if not multiset_ok:
                     return False, f"hook multiset off at p={p}, q={q}, lam={lam}"
-                product = math.prod(h**c for h, c in actual.items())
-                content_form = (
-                    hook_product(complement(lam, p, q))
-                    * math.prod(p + content(u) for u in cells(lam))
-                    * math.prod(q + content(v) for v in cells(conjugate(lam)))
-                )
-                if product != content_form:
+                if not product_ok:
                     return False, f"hook product form off at p={p}, q={q}, lam={lam}"
                 checked += 1
     return True, f"{checked} skew shapes verified (multiset and product)"
@@ -354,42 +360,20 @@ class VerifyReport:
         }
 
 
-def default_thread_count() -> int:
-    raw = os.environ.get("RECTCHAR_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_criteria(
-    numbers: list[int] | None = None,
-    full: bool = False,
-    threads: int | None = None,
+    numbers: list[int] | None = None, full: bool = False
 ) -> list[VerifyReport]:
     """Run the selected criteria (1-based numbers; default all), in order."""
-    if threads is None:
-        threads = default_thread_count()
-    selected = [
-        (idx, name, fn)
-        for idx, (name, fn) in enumerate(CRITERIA, start=1)
-        if numbers is None or idx in numbers
-    ]
-
-    def run_one(item) -> VerifyReport:
-        idx, name, fn = item
+    reports = []
+    for idx, (name, fn) in enumerate(CRITERIA, start=1):
+        if numbers is not None and idx not in numbers:
+            continue
         start = time.monotonic()
         try:
             passed, detail = fn(full)
         except Exception as exc:  # a crash is a failure with the error as payload
             passed, detail = False, f"exception: {exc!r}"
-        return VerifyReport(idx, name, passed, time.monotonic() - start, detail)
-
-    if threads > 1 and len(selected) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(run_one, selected))
-    else:
-        reports = [run_one(item) for item in selected]
+        reports.append(VerifyReport(idx, name, passed, time.monotonic() - start, detail))
     return reports
 
 

@@ -179,6 +179,23 @@ def _cycle_count0(w: tuple[int, ...]) -> int:
     return count
 
 
+def cycle_type(w: tuple[int, ...]) -> tuple[int, ...]:
+    """Cycle lengths of a permutation of 1..k in one-line notation, largest
+    first, found by following each point around its cycle."""
+    seen = set()
+    lengths = []
+    for start in range(1, len(w) + 1):
+        length = 0
+        point = start
+        while point not in seen:
+            seen.add(point)
+            point = w[point - 1]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
 def brute_pair_sum(mu: tuple[int, ...]) -> dict[tuple[int, int], int]:
     """Counts of (cycles(u), cycles(v)) over all factorizations u*v = w_mu,
     found by scanning every pair in S_k x S_k.  Only feasible for k <= 5."""

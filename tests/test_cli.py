@@ -17,6 +17,13 @@ def test_chi(capsys):
     assert (code, out) == (0, "-1")
 
 
+def test_chi_deep_type(capsys):
+    # 1000 transpositions recurse 1000 levels deep; the trivial character is 1
+    twos = ",".join(["2"] * 1000)
+    code, out, _ = run_cli(capsys, "chi", "--shape", "2000", "--type", twos)
+    assert (code, out) == (0, "1")
+
+
 def test_chi_rectangle_flags(capsys):
     code, out, _ = run_cli(capsys, "chi", "--p", "2", "--q", "2", "--type", "2,1,1")
     assert (code, out) == (0, "0")
@@ -28,7 +35,7 @@ def test_normalized(capsys):
 
 
 def test_theorem1_poly(capsys):
-    code, out, _ = run_cli(capsys, "theorem1", "--mu", "2", "--poly")
+    code, out, _ = run_cli(capsys, "theorem1", "--mu", "2")
     assert (code, out) == (0, "-p^2*q + p*q^2")
 
 
@@ -60,6 +67,8 @@ def test_lemma_sweep(capsys):
 def test_hooks_single(capsys):
     code, out, _ = run_cli(capsys, "hooks", "--p", "3", "--q", "3", "--lam", "2,1")
     assert code == 0
+    # the 3x3 box hooks plus the hooks 3, 1, 1 of (2, 1)
+    assert "hook multiset: 1^3 2^2 3^4 4^2 5" in out
     assert "multiset union: ok" in out
     assert "product identity: ok" in out
 

@@ -83,7 +83,7 @@ def test_oversized_mu_rejected():
 
 def test_enumeration_cap():
     with pytest.raises(ValueError):
-        factorization_poly((11,), cap=10)
+        factorization_poly((11,))
 
 
 def test_sss_identity_small_grid():

@@ -47,7 +47,7 @@ def test_scalar_arithmetic():
     q = MultivarPoly.variable(2, 1)
     poly = 2 * p - q + 1
     assert poly.evaluate((3, 4)) == 3
-    assert (poly - 1).constant_term() == 0
+    assert (poly - 1).coefficient((0, 0)) == 0
     half = poly / 2
     assert half.evaluate((3, 4)) == Fraction(3, 2)
     assert p**3 == p * p * p
@@ -59,7 +59,6 @@ def test_degrees_and_homogeneous_part():
     q = MultivarPoly.variable(2, 1)
     poly = p**2 * q + p * q + 3
     assert poly.total_degree() == 3
-    assert poly.degree_in(0) == 2
     assert poly.homogeneous_part(3) == p**2 * q
     assert poly.homogeneous_part(2) == p * q
     assert poly.homogeneous_part(5) == MultivarPoly.zero(2)
@@ -113,10 +112,20 @@ def test_coefficient_queries():
     poly = 5 * p**2 + 3
     assert poly.coefficient((2, 0)) == 5
     assert poly.coefficient((1, 1)) == 0
-    assert poly.constant_term() == 3
+    assert poly.coefficient((0, 0)) == 3
     assert poly.coefficient_sum() == 8
-    assert not poly.is_constant()
-    assert MultivarPoly.const(2, 9).as_constant() == 9
+    assert poly != 3
+    assert MultivarPoly.const(2, 9) == 9
+
+
+def test_cached_polynomial_cannot_be_corrupted():
+    from rectchar.frobenius import f_k_polynomial
+
+    before = f_k_polynomial(1, 2).canonical_terms()
+    with pytest.raises(TypeError):
+        f_k_polynomial(1, 2).terms[(9, 9)] = 5
+    assert f_k_polynomial(1, 2).canonical_terms() == before
+    assert (9, 9) not in f_k_polynomial(1, 2).terms
 
 
 def test_default_names():

@@ -4,7 +4,7 @@ import pytest
 
 from oracles import brute_ssyt_count
 from rectchar.partitions import conjugate, partitions_in_box, partitions_of
-from rectchar.schur import lemma_check, schur_negative, schur_principal
+from rectchar.schur import lemma_check, schur_principal
 
 
 def test_principal_specialization_counts_tableaux():
@@ -21,9 +21,9 @@ def test_principal_known_values():
 
 
 def test_negative_specialization_known_values():
-    assert schur_negative((1,), 1) == -1
-    assert schur_negative((2,), 1) == 0
-    assert schur_negative((1, 1), 2) == 3
+    assert schur_principal((1,), -1) == -1
+    assert schur_principal((2,), -1) == 0
+    assert schur_principal((1, 1), -2) == 3
 
 
 def test_negative_duality():
@@ -31,7 +31,7 @@ def test_negative_duality():
         for lam in partitions_of(n):
             for q in range(1, 6):
                 expected = (-1) ** n * schur_principal(conjugate(lam), q)
-                assert schur_negative(lam, q) == expected
+                assert schur_principal(lam, -q) == expected
 
 
 def test_specializations_are_exact_rationals():

@@ -4,7 +4,6 @@ from rectchar.verify import (
     VerifyReport,
     catalan_number,
     consistency_spot_checks,
-    default_thread_count,
     run_criteria,
 )
 
@@ -36,7 +35,7 @@ def test_catalan_number_helper():
 
 
 def test_run_criteria_subset_orders_and_reports():
-    reports = run_criteria(numbers=[4, 2], threads=1)
+    reports = run_criteria(numbers=[4, 2])
     assert [r.number for r in reports] == [2, 4]
     for r in reports:
         assert isinstance(r, VerifyReport)
@@ -47,14 +46,6 @@ def test_run_criteria_subset_orders_and_reports():
         assert d["number"] == r.number and d["passed"] is True
 
 
-def test_run_criteria_threaded_matches_serial():
-    serial = run_criteria(numbers=[2, 3, 4], threads=1)
-    threaded = run_criteria(numbers=[2, 3, 4], threads=3)
-    assert [(r.number, r.passed) for r in serial] == [
-        (r.number, r.passed) for r in threaded
-    ]
-
-
 def test_exception_becomes_failure(monkeypatch):
     import rectchar.verify as verify_mod
 
@@ -62,19 +53,10 @@ def test_exception_becomes_failure(monkeypatch):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(verify_mod, "CRITERIA", [("explodes", explodes)])
-    reports = run_criteria(threads=1)
+    reports = run_criteria()
     assert len(reports) == 1
     assert reports[0].passed is False
     assert "RuntimeError" in reports[0].detail
-
-
-def test_default_thread_count_env(monkeypatch):
-    monkeypatch.setenv("RECTCHAR_THREADS", "3")
-    assert default_thread_count() == 3
-    monkeypatch.setenv("RECTCHAR_THREADS", "0")
-    assert default_thread_count() == 1
-    monkeypatch.delenv("RECTCHAR_THREADS")
-    assert default_thread_count() >= 1
 
 
 def test_consistency_spot_checks_clean():
