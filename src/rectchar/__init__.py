@@ -66,7 +66,7 @@ from .partitions import (
 from .permutations import canonical_permutation, compose, inverse
 from .polynomials import MultivarPoly, default_names
 from .schur import lemma_check, schur_principal
-from .series import InsufficientDepthError, LaurentSeriesAtInfinity, PowerSeries
+from .series import InsufficientDepthError, PowerSeries
 from .verify import VerifyReport, run_criteria
 
 __version__ = "0.1.0"
@@ -74,7 +74,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConjectureReport",
     "InsufficientDepthError",
-    "LaurentSeriesAtInfinity",
     "MultiRectShape",
     "MultivarPoly",
     "PowerSeries",

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when a mathematical check fails, 2 on usage
-errors.  Every polynomial is printed in canonical order (total degree
-descending, ties by leading exponents descending); --json switches to the
-documented term schema.
+errors, 3 on an internal error: any other exception, reported on stderr as
+"internal error: <Type>: <message>" without a traceback.  Every polynomial
+is printed in canonical order (total degree descending, ties by leading
+exponents descending); --json switches to the documented term schema.
 """
 
 from __future__ import annotations
@@ -241,6 +242,8 @@ def cmd_conjecture(args) -> int:
     mu = parse_partition(args.mu)
     if not mu:
         raise ValueError("mu must be a nonempty partition")
+    if args.samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {args.samples}")
     report = conjecture1_check(m, mu, max_nodes=args.max_nodes)
     fidelity_ok = off_grid_fidelity(
         m, mu, report.poly, samples=args.samples, seed=args.seed
@@ -408,6 +411,9 @@ def run(argv: list[str] | None = None) -> int:
     except ArithmeticError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -8,12 +8,12 @@ evaluates to the normalized character of any p-by-q box at (mu, 1-tail).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import permutations as _permutations
 
 from .characters import mn_character, normalized_character
 from .partitions import (
     Partition,
+    _partition_cache,
     as_partition,
     hook_product,
     partitions_of,
@@ -78,7 +78,7 @@ def factorization_poly_for(w: Permutation) -> MultivarPoly:
     return MultivarPoly(2, terms)
 
 
-@lru_cache(maxsize=None)
+@_partition_cache
 def factorization_poly(mu: Partition) -> MultivarPoly:
     """Sum of (-1)^k p^cycles(u) (-q)^cycles(v) over pairs u v = w_mu."""
     mu = as_partition(mu)

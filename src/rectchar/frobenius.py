@@ -4,8 +4,9 @@ The normalized character of lam at a k-cycle plus fixed points equals
 -(1/k) [x^-1] (x)_k phi(x - k)/phi(x) where phi has the shifted first-column
 hook coordinates of lam as roots.  For a stack of m rectangles the same ratio
 collapses to falling factorials in the rectangle dimensions, which makes the
-character a polynomial F_k in those dimensions; this module computes both the
-numeric and the symbolic version with one windowed expansion routine.
+character a polynomial F_k in those dimensions.  Both the numeric and the
+symbolic version read the residue off one power series in t = 1/x, at an
+order fixed in advance by the root counts.
 """
 
 from __future__ import annotations
@@ -17,11 +18,7 @@ from functools import lru_cache
 
 from .partitions import Partition, as_partition
 from .polynomials import MultivarPoly
-from .series import InsufficientDepthError, linear_product
-
-#: window 3 wider than strictly needed for [x^-1]; cheap insurance against
-#: an off-by-one in the degree bookkeeping ever propagating silently
-_WINDOW_MARGIN = 3
+from .series import linear_product
 
 
 @dataclass(frozen=True)
@@ -56,23 +53,18 @@ class MultiRectShape:
 def rational_x_inverse_coefficient(num_roots, den_roots):
     """[x^-1] of prod(x - a)/prod(x - b), expanded in descending powers of x.
 
-    Roots may be integers or polynomial values.  Works in a sliding window of
-    top coefficients: the numerator product keeps only enough leading terms,
-    then each denominator factor is divided out by the descending recurrence.
-    The window is sized so the x^-1 slot is always reachable; the retry loop
-    doubles it if a depth error ever signals otherwise.
+    Roots may be integers or polynomial values.  With t = 1/x and N, D the
+    numbers of numerator and denominator roots, the ratio is x^(N-D) times
+    prod(1 - a t)/prod(1 - b t), so the answer is the t^(N-D+1) coefficient
+    of that power series; it is 0 when N - D + 1 is negative.
     """
     num_roots = list(num_roots)
     den_roots = list(den_roots)
-    window = max(len(num_roots) - len(den_roots) + 2, 1) + _WINDOW_MARGIN
-    while True:
-        try:
-            series = linear_product(num_roots, window)
-            for b in den_roots:
-                series = series.divide_linear(b)
-            return series.coefficient(-1)
-        except InsufficientDepthError:
-            window *= 2
+    order = len(num_roots) - len(den_roots) + 1
+    series = linear_product(num_roots, max(order, 0) + 1)
+    for b in den_roots:
+        series = series.divide_linear(b)
+    return series.coefficient(order)
 
 
 def _phi_roots(lam: Partition) -> list[int]:

@@ -24,21 +24,16 @@ def g_k_leading(m: int, k: int) -> MultivarPoly:
     return f_k_polynomial(m, k).homogeneous_part(k + 1)
 
 
-def _linear_factor_product(values, order: int) -> PowerSeries:
-    """prod (1 - a*x) over the given ring elements a."""
-    out = PowerSeries.one(order)
-    for a in values:
-        out = out * PowerSeries([1, -a], order)
-    return out
-
-
 def _kernel_ratio(m: int, order: int, invert: bool = False) -> PowerSeries:
     """prod(1 - A_i x)/prod(1 - B_i x), or its reciprocal with invert=True."""
     upper, lower = rect_sum_vars(m)
     num, den = (lower, upper) if invert else (upper, lower)
-    return _linear_factor_product(num, order) * _linear_factor_product(
-        den, order
-    ).reciprocal()
+    series = PowerSeries.one(order)
+    for a in num:
+        series = series.mul_linear(a)
+    for b in den:
+        series = series.divide_linear(b)
+    return series
 
 
 def g_k_via_lagrange(m: int, k: int) -> MultivarPoly:

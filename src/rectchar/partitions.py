@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 Partition = tuple[int, ...]
 Cell = tuple[int, int]
@@ -98,12 +98,33 @@ def hook_lengths(lam: Partition) -> list[int]:
     ]
 
 
-@lru_cache(maxsize=None)
+def _partition_cache(fn):
+    """lru_cache for a function of one partition, which may be any iterable.
+
+    A tuple goes to the cache as given, the fast path for hot loops; anything
+    else is normalized by as_partition first, so a list or a generator can be
+    passed without being hashed.  The cache stays reachable as cache_info()
+    and cache_clear() on the returned function.
+    """
+    cached = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def wrapper(lam):
+        if type(lam) is not tuple:
+            lam = as_partition(lam)
+        return cached(lam)
+
+    wrapper.cache_info = cached.cache_info
+    wrapper.cache_clear = cached.cache_clear
+    return wrapper
+
+
+@_partition_cache
 def hook_product(lam: Partition) -> int:
     return math.prod(hook_lengths(lam))
 
 
-@lru_cache(maxsize=None)
+@_partition_cache
 def syt_count(lam: Partition) -> int:
     """Number of standard Young tableaux of shape lam (hook length formula)."""
     lam = as_partition(lam)
@@ -187,34 +208,61 @@ def cellset_hooks(diagram: CellSet) -> Counter[int]:
 def partitions_of(
     n: int, max_part: int | None = None, max_parts: int | None = None
 ) -> Iterator[Partition]:
-    """All partitions of n, largest part first, in reverse lexicographic order."""
+    """All partitions of n, largest part first, in reverse lexicographic order.
+
+    Negative caps admit no parts.  Each partition is reached from the one
+    before in place, so no recursion depth grows with the number of parts.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    first_cap = n if max_part is None else min(max_part, n)
-    rows_cap = n if max_parts is None else max_parts
+    cap = n if max_part is None else max(min(max_part, n), 0)
+    rows = n if max_parts is None else max(max_parts, 0)
+    return _partitions_of(n, cap, rows)
 
-    def rec(remaining: int, cap: int, rows: int) -> Iterator[Partition]:
-        if remaining == 0:
-            yield ()
-            return
-        if rows == 0 or cap == 0:
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            for rest in rec(remaining - part, part, rows - 1):
-                yield (part,) + rest
 
-    return rec(n, first_cap, rows_cap)
+def _greedy_parts(total: int, cap: int) -> list[int]:
+    """total as cap + cap + ... + remainder: the largest fill, fewest parts."""
+    whole, rest = divmod(total, cap)
+    return [cap] * whole + ([rest] if rest else [])
+
+
+def _partitions_of(n: int, cap: int, rows: int) -> Iterator[Partition]:
+    if n and not cap:
+        return
+    lam = _greedy_parts(n, cap) if n else []
+    if len(lam) > rows:
+        return
+    while True:
+        yield tuple(lam)
+        # next in reverse lexicographic order: lower the rightmost part that
+        # can drop by one with the cells after it still fitting below it
+        tail = 0
+        for i in range(len(lam) - 1, -1, -1):
+            part = lam[i] - 1
+            if part and tail + 1 <= part * (rows - i - 1):
+                lam[i:] = [part] + _greedy_parts(tail + 1, part)
+                break
+            tail += lam[i]
+        else:
+            return
 
 
 def partitions_in_box(p: int, q: int) -> Iterator[Partition]:
-    """All partitions with at most p parts, each at most q (the empty one included)."""
+    """All partitions with at most p parts, each at most q (the empty one included).
 
-    def rec(rows: int, cap: int) -> Iterator[Partition]:
-        yield ()
-        if rows == 0 or cap == 0:
-            return
-        for part in range(cap, 0, -1):
-            for rest in rec(rows - 1, part):
-                yield (part,) + rest
-
-    return rec(p, q)
+    Every shape comes before its extensions, with larger parts first: the
+    order of a depth-first walk that adds one row at a time.
+    """
+    lam: list[int] = []
+    yield ()
+    while True:
+        cap = lam[-1] if lam else q
+        if len(lam) < p and cap > 0:
+            lam.append(cap)
+        else:
+            while lam and lam[-1] == 1:
+                lam.pop()
+            if not lam:
+                return
+            lam[-1] -= 1
+        yield tuple(lam)

@@ -1,16 +1,11 @@
-"""Exact truncated series arithmetic.
+"""Exact truncated power series.
 
-Two kinds of series live here:
-
-* LaurentSeriesAtInfinity: finitely many terms of sum_{i <= top} c_i x^i,
-  stored from the top exponent downward.  A series is either exact (every
-  omitted coefficient is genuinely zero) or truncated at a known floor;
-  asking a truncated series for a coefficient below its floor raises
-  InsufficientDepthError so callers can widen their window and retry.
-
-* PowerSeries: an ordinary series at the origin truncated at a fixed order,
-  generic over coefficients supporting ring arithmetic (int, Fraction, or
-  polynomial values), with reciprocal and compositional inverse.
+PowerSeries is an ordinary series at the origin truncated at a fixed order,
+generic over coefficients supporting ring arithmetic (int, Fraction, or
+polynomial values).  Besides products, reciprocal and compositional inverse
+it multiplies and divides by a linear factor 1 - c*x in O(order) steps, which
+is all a residue at infinity needs once it is written as a power series in
+1/x (see frobenius.rational_x_inverse_coefficient).
 """
 
 from __future__ import annotations
@@ -20,106 +15,7 @@ from fractions import Fraction
 
 
 class InsufficientDepthError(Exception):
-    """A truncated series was asked for a coefficient below its floor."""
-
-
-class LaurentSeriesAtInfinity:
-    """Terms c_top x^top + c_{top-1} x^{top-1} + ... down to a floor.
-
-    coeffs[j] holds the coefficient of x^(top - j).  floor None means exact:
-    everything below the stored range is zero.  Otherwise the stored range
-    reaches exactly down to floor and lower coefficients are unknown.
-    An empty truncated window is represented with top == floor - 1.
-    """
-
-    __slots__ = ("top", "coeffs", "floor")
-
-    def __init__(self, top: int, coeffs: Sequence, floor: int | None = None):
-        coeffs = list(coeffs)
-        if floor is not None and len(coeffs) != top - floor + 1:
-            raise ValueError("coefficient window does not match top/floor")
-        # normalize an exact series: strip leading zeros
-        if floor is None:
-            while coeffs and not coeffs[0]:
-                coeffs.pop(0)
-                top -= 1
-        self.top = top
-        self.coeffs = coeffs
-        self.floor = floor
-
-    @classmethod
-    def constant(cls, value) -> "LaurentSeriesAtInfinity":
-        return cls(0, [value])
-
-    def bottom(self) -> int:
-        """Lowest exponent with a stored coefficient."""
-        return self.top - len(self.coeffs) + 1
-
-    def coefficient(self, i: int):
-        if i > self.top:
-            return 0
-        j = self.top - i
-        if j < len(self.coeffs):
-            return self.coeffs[j]
-        if self.floor is None:
-            return 0
-        raise InsufficientDepthError(
-            f"coefficient of x^{i} requested but series only known down to x^{self.floor}"
-        )
-
-    def truncate(self, new_floor: int) -> "LaurentSeriesAtInfinity":
-        """Forget everything below new_floor (exact series may extend with zeros)."""
-        if self.floor is not None and new_floor < self.floor:
-            raise InsufficientDepthError(
-                f"cannot truncate to x^{new_floor}; floor is x^{self.floor}"
-            )
-        window = [self.coefficient(i) for i in range(self.top, new_floor - 1, -1)]
-        return LaurentSeriesAtInfinity(self.top, window, new_floor)
-
-    def mul_linear(self, c) -> "LaurentSeriesAtInfinity":
-        """Multiply by the exact polynomial x - c."""
-        top = self.top + 1
-        if self.floor is None:
-            prev = self.coeffs + [0]
-            shifted = [0] + self.coeffs
-            coeffs = [a - c * b for a, b in zip(prev, shifted)]
-            return LaurentSeriesAtInfinity(top, coeffs)
-        # product coefficient at i needs self at i-1 and i: known for i >= floor+1
-        floor = self.floor + 1
-        prev = self.coeffs
-        shifted = [0] + self.coeffs[:-1]
-        coeffs = [a - c * b for a, b in zip(prev, shifted)]
-        return LaurentSeriesAtInfinity(top, coeffs, floor)
-
-    def divide_linear(self, c) -> "LaurentSeriesAtInfinity":
-        """Divide by x - c, expanding the quotient downward from its top term.
-
-        The quotient u of s = (x - c) u satisfies u_{i-1} = s_i + c u_i, run
-        from the leading coefficient down.  One known coefficient is consumed
-        at the top and the result reaches one exponent below the input floor,
-        so the window length is preserved for truncated input.
-        """
-        if not self.coeffs:
-            return LaurentSeriesAtInfinity(
-                self.top - 1, [], None if self.floor is None else self.floor - 1
-            )
-        src_floor = self.floor if self.floor is not None else self.bottom()
-        out: list = []
-        u = 0
-        for i in range(self.top, src_floor - 1, -1):
-            u = self.coefficient(i) + c * u
-            out.append(u)
-        return LaurentSeriesAtInfinity(self.top - 1, out, src_floor - 1)
-
-
-def linear_product(roots: Iterable, window: int) -> LaurentSeriesAtInfinity:
-    """prod (x - c) over the given roots, keeping the top `window` coefficients."""
-    series = LaurentSeriesAtInfinity.constant(1)
-    for c in roots:
-        series = series.mul_linear(c)
-        if len(series.coeffs) > window:
-            series = series.truncate(series.top - window + 1)
-    return series
+    """A coefficient beyond a series' truncation order was asked for."""
 
 
 class PowerSeries:
@@ -154,6 +50,21 @@ class PowerSeries:
                 f"coefficient of x^{n} requested at truncation order {self.order}"
             )
         return self.coeffs[n]
+
+    def mul_linear(self, c) -> "PowerSeries":
+        """Multiply by 1 - c*x."""
+        s = self.coeffs
+        out = s[:1] + [a - c * b if b else a for a, b in zip(s[1:], s)]
+        return PowerSeries(out, self.order)
+
+    def divide_linear(self, c) -> "PowerSeries":
+        """Divide by 1 - c*x: the quotient u has u_n = s_n + c u_(n-1)."""
+        out: list = []
+        u = 0
+        for a in self.coeffs:
+            u = a + c * u if u else a
+            out.append(u)
+        return PowerSeries(out, self.order)
 
     def __mul__(self, other):
         if isinstance(other, PowerSeries):
@@ -214,3 +125,11 @@ class PowerSeries:
             if isinstance(out[n], Fraction) and out[n].denominator == 1:
                 out[n] = int(out[n])
         return PowerSeries(out, n_max)
+
+
+def linear_product(roots: Iterable, window: int) -> PowerSeries:
+    """prod (1 - c*x) over the given roots, keeping the first `window` coefficients."""
+    series = PowerSeries.one(window - 1)
+    for c in roots:
+        series = series.mul_linear(c)
+    return series

@@ -9,6 +9,8 @@ raw pair enumeration.  Slow is fine; these run on small inputs only.
 from __future__ import annotations
 
 import itertools
+import math
+from fractions import Fraction
 from functools import lru_cache
 
 #: C_0..C_12, frozen from the convolution recurrence (computed once by hand
@@ -217,10 +219,53 @@ def brute_pair_sum(mu: tuple[int, ...]) -> dict[tuple[int, int], int]:
 
 def centralizer_order(mu: tuple[int, ...]) -> int:
     """prod i^(m_i) * m_i! over part multiplicities."""
-    import math
-
     order = 1
     for part in set(mu):
         mult = mu.count(part)
         order *= part**mult * math.factorial(mult)
     return order
+
+
+def partial_fraction_residue(num_roots, den_roots):
+    """[x^-1] of prod(x - a)/prod(x - b) for distinct roots b, as the sum of
+    the simple-pole residues prod(b - a)/prod_(c != b)(b - c)."""
+    total = Fraction(0)
+    for b in den_roots:
+        top = math.prod(b - a for a in num_roots)
+        bottom = math.prod(b - c for c in den_roots if c != b)
+        total += Fraction(top, bottom)
+    return total
+
+
+def recursive_partitions_of(n: int, max_part=None, max_parts=None):
+    """Partitions of n in reverse lexicographic order, one recursion level
+    per part (the reference route for partitions_of; small n only)."""
+    first_cap = n if max_part is None else min(max_part, n)
+    rows_cap = n if max_parts is None else max_parts
+
+    def rec(remaining: int, cap: int, rows: int):
+        if remaining == 0:
+            yield ()
+            return
+        if rows == 0 or cap == 0:
+            return
+        for part in range(min(cap, remaining), 0, -1):
+            for rest in rec(remaining - part, part, rows - 1):
+                yield (part,) + rest
+
+    return rec(n, first_cap, rows_cap)
+
+
+def recursive_partitions_in_box(p: int, q: int):
+    """Partitions in a p-by-q box, each shape before its extensions, one
+    recursion level per part (the reference route for partitions_in_box)."""
+
+    def rec(rows: int, cap: int):
+        yield ()
+        if rows == 0 or cap == 0:
+            return
+        for part in range(cap, 0, -1):
+            for rest in rec(rows - 1, part):
+                yield (part,) + rest
+
+    return rec(p, q)

@@ -197,3 +197,28 @@ def test_shape_flag_conflicts(capsys):
     )
     assert code == 2
     assert "not both" in err
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_sk", broken)
+    code, out, err = run_cli(capsys, "sk", "--m", "1", "--kmax", "2")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
+
+
+def test_negative_samples_is_a_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "conjecture", "--m", "1", "--mu", "1", "--samples", "-3"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: samples must be nonnegative, got -3\n"
+    code, out, _ = run_cli(
+        capsys, "conjecture", "--m", "1", "--mu", "1", "--samples", "0"
+    )
+    assert code == 0
+    assert "(0 samples)" in out
+

@@ -104,3 +104,10 @@ def test_narayana_refinement_matches_table():
         refinement = narayana_refinement(k)
         assert refinement == {i + 1: row[i] for i in range(k) if row[i]}
         assert sum(refinement.values()) == CATALAN[k]
+
+
+def test_factorization_poly_takes_any_iterable():
+    expected = factorization_poly((2, 1))
+    assert factorization_poly([2, 1]) == expected
+    assert factorization_poly(part for part in (2, 1)) == expected
+    assert factorization_poly.cache_info().currsize >= 1

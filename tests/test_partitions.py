@@ -4,7 +4,12 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import PARTITION_COUNTS, brute_syt_count
+from oracles import (
+    PARTITION_COUNTS,
+    brute_syt_count,
+    recursive_partitions_in_box,
+    recursive_partitions_of,
+)
 from rectchar.partitions import (
     as_partition,
     cells,
@@ -128,6 +133,38 @@ def test_partitions_in_box_count_is_binomial():
         for q in range(1, 6):
             assert len(list(partitions_in_box(p, q))) == math.comb(p + q, p)
 
+
+
+def test_partitions_of_order_matches_recursive_route():
+    caps = [None] + list(range(14))
+    for n in range(13):
+        for max_part in caps:
+            for max_parts in caps:
+                assert list(partitions_of(n, max_part, max_parts)) == list(
+                    recursive_partitions_of(n, max_part, max_parts)
+                ), (n, max_part, max_parts)
+
+
+def test_partitions_in_box_order_matches_recursive_route():
+    for p in range(13):
+        for q in range(13 - p):
+            assert list(partitions_in_box(p, q)) == list(
+                recursive_partitions_in_box(p, q)
+            ), (p, q)
+
+
+def test_partition_generators_handle_many_parts():
+    # one part per level would pass the default recursion limit of 1000
+    assert sum(1 for _ in partitions_in_box(1200, 1)) == 1201
+    assert list(partitions_of(1200, max_part=1)) == [(1,) * 1200]
+
+
+@pytest.mark.parametrize("fn", [syt_count, hook_product])
+def test_cached_functions_take_any_iterable(fn):
+    expected = fn((3, 1))
+    assert fn([3, 1]) == expected
+    assert fn(part for part in (3, 1)) == expected
+    assert fn.cache_info().currsize >= 1
 
 def test_rectangle():
     assert rectangle(3, 2) == (2, 2, 2)

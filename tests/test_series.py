@@ -1,81 +1,80 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from oracles import CATALAN
-from rectchar.series import (
-    InsufficientDepthError,
-    LaurentSeriesAtInfinity,
-    PowerSeries,
-    linear_product,
-)
+from oracles import CATALAN, partial_fraction_residue
+from rectchar.frobenius import rational_x_inverse_coefficient
+from rectchar.series import InsufficientDepthError, PowerSeries, linear_product
 
 
-def reciprocal_linear(c, depth: int) -> LaurentSeriesAtInfinity:
-    """1/(x - c) with `depth` terms: the constant 1, known down to x^(1 - depth),
-    divided by x - c."""
-    one = LaurentSeriesAtInfinity.constant(1).truncate(1 - depth)
-    return one.divide_linear(c)
+def reciprocal_linear(c, depth: int) -> PowerSeries:
+    """1/(1 - c*t) with `depth` coefficients: the constant 1 divided by 1 - c*t.
+    In t = 1/x this is x/(x - c), so coefficient n is [x^-(n+1)] of 1/(x - c)."""
+    return PowerSeries.one(depth - 1).divide_linear(c)
 
 
 def test_reciprocal_of_x():
     series = reciprocal_linear(0, 5)
-    assert series.coefficient(-1) == 1
-    assert series.coefficient(-2) == 0
-    assert series.coefficient(3) == 0
+    assert series.coeffs == [1, 0, 0, 0, 0]
+    assert series.coefficient(-1) == 0
+    # the residue of 1/x is 1
+    assert rational_x_inverse_coefficient([], [0]) == 1
 
 
 def test_reciprocal_geometric_tail():
-    # 1/(x - a) = x^-1 + a x^-2 + a^2 x^-3 + ...
+    # 1/(1 - a t) = 1 + a t + a^2 t^2 + ...
     series = reciprocal_linear(1, 3)
-    assert [series.coefficient(-i) for i in (1, 2, 3)] == [1, 1, 1]
+    assert [series.coefficient(n) for n in (0, 1, 2)] == [1, 1, 1]
     series = reciprocal_linear(-3, 4)
-    assert [series.coefficient(-i) for i in (1, 2, 3, 4)] == [1, -3, 9, -27]
+    assert [series.coefficient(n) for n in (0, 1, 2, 3)] == [1, -3, 9, -27]
 
 
 def test_reciprocal_defining_property():
-    # (x - a) * expansion = 1 up to the tracked depth
+    # (1 - a t) * expansion = 1 up to the truncation order
     for a in (0, 1, -2, 5):
-        series = reciprocal_linear(a, 6)
-        product = series.mul_linear(a)
-        assert product.coefficient(0) == 1
-        for i in (-1, -2, -3):
-            assert product.coefficient(i) == 0
+        product = reciprocal_linear(a, 6).mul_linear(a)
+        assert product.coeffs == [1, 0, 0, 0, 0, 0]
 
 
 def test_coefficient_below_window_raises():
     series = reciprocal_linear(2, 3)
-    assert series.coefficient(-3) == 4
+    assert series.coefficient(2) == 4
     with pytest.raises(InsufficientDepthError):
-        series.coefficient(-4)
+        series.coefficient(3)
     with pytest.raises(InsufficientDepthError):
-        series.coefficient(-10)
+        series.coefficient(10)
 
 
 def test_falling_factorial_has_no_residue():
-    # a polynomial has zero coefficient on every negative power
+    # a polynomial has zero coefficient on every negative power of x
     for k in (1, 3, 5):
-        poly = linear_product(range(k), window=k + 2)
-        truncated = poly.truncate(-2)
-        assert truncated.coefficient(-1) == 0
+        poly = linear_product(range(k), k + 2)
+        assert poly.coefficient(k + 1) == 0
+        assert rational_x_inverse_coefficient(range(k), []) == 0
 
 
 def test_divide_linear_matches_long_division():
-    # (x^2 + 1)/(x - 1): residue coefficient is 2
-    numerator = LaurentSeriesAtInfinity(
-        top=2, coeffs=[1, 0, 1], floor=None
-    ).truncate(-3)
-    quotient = numerator.divide_linear(1)
-    assert quotient.coefficient(1) == 1
-    assert quotient.coefficient(0) == 1
-    assert quotient.coefficient(-1) == 2
+    # (x - 2)(x + 3)/(x - 1) = x + 2 - 4/(x - 1) = x + 2 - 4/x - 4/x^2 - ...
+    quotient = linear_product([2, -3], 4).divide_linear(1)
+    assert quotient.coeffs == [1, 2, -4, -4]
+    assert rational_x_inverse_coefficient([2, -3], [1]) == -4
 
 
 def test_divide_then_multiply_round_trip():
-    series = linear_product([2, -1, 3], window=6)
+    series = linear_product([2, -1, 3], 6)
     round_trip = series.divide_linear(5).mul_linear(5)
-    for i in range(series.top, series.bottom() - 1, -1):
-        assert round_trip.coefficient(i) == series.coefficient(i)
+    assert round_trip.coeffs == series.coeffs
+
+
+@given(
+    st.lists(st.integers(-6, 6), max_size=7),
+    st.lists(st.integers(-6, 6), max_size=5, unique=True),
+)
+def test_residue_matches_partial_fractions(num_roots, den_roots):
+    assert rational_x_inverse_coefficient(num_roots, den_roots) == (
+        partial_fraction_residue(num_roots, den_roots)
+    )
 
 
 def test_power_series_basics():
