@@ -1,11 +1,13 @@
 """Irreducible symmetric group characters via border-strip removal.
 
-The recursion peels one cycle length at a time off the evaluation type, in
-the order given, and sums signed border-strip removals of that length.  When
-only fixed points remain the value is the standard-tableaux count of the
-remaining shape, which turns long 1-tails into a single hook-formula call.
-Types that would recurse deeper than _CHI_DEPTH levels are evaluated bottom-up
-in slices of that many levels, so no valid input overflows the stack.
+mn_character evaluates one character in two sweeps over the parts of the
+evaluation type, in the order given.  The down sweep removes border strips of
+each part's length from every shape reached so far, level by level, and
+stops at the trailing run of fixed points.  The up sweep gives each bottom
+shape its standard-tableaux count, which turns a long 1-tail into a single
+hook-formula call, then sums signed strip removals back up to the top shape.
+Each distinct shape of a level is evaluated once per call; nothing is kept
+between calls and no recursion depth grows with the input.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 from .partitions import (
     Partition,
@@ -40,10 +41,12 @@ class BorderStripRemoval:
 def border_strip_removals(lam: Partition, size: int) -> list[BorderStripRemoval]:
     """All removals of a connected border strip of the given size from lam.
 
-    Beta-number formulation: with r rows, the set B = {lam_i + r - i} encodes
-    lam; removing a size-s strip is moving one element b of B down to b - s,
-    allowed when b - s is nonnegative and not already in B.  The strip height
-    is the number of elements of B strictly between b - s and b.
+    Beta-number formulation: with r rows, the set B = {lam_i + r - 1 - i}
+    encodes lam; removing a size-s strip is moving one element b = B_i down to
+    b - s, allowed when b - s is nonnegative and not already in B.  The strip
+    height is the number of elements B_{i+1..j} strictly between b - s and b.
+    In the result, rows i+1..j each lose one cell and move up one row, row j
+    becomes b - s - (r - 1 - j), and rows left empty at the bottom are cut off.
     """
     lam = as_partition(lam)
     if size <= 0:
@@ -52,54 +55,24 @@ def border_strip_removals(lam: Partition, size: int) -> list[BorderStripRemoval]
     betas = [lam[i] + r - 1 - i for i in range(r)]
     beta_set = set(betas)
     out: list[BorderStripRemoval] = []
-    for b in betas:
+    for i, b in enumerate(betas):
         nb = b - size
         if nb < 0 or nb in beta_set:
             continue
-        height = sum(1 for x in betas if nb < x < b)
-        new_betas = sorted((beta_set - {b}) | {nb}, reverse=True)
-        result = as_partition(new_betas[i] - (r - 1 - i) for i in range(r))
-        out.append(BorderStripRemoval(lam, size, result, height))
+        j = i
+        while j + 1 < r and betas[j + 1] > nb:
+            j += 1
+        rows = (
+            lam[:i]
+            + tuple(x - 1 for x in lam[i + 1 : j + 1])
+            + (nb - (r - 1 - j),)
+            + lam[j + 1 :]
+        )
+        end = len(rows)
+        while end and not rows[end - 1]:
+            end -= 1
+        out.append(BorderStripRemoval(lam, size, rows[:end], j - i))
     return out
-
-
-#: most levels of _chi recursion one call may start; each level costs about
-#: two interpreter frames, so this stays well inside the default limit of 1000
-_CHI_DEPTH = 200
-
-
-@cache
-def _chi(lam: Partition, nu: tuple[int, ...]) -> int:
-    if not lam:
-        return 1
-    # all remaining parts are fixed points: hook length formula finishes it
-    if nu and nu[0] == 1 and len(set(nu)) == 1:
-        return syt_count(lam)
-    total = 0
-    for removal in border_strip_removals(lam, nu[0]):
-        term = _chi(removal.result, nu[1:])
-        total += -term if removal.height % 2 else term
-    return total
-
-
-def _fill_chi_cache(lam: Partition, nu: tuple[int, ...], depth: int) -> None:
-    """Evaluate _chi bottom-up at every _CHI_DEPTH-th level of the recursion
-    from (lam, nu), so that each later call finds cached values at most
-    _CHI_DEPTH levels down.  depth is the number of levels that recurse: the
-    parts of nu before its trailing run of fixed points."""
-    level = {lam}
-    slices = []
-    for j in range(depth):
-        if j and j % _CHI_DEPTH == 0:
-            slices.append((j, level))
-        level = {
-            removal.result
-            for shape in level
-            for removal in border_strip_removals(shape, nu[j])
-        }
-    for j, shapes in reversed(slices):
-        for shape in shapes:
-            _chi(shape, nu[j:])
 
 
 def mn_character(lam: Partition, nu: Sequence[int]) -> int:
@@ -114,13 +87,27 @@ def mn_character(lam: Partition, nu: Sequence[int]) -> int:
         raise ValueError(f"cycle lengths must be positive: {nu}")
     if sum(nu) != sum(lam):
         raise ValueError(f"type {nu} does not have size |{lam}| = {sum(lam)}")
-    if len(nu) > _CHI_DEPTH:
-        depth = len(nu)
-        while depth and nu[depth - 1] == 1:
-            depth -= 1
-        if depth > _CHI_DEPTH:
-            _fill_chi_cache(lam, nu, depth)
-    return _chi(lam, nu)
+    depth = len(nu)
+    while depth and nu[depth - 1] == 1:
+        depth -= 1
+    # down: levels[j] maps each shape left after j parts to its removals
+    levels = []
+    shapes = {lam}
+    for part in nu[:depth]:
+        removals = {shape: border_strip_removals(shape, part) for shape in shapes}
+        levels.append(removals)
+        shapes = {strip.result for strips in removals.values() for strip in strips}
+    # up: only fixed points remain below the last level
+    values = {shape: syt_count(shape) for shape in shapes}
+    for removals in reversed(levels):
+        values = {
+            shape: sum(
+                -values[strip.result] if strip.height % 2 else values[strip.result]
+                for strip in strips
+            )
+            for shape, strips in removals.items()
+        }
+    return values[lam]
 
 
 def normalized_character(lam: Partition, mu: Partition) -> Fraction | int:

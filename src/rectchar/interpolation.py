@@ -10,6 +10,7 @@ at a point outside the grid before being returned.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from fractions import Fraction
 from .characters import normalized_character
 from .frobenius import MultiRectShape, flipped_polynomial
 from .partitions import Partition, as_partition, format_partition
-from .polynomials import MultivarPoly
+from .polynomials import MultivarPoly, Scalar
 
 DEFAULT_MAX_NODES = 20_000
 
@@ -42,23 +43,19 @@ def interpolation_grid(m: int, k: int) -> list[list[int]]:
     return p_axes + q_axes
 
 
-def _newton_coefficients(xs: list[int], ys: list) -> list:
-    """Monomial-basis coefficients of the interpolant through (xs[i], ys[i]).
-
-    ys entries may be exact scalars or polynomial values; the only divisions
-    are by node differences, applied as exact rational scalars.
-    """
+def _newton_coefficients(xs: list[int], ys: list[Scalar]) -> list[Scalar]:
+    """Monomial-basis coefficients of the interpolant through (xs[i], ys[i]),
+    in exact rationals."""
     n = len(xs)
     dd = list(ys)
     for level in range(1, n):
         for i in range(n - 1, level - 1, -1):
             dd[i] = (dd[i] - dd[i - 1]) * Fraction(1, xs[i] - xs[i - level])
-    coeffs: list = [0] * n
+    coeffs: list[Scalar] = [0] * n
     basis = [1]  # little-endian coefficients of prod (x - xs[t]) so far
     for j in range(n):
         for t, bc in enumerate(basis):
-            term = dd[j] * bc if bc != 1 else dd[j]
-            coeffs[t] = coeffs[t] + term
+            coeffs[t] += dd[j] * bc
         if j < n - 1:
             shifted = [0] + basis
             scaled = [-xs[j] * b for b in basis] + [0]
@@ -93,27 +90,20 @@ def f_mu_interpolate(
             f"grid has {total_nodes} nodes, above the limit {max_nodes}; "
             "raise max_nodes to force the run"
         )
-    nvars = 2 * m
-
-    def interp(axis: int, prefix: tuple[int, ...]) -> MultivarPoly:
-        if axis == nvars:
-            return MultivarPoly.const(nvars, _shape_value(m, mu, prefix))
-        xs = axes[axis]
-        subs = [interp(axis + 1, prefix + (x,)) for x in xs]
-        coeffs = _newton_coefficients(xs, subs)
-        var = MultivarPoly.variable(nvars, axis)
-        result = MultivarPoly.zero(nvars)
-        power = MultivarPoly.const(nvars, 1)
-        for j, c in enumerate(coeffs):
-            if j:
-                power = power * var
-            if isinstance(c, (int, Fraction)):
-                c = MultivarPoly.const(nvars, c)
-            if c:
-                result = result + c * power
-        return result
-
-    poly = interp(0, ())
+    # node values, then one axis at a time each fibre's Newton coefficients,
+    # with that coordinate replaced by the exponent of its monomial
+    values = {point: _shape_value(m, mu, point) for point in itertools.product(*axes)}
+    for axis, xs in enumerate(axes):
+        solved = {}
+        for point in values:
+            if point[axis] != xs[0]:
+                continue
+            head, tail = point[:axis], point[axis + 1 :]
+            ys = [values[head + (x,) + tail] for x in xs]
+            for exp, c in enumerate(_newton_coefficients(xs, ys)):
+                solved[head + (exp,) + tail] = c
+        values = solved
+    poly = MultivarPoly(2 * m, values)
     guard = _guard_point(m, k)
     expected = _shape_value(m, mu, guard)
     if poly.evaluate(guard) != expected:

@@ -21,8 +21,10 @@ CellSet = frozenset[Cell]
 def as_partition(parts: Iterable[int]) -> Partition:
     """Normalize a part sequence to a partition tuple, dropping trailing zeros."""
     lam = tuple(int(x) for x in parts)
-    while lam and lam[-1] == 0:
-        lam = lam[:-1]
+    end = len(lam)
+    while end and lam[end - 1] == 0:
+        end -= 1
+    lam = lam[:end]
     if any(x <= 0 for x in lam):
         raise ValueError(f"parts must be positive: {lam}")
     if any(a < b for a, b in zip(lam, lam[1:])):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import brute_strip_removals, centralizer_order, character_by_power_sums
-from rectchar import characters
 from rectchar.characters import (
     border_strip_removals,
     mn_character,
@@ -20,10 +19,10 @@ def test_character_against_power_sum_oracle():
     for n in range(1, 7):
         for lam in partitions_of(n):
             for mu in partitions_of(n):
-                assert mn_character(lam, mu) == character_by_power_sums(lam, mu), (
-                    lam,
-                    mu,
-                )
+                expected = character_by_power_sums(lam, mu)
+                assert mn_character(lam, mu) == expected, (lam, mu)
+                # fixed points first, longer cycles last
+                assert mn_character(lam, mu[::-1]) == expected, (lam, mu)
 
 
 def test_known_values():
@@ -62,21 +61,6 @@ def test_deep_types_do_not_overflow_the_stack():
     twos = (2,) * 1000
     assert mn_character((2000,), twos) == 1
     assert mn_character((1,) * 2000, twos) == 1
-
-
-def test_sliced_evaluation_matches_oracle(monkeypatch):
-    # a tiny slice depth sends every small type through the bottom-up path
-    monkeypatch.setattr(characters, "_CHI_DEPTH", 2)
-    characters._chi.cache_clear()
-    try:
-        for n in range(1, 7):
-            for lam in partitions_of(n):
-                for mu in partitions_of(n):
-                    expected = character_by_power_sums(lam, mu)
-                    assert mn_character(lam, mu) == expected, (lam, mu)
-                    assert mn_character(lam, mu[::-1]) == expected, (lam, mu)
-    finally:
-        characters._chi.cache_clear()
 
 
 def test_type_must_match_size():

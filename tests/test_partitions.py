@@ -52,6 +52,7 @@ def test_parse_and_format():
 
 def test_as_partition_validation():
     assert as_partition([3, 1, 0, 0]) == (3, 1)
+    assert as_partition((2,) + (0,) * 50_000) == (2,)
     with pytest.raises(ValueError):
         as_partition((1, 2))
     with pytest.raises(ValueError):
