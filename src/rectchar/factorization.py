@@ -3,12 +3,17 @@
 The central object: for a cycle type mu of k, sum (-1)^k p^cycles(u) (-q)^cycles(v)
 over all k! pairs with u v = w_mu.  The result is a polynomial in (p, q) that
 evaluates to the normalized character of any p-by-q box at (mu, 1-tail).
+
+The pairs are counted by enumerating every u in S_k in Heap's order, where
+consecutive permutations differ by one transposition.  Right-multiplying a
+permutation by a transposition (i j) splits a cycle (+1) when i and j lie on
+the same cycle and merges two (-1) otherwise, so both cycle counts follow
+along with one short walk each instead of a rebuild per permutation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations as _permutations
 
 from .characters import mn_character, normalized_character
 from .partitions import (
@@ -29,39 +34,58 @@ _ENUMERATION_CAP = 10
 
 
 def _pair_cycle_counts(w: Permutation) -> list[list[int]]:
-    """counts[a][b] = number of u with u v = w, cycles(u) = a, cycles(v) = b."""
+    """counts[a][b] = number of u with u v = w, cycles(u) = a, cycles(v) = b.
+
+    Visits all k! permutations u in Heap's order, keeping u and
+    x = w^-1 u (which has the cycle count of v = u^-1 w) as 0-based lists.
+    Each Heap step swaps positions i and j of both, i.e. right-multiplies
+    them by the transposition (i j); that changes a cycle count by +1 when
+    i and j share a cycle (a split) and by -1 when they do not (a merge),
+    decided by walking from i until the walk meets j or returns to i.
+    """
     k = len(w)
     if k > _ENUMERATION_CAP:
         raise ValueError(f"k={k} exceeds enumeration cap {_ENUMERATION_CAP}")
-    w0 = tuple(x - 1 for x in w)
-    counts = [[0] * (k + 1) for _ in range(k + 1)]
-    rng = range(k)
-    for u in _permutations(rng):
-        inv = [0] * k
-        for i in rng:
-            inv[u[i]] = i
-        v = [inv[w0[i]] for i in rng]
-        # cycles(u) = cycles(inv); walk both with bitmask visited sets
-        seen = 0
-        a = 0
-        for i in rng:
-            if not (seen >> i) & 1:
-                a += 1
-                j = i
-                while not (seen >> j) & 1:
-                    seen |= 1 << j
-                    j = inv[j]
-        seen = 0
-        b = 0
-        for i in rng:
-            if not (seen >> i) & 1:
-                b += 1
-                j = i
-                while not (seen >> j) & 1:
-                    seen |= 1 << j
-                    j = v[j]
-        counts[a][b] += 1
-    return counts
+    stride = k + 1
+    u = list(range(k))
+    x = [0] * k
+    for i, image in enumerate(w):
+        x[image - 1] = i
+    b = 0
+    seen = [False] * k
+    for i in range(k):
+        if not seen[i]:
+            b += 1
+            while not seen[i]:
+                seen[i] = True
+                i = x[i]
+    # flat tally: cell a * stride + b counts pairs with cycles (a, b)
+    tally = [0] * (stride * stride)
+    idx = k * stride + b
+    tally[idx] = 1
+    level = [0] * k
+    i = 1
+    while i < k:
+        c = level[i]
+        if c < i:
+            j = c if i & 1 else 0
+            t = u[i]
+            while t != j and t != i:
+                t = u[t]
+            idx += stride if t == j else -stride
+            t = x[i]
+            while t != j and t != i:
+                t = x[t]
+            idx += 1 if t == j else -1
+            u[i], u[j] = u[j], u[i]
+            x[i], x[j] = x[j], x[i]
+            tally[idx] += 1
+            level[i] = c + 1
+            i = 1
+        else:
+            level[i] = 0
+            i += 1
+    return [tally[a * stride : (a + 1) * stride] for a in range(stride)]
 
 
 def factorization_poly_for(w: Permutation) -> MultivarPoly:
@@ -119,21 +143,19 @@ def sss_identity_check(k: int, p: int, q: int, mu: Partition) -> bool:
 
 def catalan_pair_count(k: int) -> int:
     """Pairs u v = (1 2 ... k) whose cycle counts sum to k + 1."""
-    counts = _pair_cycle_counts(canonical_permutation((k,)))
-    return sum(
-        counts[a][b]
-        for a in range(k + 1)
-        for b in range(k + 1)
-        if a + b == k + 1
-    )
+    return sum(narayana_refinement(k).values())
 
 
 def narayana_refinement(k: int) -> dict[int, int]:
-    """For each i, pairs u v = (1 2 ... k) with cycles(u) = i, cycles(v) = k+1-i."""
-    counts = _pair_cycle_counts(canonical_permutation((k,)))
+    """For each i, pairs u v = (1 2 ... k) with cycles(u) = i, cycles(v) = k+1-i.
+
+    Read off the cached pair-sum polynomial of the k-cycle: each count is the
+    absolute value of its p^i q^(k+1-i) coefficient, whose sign is (-1)^(i+1).
+    """
+    poly = factorization_poly((k,))
     out: dict[int, int] = {}
     for i in range(1, k + 1):
-        c = counts[i][k + 1 - i]
+        c = abs(poly.coefficient((i, k + 1 - i)))
         if c:
             out[i] = c
     return out

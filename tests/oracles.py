@@ -217,6 +217,22 @@ def brute_pair_sum(mu: tuple[int, ...]) -> dict[tuple[int, int], int]:
     return counts
 
 
+def itertools_pair_counts(w: tuple[int, ...]) -> list[list[int]]:
+    """counts[a][b] = number of u with u v = w, cycles(u) = a, cycles(v) = b,
+    rebuilding v = u^-1 w and walking both for every u from
+    itertools.permutations (the reference route for _pair_cycle_counts)."""
+    k = len(w)
+    w0 = tuple(x - 1 for x in w)
+    counts = [[0] * (k + 1) for _ in range(k + 1)]
+    for u in itertools.permutations(range(k)):
+        inv = [0] * k
+        for i in range(k):
+            inv[u[i]] = i
+        v = tuple(inv[w0[i]] for i in range(k))
+        counts[_cycle_count0(u)][_cycle_count0(v)] += 1
+    return counts
+
+
 def centralizer_order(mu: tuple[int, ...]) -> int:
     """prod i^(m_i) * m_i! over part multiplicities."""
     order = 1

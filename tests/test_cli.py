@@ -210,6 +210,23 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
     assert err == "internal error: RuntimeError: boom\n"
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("--mu", "2", "--p", "3"), "give both --p and --q, or neither"),
+        (("--mu", "2", "--p", "0", "--q", "3"), "p must be a positive integer, got 0"),
+        (("--mu", "5", "--p", "1", "--q", "2"), "|mu| = 5 exceeds |lam| = 2"),
+    ],
+)
+def test_theorem1_usage_errors_come_before_enumeration(capsys, monkeypatch, argv, err):
+    def enumerate_pairs(mu):
+        raise AssertionError("factorization_poly called before validation")
+
+    monkeypatch.setattr(cli, "factorization_poly", enumerate_pairs)
+    code, out, stderr = run_cli(capsys, "theorem1", *argv)
+    assert (code, out, stderr) == (2, "", f"error: {err}\n")
+
+
 def test_negative_samples_is_a_usage_error(capsys):
     code, out, err = run_cli(
         capsys, "conjecture", "--m", "1", "--mu", "1", "--samples", "-3"

@@ -1,9 +1,11 @@
+import math
 import random
 
 import pytest
 
-from oracles import CATALAN, NARAYANA_ROWS, brute_pair_sum
+from oracles import CATALAN, NARAYANA_ROWS, brute_pair_sum, itertools_pair_counts
 from rectchar.factorization import (
+    _pair_cycle_counts,
     catalan_pair_count,
     factorization_poly,
     factorization_poly_for,
@@ -37,6 +39,33 @@ def test_pair_sum_against_brute_enumeration():
                     expected_terms.get((a, b), 0) + (-1) ** (k + b) * count
                 )
             assert factorization_poly(mu) == MultivarPoly(2, expected_terms), mu
+
+
+def test_pair_counts_against_itertools_oracle():
+    for k in range(8):
+        for mu in partitions_of(k):
+            w = canonical_permutation(mu)
+            assert _pair_cycle_counts(w) == itertools_pair_counts(w), mu
+    rng = random.Random(8)
+    for mu in rng.sample(list(partitions_of(8)), 4):
+        g = tuple(rng.sample(range(1, 9), 8))
+        w = compose(compose(g, canonical_permutation(mu)), inverse(g))
+        assert _pair_cycle_counts(w) == itertools_pair_counts(w), (mu, w)
+
+
+def test_pair_count_invariants():
+    assert _pair_cycle_counts(()) == [[1]]
+    assert _pair_cycle_counts((1,)) == [[0, 0], [0, 1]]
+    for k in range(1, 9):
+        for mu in partitions_of(k):
+            ell = len(mu)
+            counts = _pair_cycle_counts(canonical_permutation(mu))
+            assert sum(map(sum, counts)) == math.factorial(k)
+            assert counts[k][ell] == 1
+            for a, row in enumerate(counts):
+                for b, count in enumerate(row):
+                    if (a + b - k - ell) % 2:
+                        assert count == 0, (mu, a, b)
 
 
 def test_representative_independence():
@@ -95,7 +124,7 @@ def test_sss_identity_small_grid():
 
 
 def test_catalan_pair_counts():
-    for k in range(1, 7):
+    for k in range(1, 10):
         assert catalan_pair_count(k) == CATALAN[k]
 
 
