@@ -19,12 +19,13 @@ from fractions import Fraction
 
 from .partitions import (
     Partition,
+    _complement,
+    _hook_product,
+    _integers,
+    _syt_count,
     as_partition,
-    complement,
-    hook_product,
     partitions_of,
     rectangle,
-    syt_count,
 )
 
 
@@ -51,10 +52,19 @@ def border_strip_removals(lam: Partition, size: int) -> list[BorderStripRemoval]
     lam = as_partition(lam)
     if size <= 0:
         raise ValueError("strip size must be positive")
+    return [
+        BorderStripRemoval(lam, size, result, height)
+        for result, height in _strips(lam, size)
+    ]
+
+
+def _strips(lam: Partition, size: int) -> list[tuple[Partition, int]]:
+    """(result, height) of each border strip removal, for a trusted lam and
+    a positive size."""
     r = len(lam)
     betas = [lam[i] + r - 1 - i for i in range(r)]
     beta_set = set(betas)
-    out: list[BorderStripRemoval] = []
+    out: list[tuple[Partition, int]] = []
     for i, b in enumerate(betas):
         nb = b - size
         if nb < 0 or nb in beta_set:
@@ -71,7 +81,7 @@ def border_strip_removals(lam: Partition, size: int) -> list[BorderStripRemoval]
         end = len(rows)
         while end and not rows[end - 1]:
             end -= 1
-        out.append(BorderStripRemoval(lam, size, rows[:end], j - i))
+        out.append((rows[:end], j - i))
     return out
 
 
@@ -82,11 +92,16 @@ def mn_character(lam: Partition, nu: Sequence[int]) -> int:
     are consumed left to right.
     """
     lam = as_partition(lam)
-    nu = tuple(int(x) for x in nu)
+    nu = _integers(nu)
     if any(x <= 0 for x in nu):
         raise ValueError(f"cycle lengths must be positive: {nu}")
     if sum(nu) != sum(lam):
         raise ValueError(f"type {nu} does not have size |{lam}| = {sum(lam)}")
+    return _mn_character(lam, nu)
+
+
+def _mn_character(lam: Partition, nu: tuple[int, ...]) -> int:
+    """mn_character for a trusted lam and positive parts nu of size |lam|."""
     depth = len(nu)
     while depth and nu[depth - 1] == 1:
         depth -= 1
@@ -94,16 +109,16 @@ def mn_character(lam: Partition, nu: Sequence[int]) -> int:
     levels = []
     shapes = {lam}
     for part in nu[:depth]:
-        removals = {shape: border_strip_removals(shape, part) for shape in shapes}
+        removals = {shape: _strips(shape, part) for shape in shapes}
         levels.append(removals)
-        shapes = {strip.result for strips in removals.values() for strip in strips}
+        shapes = {result for strips in removals.values() for result, _ in strips}
     # up: only fixed points remain below the last level
-    values = {shape: syt_count(shape) for shape in shapes}
+    values = {shape: _syt_count(shape) for shape in shapes}
     for removals in reversed(levels):
         values = {
             shape: sum(
-                -values[strip.result] if strip.height % 2 else values[strip.result]
-                for strip in strips
+                -values[result] if height % 2 else values[result]
+                for result, height in strips
             )
             for shape, strips in removals.items()
         }
@@ -122,8 +137,8 @@ def normalized_character(lam: Partition, mu: Partition) -> Fraction | int:
     k = sum(mu)
     if k > n:
         raise ValueError(f"|mu| = {k} exceeds |lam| = {n}")
-    chi = mn_character(lam, mu + (1,) * (n - k))
-    value = Fraction(math.perm(n, k) * chi, syt_count(lam))
+    chi = _mn_character(lam, mu + (1,) * (n - k))
+    value = Fraction(math.perm(n, k) * chi, _syt_count(lam))
     return int(value) if value.denominator == 1 else value
 
 
@@ -140,7 +155,7 @@ def rect_character_sum(p: int, q: int, mu: Partition) -> int:
     if k > p * q:
         raise ValueError(f"|mu| = {k} exceeds box size {p * q}")
     return sum(
-        mn_character(lam, mu) * syt_count(complement(lam, p, q))
+        _mn_character(lam, mu) * _syt_count(_complement(lam, p, q))
         for lam in partitions_of(k, max_part=q, max_parts=p)
     )
 
@@ -157,8 +172,8 @@ def rect_normalized_via_hooks(p: int, q: int, mu: Partition) -> Fraction | int:
     if k > p * q:
         raise ValueError(f"|mu| = {k} exceeds box size {p * q}")
     total = sum(
-        Fraction(mn_character(lam, mu), hook_product(complement(lam, p, q)))
+        Fraction(_mn_character(lam, mu), _hook_product(_complement(lam, p, q)))
         for lam in partitions_of(k, max_part=q, max_parts=p)
     )
-    value = hook_product(rectangle(p, q)) * total
+    value = _hook_product(rectangle(p, q)) * total
     return int(value) if value.denominator == 1 else value

@@ -14,19 +14,19 @@ along with one short walk each instead of a rebuild per permutation.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, wraps
 
-from .characters import mn_character, normalized_character
+from .characters import _mn_character, normalized_character
 from .partitions import (
     Partition,
-    _partition_cache,
+    _hook_product,
     as_partition,
-    hook_product,
     partitions_of,
     rectangle,
 )
 from .permutations import Permutation, canonical_permutation
 from .polynomials import MultivarPoly
-from .schur import schur_principal
+from .schur import _content_product
 
 #: largest k whose k! pairs are enumerated; k! grows fast enough that
 #: anything beyond this is a caller mistake rather than a workload
@@ -102,6 +102,27 @@ def factorization_poly_for(w: Permutation) -> MultivarPoly:
     return MultivarPoly(2, terms)
 
 
+def _partition_cache(fn):
+    """lru_cache for factorization_poly, whose partition may be any iterable.
+
+    A tuple goes to the cache as given, the fast path for hot loops; anything
+    else is normalized by as_partition first, so a list or a generator can be
+    passed without being hashed.  The cache stays reachable as cache_info()
+    and cache_clear() on the returned function.
+    """
+    cached = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def wrapper(lam):
+        if type(lam) is not tuple:
+            lam = as_partition(lam)
+        return cached(lam)
+
+    wrapper.cache_info = cached.cache_info
+    wrapper.cache_clear = cached.cache_clear
+    return wrapper
+
+
 @_partition_cache
 def factorization_poly(mu: Partition) -> MultivarPoly:
     """Sum of (-1)^k p^cycles(u) (-q)^cycles(v) over pairs u v = w_mu."""
@@ -123,7 +144,10 @@ def sss_identity_check(k: int, p: int, q: int, mu: Partition) -> bool:
     """Shape-sum route equals the pair-sum route.
 
     Left side: (-1)^k sum over lam of k of hook_product(lam)
-    * schur_principal(lam, p) * schur_principal(lam, -q) * chi^lam(mu).
+    * schur_principal(lam, p) * schur_principal(lam, -q) * chi^lam(mu).  With
+    schur_principal(lam, a) = content_product(lam, a) / hook_product(lam), each
+    term is summed as content_product(lam, p) * content_product(lam, -q)
+    * chi^lam(mu) / hook_product(lam), one hook product per shape.
     Right side: factorization_poly(mu) at (p, q).
     """
     mu = as_partition(mu)
@@ -131,10 +155,10 @@ def sss_identity_check(k: int, p: int, q: int, mu: Partition) -> bool:
         raise ValueError(f"mu = {mu} is not a partition of {k}")
     sign = -1 if k % 2 else 1
     lhs = sign * sum(
-        Fraction(hook_product(lam))
-        * schur_principal(lam, p)
-        * schur_principal(lam, -q)
-        * mn_character(lam, mu)
+        Fraction(
+            _content_product(lam, p) * _content_product(lam, -q) * _mn_character(lam, mu),
+            _hook_product(lam),
+        )
         for lam in partitions_of(k)
     )
     rhs = factorization_poly(mu).evaluate((p, q))

@@ -9,18 +9,34 @@ comma separated parts ("4,3,1") with "-" standing for the empty partition.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from functools import lru_cache, wraps
 
 Partition = tuple[int, ...]
 Cell = tuple[int, int]
 CellSet = frozenset[Cell]
 
 
+def _integers(parts: Iterable[int]) -> tuple[int, ...]:
+    """The parts as a tuple of ints; a part that is not an integer is rejected,
+    never truncated."""
+    out = []
+    for x in parts:
+        try:
+            out.append(operator.index(x))
+        except TypeError:
+            raise ValueError(f"parts must be integers: {x!r}") from None
+    return tuple(out)
+
+
 def as_partition(parts: Iterable[int]) -> Partition:
-    """Normalize a part sequence to a partition tuple, dropping trailing zeros."""
-    lam = tuple(int(x) for x in parts)
+    """Normalize a part sequence to a partition tuple, dropping trailing zeros.
+
+    This is the one validator of shapes: public functions call it once on
+    their argument and hand the result to private kernels that trust it.
+    """
+    lam = _integers(parts)
     end = len(lam)
     while end and lam[end - 1] == 0:
         end -= 1
@@ -67,10 +83,16 @@ def cells(lam: Partition) -> Iterator[Cell]:
 
 def conjugate(lam: Partition) -> Partition:
     """Transpose of the diagram: column lengths become row lengths."""
-    lam = as_partition(lam)
-    if not lam:
-        return ()
-    return tuple(sum(1 for row_len in lam if row_len >= j) for j in range(1, lam[0] + 1))
+    return _conjugate(as_partition(lam))
+
+
+def _conjugate(lam: Partition) -> Partition:
+    """Column lengths, read in one pass from the bottom row up: row i (1-based)
+    ends columns len(conj)+1..lam[i-1], which all have length i."""
+    conj: list[int] = []
+    for i in range(len(lam), 0, -1):
+        conj.extend([i] * (lam[i - 1] - len(conj)))
+    return tuple(conj)
 
 
 def content(cell: Cell) -> int:
@@ -91,46 +113,31 @@ def hook_length(lam: Partition, cell: Cell) -> int:
 
 def hook_lengths(lam: Partition) -> list[int]:
     """Hook lengths of every cell, row by row."""
-    lam = as_partition(lam)
-    conj = conjugate(lam)
-    return [
-        lam[i - 1] + conj[j - 1] - i - j + 1
-        for i in range(1, len(lam) + 1)
-        for j in range(1, lam[i - 1] + 1)
-    ]
+    return _hook_lengths(as_partition(lam))
 
 
-def _partition_cache(fn):
-    """lru_cache for a function of one partition, which may be any iterable.
-
-    A tuple goes to the cache as given, the fast path for hot loops; anything
-    else is normalized by as_partition first, so a list or a generator can be
-    passed without being hashed.  The cache stays reachable as cache_info()
-    and cache_clear() on the returned function.
-    """
-    cached = lru_cache(maxsize=None)(fn)
-
-    @wraps(fn)
-    def wrapper(lam):
-        if type(lam) is not tuple:
-            lam = as_partition(lam)
-        return cached(lam)
-
-    wrapper.cache_info = cached.cache_info
-    wrapper.cache_clear = cached.cache_clear
-    return wrapper
+def _hook_lengths(lam: Partition) -> list[int]:
+    # 0-based cell (i, j): arm lam[i] - j - 1 plus leg conj[j] - i - 1 plus one
+    conj = _conjugate(lam)
+    return [row - j + conj[j] - i - 1 for i, row in enumerate(lam) for j in range(row)]
 
 
-@_partition_cache
 def hook_product(lam: Partition) -> int:
-    return math.prod(hook_lengths(lam))
+    """Product of the hook lengths of lam (H_lam = n!/f^lam)."""
+    return _hook_product(as_partition(lam))
 
 
-@_partition_cache
+def _hook_product(lam: Partition) -> int:
+    return math.prod(_hook_lengths(lam))
+
+
 def syt_count(lam: Partition) -> int:
     """Number of standard Young tableaux of shape lam (hook length formula)."""
-    lam = as_partition(lam)
-    return math.factorial(sum(lam)) // hook_product(lam)
+    return _syt_count(as_partition(lam))
+
+
+def _syt_count(lam: Partition) -> int:
+    return math.factorial(sum(lam)) // _hook_product(lam)
 
 
 def complement(lam: Partition, p: int, q: int) -> Partition:
@@ -142,8 +149,13 @@ def complement(lam: Partition, p: int, q: int) -> Partition:
     lam = as_partition(lam)
     if not fits_in_box(lam, p, q):
         raise ValueError(f"{lam} does not fit in a {p}x{q} box")
-    padded = lam + (0,) * (p - len(lam))
-    return as_partition(q - padded[p - i] for i in range(1, p + 1))
+    return _complement(lam, p, q)
+
+
+def _complement(lam: Partition, p: int, q: int) -> Partition:
+    # row i is q - lam[p - i] (1-based, lam padded with zeros); rows of lam
+    # as wide as the box leave empty rows, which come last and are dropped
+    return rectangle(p - len(lam), q) + tuple(q - x for x in reversed(lam) if x < q)
 
 
 def sq_shape(lam: Partition, p: int, q: int) -> CellSet:
@@ -170,7 +182,7 @@ def sq_shape(lam: Partition, p: int, q: int) -> CellSet:
         for j in range(width + q - row_len + 1, width + q + 1):
             out.add((r, j))
     # box complement, rows ell+1..ell+p, left edge at column width+1
-    for i, row_len in enumerate(complement(lam, p, q), start=1):
+    for i, row_len in enumerate(_complement(lam, p, q), start=1):
         for j in range(width + 1, width + row_len + 1):
             out.add((ell + i, j))
     # rotated copy left of the left edge, rows p+1..p+ell, right edge at column width

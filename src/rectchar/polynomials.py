@@ -59,13 +59,6 @@ class MultivarPoly:
     def const(cls, nvars: int, value: Scalar) -> "MultivarPoly":
         return cls(nvars, {(0,) * nvars: value})
 
-    @classmethod
-    def variable(cls, nvars: int, index: int) -> "MultivarPoly":
-        if not 0 <= index < nvars:
-            raise ValueError(f"variable index {index} out of range")
-        exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {exps: 1})
-
     # -- ring operations ---------------------------------------------------
 
     def _check_compatible(self, other: "MultivarPoly") -> None:
@@ -120,18 +113,6 @@ class MultivarPoly:
         if isinstance(scalar, (int, Fraction)):
             return self * Fraction(1, scalar)
         return NotImplemented
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = MultivarPoly.const(self.nvars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
 
     def __eq__(self, other):
         if isinstance(other, MultivarPoly):

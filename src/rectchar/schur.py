@@ -7,26 +7,22 @@ it transposes: s_lam at -q equals (-1)^|lam| times the conjugate shape at q.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .partitions import (
     Partition,
+    _complement,
+    _hook_product,
     as_partition,
-    cells,
-    content,
     fits_in_box,
-    complement,
-    hook_product,
     rectangle,
 )
 
 
-def content_product(lam: Partition, shift: int) -> int:
-    """prod over cells of (shift + content)."""
-    out = 1
-    for cell in cells(as_partition(lam)):
-        out *= shift + content(cell)
-    return out
+def _content_product(lam: Partition, shift: int) -> int:
+    """prod over cells of (shift + content), content = column - row."""
+    return math.prod(shift + j - i for i, row in enumerate(lam) for j in range(row))
 
 
 def schur_principal(lam: Partition, p: int) -> Fraction | int:
@@ -35,7 +31,7 @@ def schur_principal(lam: Partition, p: int) -> Fraction | int:
     A negative p gives the polynomial continuation used by the lemma.
     """
     lam = as_partition(lam)
-    value = Fraction(content_product(lam, p), hook_product(lam))
+    value = Fraction(_content_product(lam, p), _hook_product(lam))
     return int(value) if value.denominator == 1 else value
 
 
@@ -50,11 +46,12 @@ def lemma_check(lam: Partition, p: int, q: int) -> bool:
     if not fits_in_box(lam, p, q):
         raise ValueError(f"{lam} does not fit in a {p}x{q} box")
     sign = -1 if sum(lam) % 2 else 1
+    hooks = _hook_product(lam)
     rhs = (
         sign
-        * hook_product(lam)
-        * hook_product(complement(lam, p, q))
-        * schur_principal(lam, p)
-        * schur_principal(lam, -q)
+        * hooks
+        * _hook_product(_complement(lam, p, q))
+        * Fraction(_content_product(lam, p), hooks)
+        * Fraction(_content_product(lam, -q), hooks)
     )
-    return hook_product(rectangle(p, q)) == rhs
+    return _hook_product(rectangle(p, q)) == rhs

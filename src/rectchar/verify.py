@@ -13,15 +13,9 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
-from .characters import (
-    mn_character,
-    normalized_character,
-    rect_character_sum,
-    rect_normalized_via_hooks,
-)
+from .characters import normalized_character
 from .factorization import (
     catalan_pair_count,
-    factorization_poly,
     narayana_refinement,
     sss_identity_check,
     theorem1_check,
@@ -33,7 +27,7 @@ from .frobenius import (
     frobenius_normalized,
     integrality_witness,
 )
-from .interpolation import conjecture1_check, f_mu_interpolate, off_grid_fidelity
+from .interpolation import conjecture1_check, off_grid_fidelity
 from .leading import (
     elizalde_formula,
     g_k_leading,
@@ -376,29 +370,3 @@ def run_criteria(
         reports.append(VerifyReport(idx, name, passed, time.monotonic() - start, detail))
     return reports
 
-
-def consistency_spot_checks() -> list[str]:
-    """Cross-module identities too small for their own criterion; returns a
-    list of failure strings, empty when everything holds."""
-    failures: list[str] = []
-    for p in range(1, 5):
-        for q in range(1, 5):
-            for k in range(1, min(6, p * q) + 1):
-                for mu in partitions_of(k):
-                    direct = mn_character(
-                        rectangle(p, q), mu + (1,) * (p * q - k)
-                    )
-                    if rect_character_sum(p, q, mu) != direct:
-                        failures.append(f"shape-sum character at {p}x{q}, mu={mu}")
-                    via_hooks = rect_normalized_via_hooks(p, q, mu)
-                    if via_hooks != normalized_character(rectangle(p, q), mu):
-                        failures.append(f"hook-sum character at {p}x{q}, mu={mu}")
-    for m in (1, 2):
-        for k in range(1, 4):
-            if f_mu_interpolate(m, (k,)) != f_k_polynomial(m, k):
-                failures.append(f"interpolation vs residue at m={m}, k={k}")
-    for k in range(1, 7):
-        two_var = f_k_polynomial(1, k)
-        if two_var != factorization_poly((k,)):
-            failures.append(f"residue vs pair-sum at k={k}")
-    return failures

@@ -34,6 +34,13 @@ NARAYANA_ROWS = {
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
 
 
+def reference_conjugate(lam: tuple[int, ...]) -> tuple[int, ...]:
+    """Column lengths by counting, column by column, the rows that reach it."""
+    if not lam:
+        return ()
+    return tuple(sum(1 for row_len in lam if row_len >= j) for j in range(1, lam[0] + 1))
+
+
 @lru_cache(maxsize=None)
 def brute_syt_count(lam: tuple[int, ...]) -> int:
     """Standard tableaux counted by removing one outer corner at a time."""

@@ -68,6 +68,12 @@ def test_type_must_match_size():
         mn_character((2, 1), (2, 2))
 
 
+def test_non_integer_cycle_lengths_are_rejected():
+    # int() used to read 2.5 as 2, which made (2.5, 2) a type of size 4
+    with pytest.raises(ValueError, match="2.5"):
+        mn_character((3, 1), (2.5, 2))
+
+
 def test_strip_removals_against_brute_force():
     for n in range(1, 8):
         for lam in partitions_of(n):

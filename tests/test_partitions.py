@@ -1,4 +1,5 @@
 import math
+import time
 from collections import Counter
 
 import pytest
@@ -9,6 +10,7 @@ from oracles import (
     brute_syt_count,
     recursive_partitions_in_box,
     recursive_partitions_of,
+    reference_conjugate,
 )
 from rectchar.partitions import (
     as_partition,
@@ -59,6 +61,14 @@ def test_as_partition_validation():
         as_partition((2, -1))
 
 
+def test_as_partition_rejects_non_integer_parts():
+    # parts used to go through int(), which truncated 2.7 to 2 and parsed '3'
+    with pytest.raises(ValueError, match="2.7"):
+        as_partition([2.7, 1.2])
+    with pytest.raises(ValueError, match="'3'"):
+        as_partition(["3", "1"])
+
+
 @given(partitions)
 def test_conjugate_involution(lam):
     assert conjugate(conjugate(lam)) == lam
@@ -94,6 +104,41 @@ def test_hook_product_is_factorial_over_syt(lam):
 @given(partitions)
 def test_syt_count_against_brute_enumeration(lam):
     assert syt_count(lam) == brute_syt_count(lam)
+
+
+def test_hook_kernels_against_reference_routes():
+    for n in range(13):
+        for lam in partitions_of(n):
+            conj = reference_conjugate(lam)
+            assert conjugate(lam) == conj
+            expected = [
+                lam[i - 1] - j + conj[j - 1] - i + 1 for (i, j) in cells(lam)
+            ]
+            assert hook_lengths(lam) == expected
+            assert hook_product(lam) == math.prod(expected)
+            assert syt_count(lam) == brute_syt_count(lam)
+
+
+def test_tall_and_wide_shapes_stay_fast():
+    # an O(length^2) formula for f^lam takes seconds on these shapes
+    from rectchar.characters import normalized_character
+    from rectchar.schur import lemma_check
+
+    def within_budget(fn):
+        start = time.monotonic()
+        result = fn()
+        assert time.monotonic() - start <= 1.0
+        return result
+
+    hook = (1000,) + (1,) * 1000
+    assert within_budget(lambda: syt_count((1,) * 2000)) == 1
+    assert within_budget(lambda: hook_product(hook)) == math.factorial(
+        2000
+    ) // math.comb(1999, 999)
+    assert within_budget(lambda: normalized_character(hook, (3,))) == 1994004000
+    assert within_budget(
+        lambda: all(lemma_check(lam, 500, 1) for lam in partitions_in_box(500, 1))
+    )
 
 
 def test_syt_known_values():
@@ -161,11 +206,16 @@ def test_partition_generators_handle_many_parts():
 
 
 @pytest.mark.parametrize("fn", [syt_count, hook_product])
-def test_cached_functions_take_any_iterable(fn):
+def test_hook_functions_take_lists_and_generators(fn):
     expected = fn((3, 1))
     assert fn([3, 1]) == expected
     assert fn(part for part in (3, 1)) == expected
-    assert fn.cache_info().currsize >= 1
+
+
+@pytest.mark.parametrize("fn", [syt_count, hook_product])
+def test_hook_functions_keep_no_cache(fn):
+    assert not hasattr(fn, "cache_info")
+
 
 def test_rectangle():
     assert rectangle(3, 2) == (2, 2, 2)

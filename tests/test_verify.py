@@ -1,9 +1,18 @@
+from rectchar.characters import (
+    mn_character,
+    normalized_character,
+    rect_character_sum,
+    rect_normalized_via_hooks,
+)
+from rectchar.factorization import factorization_poly
+from rectchar.frobenius import f_k_polynomial
+from rectchar.interpolation import f_mu_interpolate
+from rectchar.partitions import partitions_of, rectangle
 from rectchar.verify import (
     CRITERIA,
     REFERENCE_FLIPPED_TWO_RECT,
     VerifyReport,
     catalan_number,
-    consistency_spot_checks,
     run_criteria,
 )
 
@@ -60,4 +69,18 @@ def test_exception_becomes_failure(monkeypatch):
 
 
 def test_consistency_spot_checks_clean():
-    assert consistency_spot_checks() == []
+    """Cross-module identities too small for their own criterion."""
+    for p in range(1, 5):
+        for q in range(1, 5):
+            box = rectangle(p, q)
+            for k in range(1, min(6, p * q) + 1):
+                for mu in partitions_of(k):
+                    direct = mn_character(box, mu + (1,) * (p * q - k))
+                    assert rect_character_sum(p, q, mu) == direct, (p, q, mu)
+                    via_hooks = rect_normalized_via_hooks(p, q, mu)
+                    assert via_hooks == normalized_character(box, mu), (p, q, mu)
+    for m in (1, 2):
+        for k in range(1, 4):
+            assert f_mu_interpolate(m, (k,)) == f_k_polynomial(m, k), (m, k)
+    for k in range(1, 7):
+        assert f_k_polynomial(1, k) == factorization_poly((k,)), k
