@@ -22,7 +22,6 @@ from .frobenius import (
     MultiRectShape,
     f_k_polynomial,
     f_k_special_value,
-    falling_factorial,
     flipped_polynomial,
     frobenius_normalized,
     integrality_witness,
@@ -63,7 +62,7 @@ from .partitions import (
     sq_shape,
     syt_count,
 )
-from .permutations import canonical_permutation, compose, inverse
+from .permutations import canonical_permutation
 from .polynomials import MultivarPoly, default_names
 from .schur import lemma_check, schur_principal
 from .series import InsufficientDepthError, PowerSeries
@@ -84,7 +83,6 @@ __all__ = [
     "cells",
     "cellset_hooks",
     "complement",
-    "compose",
     "conjecture1_check",
     "conjugate",
     "content",
@@ -94,7 +92,6 @@ __all__ = [
     "f_k_special_value",
     "f_mu_interpolate",
     "factorization_poly",
-    "falling_factorial",
     "fits_in_box",
     "flipped_polynomial",
     "format_partition",
@@ -107,7 +104,6 @@ __all__ = [
     "hook_product",
     "integrality_witness",
     "interpolation_grid",
-    "inverse",
     "lemma_check",
     "mn_character",
     "narayana_check",

@@ -20,7 +20,7 @@ from .factorization import (
     narayana_refinement,
 )
 from .frobenius import f_k_polynomial, flipped_polynomial
-from .interpolation import conjecture1_check, off_grid_fidelity
+from .interpolation import DEFAULT_MAX_NODES, conjecture1_check, off_grid_fidelity
 from .leading import elizalde_formula, g_k_leading, narayana_number, s_k_sequence
 from .partitions import (
     fits_in_box,
@@ -381,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--mu", required=True)
     s.add_argument("--samples", type=int, default=20)
     s.add_argument("--seed", type=int, default=None)
-    s.add_argument("--max-nodes", type=int, default=20_000)
+    s.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
     s.add_argument("--json", action="store_true")
     s.set_defaults(handler=cmd_conjecture)
 

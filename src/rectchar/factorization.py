@@ -105,16 +105,17 @@ def factorization_poly_for(w: Permutation) -> MultivarPoly:
 def _partition_cache(fn):
     """lru_cache for factorization_poly, whose partition may be any iterable.
 
-    A tuple goes to the cache as given, the fast path for hot loops; anything
-    else is normalized by as_partition first, so a list or a generator can be
-    passed without being hashed.  The cache stays reachable as cache_info()
+    A tuple without trailing zeros goes to the cache as given, the fast path
+    for hot loops; anything else is normalized by as_partition first, so a
+    list or a generator can be passed without being hashed, and padding with
+    zeros adds no key.  The cache stays reachable as cache_info()
     and cache_clear() on the returned function.
     """
     cached = lru_cache(maxsize=None)(fn)
 
     @wraps(fn)
     def wrapper(lam):
-        if type(lam) is not tuple:
+        if type(lam) is not tuple or (lam and lam[-1] == 0):
             lam = as_partition(lam)
         return cached(lam)
 

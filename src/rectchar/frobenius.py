@@ -3,15 +3,15 @@
 The normalized character of lam at a k-cycle plus fixed points equals
 -(1/k) [x^-1] (x)_k phi(x - k)/phi(x) where phi has the shifted first-column
 hook coordinates of lam as roots.  For a stack of m rectangles the same ratio
-collapses to falling factorials in the rectangle dimensions, which makes the
-character a polynomial F_k in those dimensions.  Both the numeric and the
-symbolic version read the residue off one power series in t = 1/x, at an
-order fixed in advance by the root counts.
+collapses to falling factorials whose roots are sums of the rectangle
+dimensions, which makes the character a polynomial F_k in those dimensions;
+one root builder serves both the symbolic F_k and its integer special value.
+Both the numeric and the symbolic version read the residue off one power
+series in t = 1/x, at an order fixed in advance by the root counts.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -86,50 +86,53 @@ def frobenius_normalized(lam: Partition, k: int) -> Fraction | int:
     return int(value) if value.denominator == 1 else value
 
 
-def rect_sum_vars(m: int) -> tuple[list[MultivarPoly], list[MultivarPoly]]:
-    """The shifted row coordinates of an m-rectangle stack, symbolically.
+def _dimension_vars(m: int) -> tuple[list[MultivarPoly], list[MultivarPoly]]:
+    """The variables p_1..p_m and q_1..q_m of an m-rectangle stack, in that
+    order among the 2m polynomial variables."""
+    if m < 1:
+        raise ValueError(f"need m >= 1 rectangles, got {m}")
+    dims = [
+        MultivarPoly(2 * m, {tuple(int(s == t) for s in range(2 * m)): 1})
+        for t in range(2 * m)
+    ]
+    return dims[:m], dims[m:]
 
-    Variables are ordered p_1..p_m, q_1..q_m.  Returns (upper, lower) where
-    upper[i] = q_i + p_i + p_{i+1} + ... + p_m and lower[i] = q_i + p_{i+1}
-    + ... + p_m; these are the two root families of the character ratio after
-    the telescoping cancellation.
+
+def _stack_roots(ps, qs) -> tuple[list, list]:
+    """(upper, lower) roots of the character ratio of a stack, over any ring.
+
+    After the telescoping cancellation phi(x - k)/phi(x) is
+    prod (x - A_i)_k / prod (x - B_i)_k with B_i = q_i + p_(i+1) + ... + p_m
+    and A_i = B_i + p_i.  Built in one pass from the bottom rectangle up.
     """
-    upper: list[MultivarPoly] = []
-    lower: list[MultivarPoly] = []
-    for i in range(m):
-        base = {(0,) * m + tuple(1 if t == i else 0 for t in range(m)): 1}
-        for t in range(i + 1, m):
-            base[tuple(1 if s == t else 0 for s in range(m)) + (0,) * m] = 1
-        lower.append(MultivarPoly(2 * m, base))
-        upper.append(
-            lower[-1]
-            + MultivarPoly(2 * m, {tuple(1 if s == i else 0 for s in range(m)) + (0,) * m: 1})
-        )
-    return upper, lower
+    upper: list = []
+    lower: list = []
+    below = 0
+    for p, q in zip(reversed(ps), reversed(qs)):
+        lower.append(q + below)
+        below = below + p
+        upper.append(lower[-1] + p)
+    return upper[::-1], lower[::-1]
 
 
-@lru_cache(maxsize=None)
-def _fk_xinverse(m: int, k: int) -> MultivarPoly:
-    """[x^-1] of the symbolic ratio (x)_k prod(x-A_i)_k / prod(x-B_i)_k."""
-    upper, lower = rect_sum_vars(m)
+def _stack_character(k: int, upper, lower):
+    """-(1/k) [x^-1] of (x)_k prod (x - A_i)_k / prod (x - B_i)_k."""
     num_roots: list = list(range(k))
-    den_roots: list = []
-    for i in range(m):
-        num_roots.extend(upper[i] + j for j in range(k))
-        den_roots.extend(lower[i] + j for j in range(k))
-    raw = rational_x_inverse_coefficient(num_roots, den_roots)
-    if isinstance(raw, (int, Fraction)):
-        raw = MultivarPoly.const(2 * m, raw)
-    return raw
+    num_roots.extend(a + j for a in upper for j in range(k))
+    den_roots = [b + j for b in lower for j in range(k)]
+    return rational_x_inverse_coefficient(num_roots, den_roots) * Fraction(-1, k)
 
 
 @lru_cache(maxsize=None)
 def f_k_polynomial(m: int, k: int) -> MultivarPoly:
     """Normalized character of an m-rectangle stack at a k-cycle, as a
-    polynomial in p_1..p_m, q_1..q_m."""
-    if m < 1 or k < 1:
-        raise ValueError("need m >= 1 and k >= 1")
-    return (-_fk_xinverse(m, k)) / k
+    polynomial in p_1..p_m, q_1..q_m.
+
+    Cached by (m, k); the keys are the small (m, k) grids the callers use.
+    """
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
+    return _stack_character(k, *_stack_roots(*_dimension_vars(m)))
 
 
 def flipped_polynomial(poly: MultivarPoly, m: int, k: int) -> MultivarPoly:
@@ -149,23 +152,16 @@ def f_k_special_value(m: int, k: int) -> Fraction | int:
     """
     if m < 1 or k < 1:
         raise ValueError("need m >= 1 and k >= 1")
-    # at p_i = 1, q_i = -1: upper root i is m - i, lower root is m - i - 1
-    num_roots = list(range(k)) + [m - i + j for i in range(1, m + 1) for j in range(k)]
-    den_roots = [m - i - 1 + j for i in range(1, m + 1) for j in range(k)]
-    raw = rational_x_inverse_coefficient(num_roots, den_roots)
-    value = Fraction(-raw, k)
+    value = _stack_character(k, *_stack_roots((1,) * m, (-1,) * m))
     if k % 2:
         value = -value
     return int(value) if value.denominator == 1 else value
 
 
 def integrality_witness(m: int, k: int) -> bool:
-    """True iff every coefficient of the raw x^-1 extraction is divisible by k
-    (equivalently: k * F_k has all coefficients divisible by k)."""
-    raw = _fk_xinverse(m, k)
-    return all(c % k == 0 for c in raw.terms.values())
+    """True iff every coefficient of the raw x^-1 extraction is divisible by k.
 
-
-def falling_factorial(n: int, k: int) -> int:
-    """(n)_k = n(n-1)...(n-k+1) for integer n (n may be smaller than k)."""
-    return math.prod(n - j for j in range(k))
+    F_k is the raw extraction times -1/k and the raw extraction has integer
+    coefficients, so this holds exactly when F_k has integer coefficients.
+    """
+    return f_k_polynomial(m, k).is_integral()

@@ -115,14 +115,8 @@ def f_mu_interpolate(
 
 
 def _guard_point(m: int, k: int) -> tuple[int, ...]:
-    """An admissible shape with every coordinate outside the grid bands."""
-    d = k + 2
-    ps = (k + 3,) * m
-    if m == 1:
-        qs = (2 * k + 3,)
-    else:
-        qs = tuple((m - i + 1) * d + 1 for i in range(1, m + 1))
-    return ps + qs
+    """An admissible shape with every coordinate one past its axis's last node."""
+    return tuple(axis[-1] + 1 for axis in interpolation_grid(m, k))
 
 
 def off_grid_fidelity(
@@ -134,6 +128,8 @@ def off_grid_fidelity(
 ) -> bool:
     """Compare the interpolant against direct character values at random
     admissible shapes drawn outside the interpolation grid."""
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     mu = as_partition(mu)
     k = sum(mu)
     if poly is None:

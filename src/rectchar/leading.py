@@ -14,7 +14,12 @@ import math
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .frobenius import f_k_polynomial, flipped_polynomial, rect_sum_vars
+from .frobenius import (
+    _dimension_vars,
+    _stack_roots,
+    f_k_polynomial,
+    flipped_polynomial,
+)
 from .polynomials import MultivarPoly
 from .series import PowerSeries
 
@@ -24,10 +29,8 @@ def g_k_leading(m: int, k: int) -> MultivarPoly:
     return f_k_polynomial(m, k).homogeneous_part(k + 1)
 
 
-def _kernel_ratio(m: int, order: int, invert: bool = False) -> PowerSeries:
-    """prod(1 - A_i x)/prod(1 - B_i x), or its reciprocal with invert=True."""
-    upper, lower = rect_sum_vars(m)
-    num, den = (lower, upper) if invert else (upper, lower)
+def _kernel_ratio(num, den, order: int) -> PowerSeries:
+    """prod(1 - a x)/prod(1 - b x) over the roots a in num and b in den."""
     series = PowerSeries.one(order)
     for a in num:
         series = series.mul_linear(a)
@@ -36,18 +39,21 @@ def _kernel_ratio(m: int, order: int, invert: bool = False) -> PowerSeries:
     return series
 
 
+def _inverse_reciprocal(ratio: PowerSeries) -> PowerSeries:
+    """x/g, where g is the compositional inverse of x*ratio."""
+    kernel = PowerSeries([0] + ratio.coeffs, ratio.order + 1)
+    return kernel.compositional_inverse().shift_down().reciprocal()
+
+
 def g_k_via_lagrange(m: int, k: int) -> MultivarPoly:
     """G_k as -(1/k) [x^(k+1)] M(x)^k, M = prod(1-A_i x)/prod(1-B_i x)."""
     if k < 1:
         raise ValueError("k must be positive")
-    M = _kernel_ratio(m, k + 1)
+    M = _kernel_ratio(*_stack_roots(*_dimension_vars(m)), k + 1)
     power = PowerSeries.one(k + 1)
     for _ in range(k):
         power = power * M
-    value = Fraction(-1, k) * power.coefficient(k + 1)
-    if isinstance(value, (int, Fraction)):
-        return MultivarPoly.const(2 * m, value)
-    return value
+    return Fraction(-1, k) * power.coefficient(k + 1)
 
 
 def gk_generating_check(m: int, kmax: int) -> bool:
@@ -56,15 +62,10 @@ def gk_generating_check(m: int, kmax: int) -> bool:
     The reciprocal of the inverse of x*prod(1-B_i x)/prod(1-A_i x) is
     1/x + sum G_k x^k; the constant slot (k = 0) carries p_1 + ... + p_m.
     """
-    order = kmax + 2
-    ratio = _kernel_ratio(m, order - 1, invert=True)
-    kernel = PowerSeries([0] + ratio.coeffs, order)
-    inv = kernel.compositional_inverse()
-    u = inv.shift_down().reciprocal()
-    p_sum = MultivarPoly(
-        2 * m, {tuple(1 if s == i else 0 for s in range(2 * m)): 1 for i in range(m)}
-    )
-    if u.coefficient(1) != p_sum:
+    ps, qs = _dimension_vars(m)
+    upper, lower = _stack_roots(ps, qs)
+    u = _inverse_reciprocal(_kernel_ratio(lower, upper, kmax + 1))
+    if u.coefficient(1) != sum(ps, MultivarPoly.zero(2 * m)):
         return False
     return all(u.coefficient(k + 1) == g_k_leading(m, k) for k in range(1, kmax + 1))
 
@@ -80,12 +81,9 @@ def s_k_sequence(m: int, kmax: int) -> list[int]:
     """
     if m < 1:
         raise ValueError("m must be positive")
-    order = kmax + 2
-    den = PowerSeries([1, m - 1], order - 1).reciprocal()
-    ratio = PowerSeries([1, -1], order - 1) * den
-    kernel = PowerSeries([0] + ratio.coeffs, order)
-    inv = kernel.compositional_inverse()
-    u = inv.shift_down().reciprocal()
+    order = kmax + 1
+    ratio = PowerSeries([1, -1], order) * PowerSeries([1, m - 1], order).reciprocal()
+    u = _inverse_reciprocal(ratio)
     out: list[int] = []
     for k in range(1, kmax + 1):
         value = -u.coefficient(k + 1)

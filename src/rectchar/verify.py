@@ -205,8 +205,6 @@ def criterion_special_value(full: bool = False) -> tuple[bool, str]:
         for k in range(1, kmax + 1):
             if not integrality_witness(m, k):
                 return False, f"coefficient not divisible by k at m={m}, k={k}"
-            if not f_k_polynomial(m, k).is_integral():
-                return False, f"non-integer coefficient at m={m}, k={k}"
     return True, (
         f"special values to m<={m_cap}, k<={k_cap}; "
         f"divisibility on {sum(grid.values())} symbolic polynomials"

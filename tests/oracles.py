@@ -170,6 +170,21 @@ def _connected(skew: set[tuple[int, int]]) -> bool:
     return seen == skew
 
 
+def compose(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+    """(u * v)(i) = u(v(i)) in one-line notation on 1..k."""
+    if len(u) != len(v):
+        raise ValueError("degree mismatch")
+    return tuple(u[x - 1] for x in v)
+
+
+def inverse(w: tuple[int, ...]) -> tuple[int, ...]:
+    """The inverse permutation in one-line notation on 1..k."""
+    inv = [0] * len(w)
+    for i, img in enumerate(w, start=1):
+        inv[img - 1] = i
+    return tuple(inv)
+
+
 def _compose0(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     """(u after v) on 0-based points."""
     return tuple(u[v[i]] for i in range(len(u)))

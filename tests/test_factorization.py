@@ -3,7 +3,14 @@ import random
 
 import pytest
 
-from oracles import CATALAN, NARAYANA_ROWS, brute_pair_sum, itertools_pair_counts
+from oracles import (
+    CATALAN,
+    NARAYANA_ROWS,
+    brute_pair_sum,
+    compose,
+    inverse,
+    itertools_pair_counts,
+)
 from rectchar.factorization import (
     _pair_cycle_counts,
     catalan_pair_count,
@@ -15,7 +22,7 @@ from rectchar.factorization import (
 )
 from rectchar.characters import normalized_character
 from rectchar.partitions import partitions_of, rectangle
-from rectchar.permutations import canonical_permutation, compose, inverse
+from rectchar.permutations import canonical_permutation
 from rectchar.polynomials import MultivarPoly
 
 
@@ -137,6 +144,9 @@ def test_narayana_refinement_matches_table():
 
 def test_factorization_poly_takes_any_iterable():
     expected = factorization_poly((2, 1))
+    size = factorization_poly.cache_info().currsize
     assert factorization_poly([2, 1]) == expected
     assert factorization_poly(part for part in (2, 1)) == expected
-    assert factorization_poly.cache_info().currsize >= 1
+    # trailing zeros do not add cache keys
+    assert factorization_poly((2, 1, 0, 0)) == expected
+    assert factorization_poly.cache_info().currsize == size

@@ -2,13 +2,15 @@ import math
 
 import pytest
 
+from rectchar import frobenius
 from rectchar.characters import normalized_character
 from rectchar.factorization import factorization_poly
 from rectchar.frobenius import (
     MultiRectShape,
+    _dimension_vars,
+    _stack_roots,
     f_k_polynomial,
     f_k_special_value,
-    falling_factorial,
     flipped_polynomial,
     frobenius_normalized,
     integrality_witness,
@@ -80,15 +82,17 @@ def test_fk_one_rectangle_matches_pair_sum():
         assert f_k_polynomial(1, k) == factorization_poly((k,))
 
 
+SHAPES = [
+    MultiRectShape((2,), (3,)),
+    MultiRectShape((1, 2), (4, 2)),
+    MultiRectShape((2, 1), (3, 1)),
+    MultiRectShape((3, 2), (4, 2)),
+    MultiRectShape((1, 1, 1), (3, 2, 1)),
+]
+
+
 def test_fk_specializes_to_shapes():
-    shapes = [
-        MultiRectShape((2,), (3,)),
-        MultiRectShape((1, 2), (4, 2)),
-        MultiRectShape((2, 1), (3, 1)),
-        MultiRectShape((3, 2), (4, 2)),
-        MultiRectShape((1, 1, 1), (3, 2, 1)),
-    ]
-    for shape in shapes:
+    for shape in SHAPES:
         point = shape.ps + shape.qs
         for k in range(1, min(5, shape.size()) + 1):
             poly = f_k_polynomial(shape.m, k)
@@ -111,15 +115,28 @@ def test_special_value():
 
 
 def test_special_value_agrees_with_symbolic_evaluation():
-    for m in (1, 2):
+    for m in range(1, 5):
         for k in range(1, 5):
             poly = f_k_polynomial(m, k)
             value = poly.evaluate((1,) * m + (-1,) * m) * (-1) ** k
             assert value == f_k_special_value(m, k)
 
 
-def test_falling_factorial():
-    assert falling_factorial(5, 2) == 20
-    assert falling_factorial(3, 0) == 1
-    assert falling_factorial(3, 3) == 6
-    assert falling_factorial(2, 3) == 0
+def test_stack_roots_commute_with_evaluation():
+    # the integer roots are the symbolic roots evaluated at the same point
+    points = [(shape.ps, shape.qs) for shape in SHAPES]
+    points += [((1,) * m, (-1,) * m) for m in range(1, 5)]
+    for ps, qs in points:
+        upper, lower = _stack_roots(*_dimension_vars(len(ps)))
+        at = ps + qs
+        assert _stack_roots(ps, qs) == (
+            [a.evaluate(at) for a in upper],
+            [b.evaluate(at) for b in lower],
+        )
+
+
+def test_only_fk_polynomial_is_cached():
+    cached = [
+        name for name, value in vars(frobenius).items() if hasattr(value, "cache_info")
+    ]
+    assert cached == ["f_k_polynomial"]

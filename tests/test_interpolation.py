@@ -68,6 +68,11 @@ def test_off_grid_fidelity_is_deterministic():
     assert off_grid_fidelity(2, (2,), poly, samples=10, seed=123)
 
 
+def test_negative_samples_rejected():
+    with pytest.raises(ValueError, match="samples must be nonnegative, got -3"):
+        off_grid_fidelity(1, (2,), samples=-3)
+
+
 def test_node_budget_enforced():
     with pytest.raises(ValueError):
         f_mu_interpolate(2, (2,), max_nodes=3)

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from oracles import CATALAN, NARAYANA_ROWS, SCHROEDER
 from rectchar.factorization import narayana_refinement
 from rectchar.frobenius import f_k_polynomial, flipped_polynomial
@@ -39,6 +41,13 @@ def test_two_routes_agree():
 def test_generating_function_route():
     for m in (1, 2, 3):
         assert gk_generating_check(m, 4)
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_symbolic_routes_reject_empty_stacks(m):
+    for route in (f_k_polynomial, g_k_via_lagrange, gk_generating_check):
+        with pytest.raises(ValueError, match=f"need m >= 1 rectangles, got {m}"):
+            route(m, 3)
 
 
 def test_low_degree_tail_of_fk():

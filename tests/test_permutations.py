@@ -3,14 +3,9 @@ import math
 
 from hypothesis import given, strategies as st
 
-from oracles import cycle_type
+from oracles import centralizer_order, compose, cycle_type, inverse
 from rectchar.partitions import partitions_of
-from rectchar.permutations import (
-    canonical_permutation,
-    centralizer_order,
-    compose,
-    inverse,
-)
+from rectchar.permutations import canonical_permutation
 
 small_perms = st.integers(1, 6).flatmap(
     lambda k: st.permutations(list(range(1, k + 1))).map(tuple)
