@@ -103,23 +103,28 @@ def cmd_theorem1(args) -> int:
     return 0
 
 
-def cmd_lemma(args) -> int:
-    p = _require_positive("p", args.p)
-    q = _require_positive("q", args.q)
-    if args.lam is not None:
-        lam = parse_partition(args.lam)
-        if not lemma_check(lam, p, q):
-            print(f"FAIL: lemma does not hold for lam={format_partition(lam)}")
-            return 1
-        print(f"verified lam={format_partition(lam)} in {p}x{q}")
-        return 0
+def _sweep_box(p: int, q: int, check, suffix: str) -> int:
+    """Run check(lam) on every shape in the p-by-q box; stop at a failure."""
     count = 0
     for lam in partitions_in_box(p, q):
-        if not lemma_check(lam, p, q):
+        if not check(lam):
             print(f"FAIL at lam={format_partition(lam)}")
             return 1
         count += 1
-    print(f"verified {count} shapes in {p}x{q}")
+    print(f"verified {count} shapes in {p}x{q}{suffix}")
+    return 0
+
+
+def cmd_lemma(args) -> int:
+    p = _require_positive("p", args.p)
+    q = _require_positive("q", args.q)
+    if args.lam is None:
+        return _sweep_box(p, q, lambda lam: lemma_check(lam, p, q), "")
+    lam = parse_partition(args.lam)
+    if not lemma_check(lam, p, q):
+        print(f"FAIL: lemma does not hold for lam={format_partition(lam)}")
+        return 1
+    print(f"verified lam={format_partition(lam)} in {p}x{q}")
     return 0
 
 
@@ -127,15 +132,8 @@ def cmd_hooks(args) -> int:
     p = _require_positive("p", args.p)
     q = _require_positive("q", args.q)
     if args.lam is None:
-        count = 0
-        for lam in partitions_in_box(p, q):
-            _, multiset_ok, product_ok = hook_identities(lam, p, q)
-            if not (multiset_ok and product_ok):
-                print(f"FAIL at lam={format_partition(lam)}")
-                return 1
-            count += 1
-        print(f"verified {count} shapes in {p}x{q} (multiset and product)")
-        return 0
+        suffix = " (multiset and product)"
+        return _sweep_box(p, q, lambda lam: all(hook_identities(lam, p, q)[1:]), suffix)
     lam = parse_partition(args.lam)
     if not fits_in_box(lam, p, q):
         raise ValueError(f"lam={format_partition(lam)} does not fit in {p}x{q}")
@@ -160,20 +158,11 @@ def cmd_hooks(args) -> int:
     return 0 if multiset_ok and product_ok else 1
 
 
-def cmd_fk(args) -> int:
+def cmd_poly(args) -> int:
+    """fk and gk: the polynomial args.build(m, k), optionally flipped."""
     m = _require_positive("m", args.m)
     k = _require_positive("k", args.k)
-    poly = f_k_polynomial(m, k)
-    if args.flip:
-        poly = flipped_polynomial(poly, m, k)
-    _print_poly(poly, m, args.json)
-    return 0
-
-
-def cmd_gk(args) -> int:
-    m = _require_positive("m", args.m)
-    k = _require_positive("k", args.k)
-    poly = g_k_leading(m, k)
+    poly = args.build(m, k)
     if args.flip:
         poly = flipped_polynomial(poly, m, k)
     _print_poly(poly, m, args.json)
@@ -344,14 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--flip", action="store_true", help="print (-1)^k F_k(q->-q)")
     s.add_argument("--json", action="store_true")
-    s.set_defaults(handler=cmd_fk)
+    s.set_defaults(handler=cmd_poly, build=f_k_polynomial)
 
     s = sub.add_parser("gk", help="leading homogeneous part G_k")
     s.add_argument("--m", type=int, required=True)
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--flip", action="store_true")
     s.add_argument("--json", action="store_true")
-    s.set_defaults(handler=cmd_gk)
+    s.set_defaults(handler=cmd_poly, build=g_k_leading)
 
     s = sub.add_parser("sk", help="coefficient-sum sequence S_1..S_kmax")
     s.add_argument("--m", type=int, required=True)
@@ -405,13 +394,15 @@ def run(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
+        # OverflowError: an argument too large for a machine-sized integer
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:
+        # a failed check raises plain ArithmeticError; subclasses are faults
+        if type(exc) is ArithmeticError:
+            print(f"check failed: {exc}", file=sys.stderr)
+            return 1
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

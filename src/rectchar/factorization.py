@@ -128,6 +128,8 @@ def _partition_cache(fn):
 def factorization_poly(mu: Partition) -> MultivarPoly:
     """Sum of (-1)^k p^cycles(u) (-q)^cycles(v) over pairs u v = w_mu."""
     mu = as_partition(mu)
+    if sum(mu) > _ENUMERATION_CAP:  # before w_mu is built: k may be huge
+        raise ValueError(f"k={sum(mu)} exceeds enumeration cap {_ENUMERATION_CAP}")
     return factorization_poly_for(canonical_permutation(mu))
 
 

@@ -122,18 +122,16 @@ def _guard_point(m: int, k: int) -> tuple[int, ...]:
 def off_grid_fidelity(
     m: int,
     mu: Partition,
-    poly: MultivarPoly | None = None,
+    poly: MultivarPoly,
     samples: int = 20,
     seed: int | None = None,
 ) -> bool:
-    """Compare the interpolant against direct character values at random
-    admissible shapes drawn outside the interpolation grid."""
+    """Compare poly, the interpolated F_mu, against direct character values at
+    random admissible shapes drawn outside the interpolation grid."""
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
     mu = as_partition(mu)
     k = sum(mu)
-    if poly is None:
-        poly = f_mu_interpolate(m, mu)
     if seed is None:
         seed = hash((m, mu)) & 0xFFFFFFFF
     rng = random.Random(seed)

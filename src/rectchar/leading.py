@@ -137,17 +137,6 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _multichoose(a: int, b: int) -> int:
-    """Number of b-multisets from a types, as the binomial C(a+b-1, b); the
-    empty selection counts once regardless of a."""
-    if b == 0:
-        return 1
-    if b < 0:
-        return 0
-    n = a + b - 1
-    return math.comb(n, b) if n >= 0 else 0
-
-
 def _comb_nonneg(n: int, r: int) -> int:
     """C(n, r) with C(n, 0) = 1 for every integer n and 0 for negative n, r."""
     if r < 0:
@@ -173,7 +162,7 @@ def elizalde_formula(m: int, k: int) -> MultivarPoly:
     for exps in _compositions(k + 1, 2 * m):
         iv = exps[:m]
         jv = exps[m:]
-        weight = math.comb(k, iv[0]) * _multichoose(iv[0], jv[0])
+        weight = math.comb(k, iv[0]) * _comb_nonneg(iv[0] + jv[0] - 1, jv[0])
         partial = iv[0] + jv[0]
         for s in range(1, m):
             if not weight:
@@ -182,7 +171,7 @@ def elizalde_formula(m: int, k: int) -> MultivarPoly:
             for r in range(min(iv[s], jv[s]) + 1):
                 inner += (
                     math.comb(k, r)
-                    * _multichoose(r, jv[s] - r)
+                    * _comb_nonneg(jv[s] - 1, jv[s] - r)
                     * _comb_nonneg(k - r - partial, iv[s] - r)
                 )
             weight *= inner

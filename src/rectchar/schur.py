@@ -38,20 +38,17 @@ def schur_principal(lam: Partition, p: int) -> Fraction | int:
 def lemma_check(lam: Partition, p: int, q: int) -> bool:
     """Box hook product as a signed product over a contained shape.
 
-    Checks hook_product(p-by-q box) == (-1)^|lam| * hook_product(lam)
-    * hook_product(complement) * schur_principal(lam, p) * schur_principal(lam, -q)
-    exactly.
+    H_box = (-1)^|lam| H_lam H_complement s_lam(1^p) s_lam(1^-q), multiplied
+    through by H_lam and checked in integers, since s_lam(1^a) is
+    content_product(lam, a) / H_lam.
     """
     lam = as_partition(lam)
     if not fits_in_box(lam, p, q):
         raise ValueError(f"{lam} does not fit in a {p}x{q} box")
     sign = -1 if sum(lam) % 2 else 1
-    hooks = _hook_product(lam)
-    rhs = (
+    return _hook_product(rectangle(p, q)) * _hook_product(lam) == (
         sign
-        * hooks
         * _hook_product(_complement(lam, p, q))
-        * Fraction(_content_product(lam, p), hooks)
-        * Fraction(_content_product(lam, -q), hooks)
+        * _content_product(lam, p)
+        * _content_product(lam, -q)
     )
-    return _hook_product(rectangle(p, q)) == rhs

@@ -147,9 +147,7 @@ def hook_identities(lam, p: int, q: int) -> tuple[Counter[int], bool, bool]:
     the box's hooks plus lam's hooks, and whether its hook product equals the
     content-product form."""
     actual = cellset_hooks(sq_shape(lam, p, q))
-    expected = cellset_hooks(frozenset(cells(rectangle(p, q))))
-    for h in hook_lengths(lam):
-        expected[h] += 1
+    expected = Counter(hook_lengths(rectangle(p, q)) + hook_lengths(lam))
     product = math.prod(h**c for h, c in actual.items())
     content_form = (
         hook_product(complement(lam, p, q))

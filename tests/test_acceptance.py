@@ -5,9 +5,7 @@ Each test prints a single PASS/FAIL line outside pytest's capture so the
 summary is always visible, and enforces a wall-clock budget.
 """
 
-import time
-
-from rectchar.verify import CRITERIA
+from rectchar.verify import run_criteria
 
 BUDGETS = {
     1: 60.0,
@@ -26,21 +24,19 @@ BUDGETS = {
 
 
 def _run(number: int, capsys) -> None:
-    name, fn = CRITERIA[number - 1]
-    start = time.monotonic()
-    try:
-        passed, detail = fn(full=False)
-    except Exception as exc:  # a crash is a failure, not an error
-        passed, detail = False, f"raised {exc!r}"
-    elapsed = time.monotonic() - start
-    status = "PASS" if passed else "FAIL"
-    line = f"{status} criterion {number:2d}/12 ({name}): {detail} [{elapsed:.2f}s]"
+    (report,) = run_criteria([number])
+    status = "PASS" if report.passed else "FAIL"
+    line = (
+        f"{status} criterion {number:2d}/12 ({report.name}): {report.detail} "
+        f"[{report.elapsed:.2f}s]"
+    )
     with capsys.disabled():
         print(line, flush=True)
-    assert passed, line
+    assert report.passed, line
     budget = BUDGETS[number]
-    assert elapsed <= budget, (
-        f"criterion {number} ({name}) took {elapsed:.2f}s, budget {budget:.0f}s"
+    assert report.elapsed <= budget, (
+        f"criterion {number} ({report.name}) took {report.elapsed:.2f}s, "
+        f"budget {budget:.0f}s"
     )
 
 

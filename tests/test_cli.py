@@ -239,3 +239,52 @@ def test_negative_samples_is_a_usage_error(capsys):
     assert code == 0
     assert "(0 samples)" in out
 
+
+
+BIG = "10000000000000000000"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("sk", "--m", "1", "--kmax", BIG), None),
+        (("fk", "--m", "1", "--k", BIG), None),
+        (
+            ("catalan-pairs", "--k", BIG),
+            f"error: k={BIG} exceeds enumeration cap 10\n",
+        ),
+    ],
+    ids=["sk", "fk", "catalan-pairs"],
+)
+def test_argument_too_large_for_the_machine_is_a_usage_error(capsys, argv, err):
+    code, out, stderr = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert stderr.startswith("error: ")
+    if err is not None:
+        assert stderr == err
+
+
+@pytest.mark.parametrize(
+    "exc, code, err",
+    [
+        (
+            ArithmeticError("S_3 came out non-integral"),
+            1,
+            "check failed: S_3 came out non-integral\n",
+        ),
+        (
+            ZeroDivisionError("division by zero"),
+            3,
+            "internal error: ZeroDivisionError: division by zero\n",
+        ),
+    ],
+    ids=["plain", "subclass"],
+)
+def test_only_a_plain_arithmetic_error_is_a_failed_check(
+    capsys, monkeypatch, exc, code, err
+):
+    def broken(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_sk", broken)
+    assert run_cli(capsys, "sk", "--m", "1", "--kmax", "2") == (code, "", err)

@@ -120,6 +120,12 @@ def test_oversized_mu_rejected():
 def test_enumeration_cap():
     with pytest.raises(ValueError):
         factorization_poly((11,))
+    # the cap is checked before w_mu is built, so a huge k fails fast
+    cap = "exceeds enumeration cap 10"
+    with pytest.raises(ValueError, match=cap):
+        factorization_poly((10**19,))
+    with pytest.raises(ValueError, match=cap):
+        narayana_refinement(10**19)
 
 
 def test_sss_identity_small_grid():

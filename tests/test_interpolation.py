@@ -69,8 +69,9 @@ def test_off_grid_fidelity_is_deterministic():
 
 
 def test_negative_samples_rejected():
+    poly = f_mu_interpolate(1, (2,))
     with pytest.raises(ValueError, match="samples must be nonnegative, got -3"):
-        off_grid_fidelity(1, (2,), samples=-3)
+        off_grid_fidelity(1, (2,), poly, samples=-3)
 
 
 def test_node_budget_enforced():
