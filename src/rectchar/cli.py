@@ -39,8 +39,11 @@ def _emit_json(obj) -> None:
 
 
 def _require_positive(name: str, value: int) -> int:
+    """value, if it is a positive integer that fits a machine index."""
     if value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value}")
+    if value > sys.maxsize:
+        raise ValueError(f"{name}={value} is too large")
     return value
 
 
@@ -217,7 +220,8 @@ def cmd_elizalde(args) -> int:
 
 
 def cmd_catalan_pairs(args) -> int:
-    k = _require_positive("k", args.k)
+    k = args.k
+    _require_positive("k", min(k, sys.maxsize))  # the enumeration cap bounds k
     count = catalan_pair_count(k)
     if args.json:
         _emit_json({"k": k, "count": count})
@@ -227,7 +231,8 @@ def cmd_catalan_pairs(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    m = _require_positive("m", args.m)
+    m = args.m
+    _require_positive("m", min(m, sys.maxsize))  # the node budget bounds m
     mu = parse_partition(args.mu)
     if not mu:
         raise ValueError("mu must be a nonempty partition")

@@ -1,16 +1,21 @@
 """Exact reconstruction of multi-rectangle character polynomials from values.
 
 For a fixed cycle-type prefix mu of size k, the normalized character of an
-m-rectangle stack is a polynomial in the 2m dimensions with per-variable
-degree at most k+1, so k+2 nodes per variable pin it down.  Nodes are chosen
-so every grid point is an honest shape (row lengths strictly decreasing,
-enough squares to hold mu); the resulting Newton interpolant is then audited
-at a point outside the grid before being returned.
+m-rectangle stack is a polynomial in the 2m dimensions of degree at most k in
+each variable and of total degree at most k + len(mu): by the Stanley-Feray
+formula each monomial comes from a factorization s*t = w_mu, with p-degree
+cyc(s) and q-degree cyc(t), and cyc(s) + cyc(t) <= k + len(mu).  So its
+values on the lower set {alpha : alpha_i <= k, sum(alpha) <= k + len(mu)} pin
+it down (Dyn & Floater, "Multivariate polynomial interpolation on lower
+sets", J. Approx. Theory 177, 2014).  Node alpha sits at coordinate
+alpha_i of each axis; the axes are chosen so every node is an honest shape
+(row lengths strictly decreasing, enough squares to hold mu).  The Newton
+interpolant is then audited at a point outside the grid before being
+returned.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -22,6 +27,7 @@ from .partitions import Partition, as_partition, format_partition
 from .polynomials import MultivarPoly, Scalar
 
 DEFAULT_MAX_NODES = 20_000
+_SHOWN_BITS = 4096  # node counts longer than this are reported by size
 
 
 def interpolation_grid(m: int, k: int) -> list[list[int]]:
@@ -29,7 +35,10 @@ def interpolation_grid(m: int, k: int) -> list[list[int]]:
 
     p nodes are 1..k+2.  q_i nodes sit in disjoint descending bands so any
     combination gives strictly decreasing row lengths; with one rectangle the
-    band starts above k so every node shape has at least k squares.
+    band starts above k so every node shape has at least k squares.  Each
+    axis is a run of consecutive integers, which the Newton solve relies on;
+    the lower-set nodes use its first k+1 entries, and the guard point sits
+    one past the last.
     """
     d = k + 2
     p_axes = [list(range(1, d + 1)) for _ in range(m)]
@@ -43,24 +52,93 @@ def interpolation_grid(m: int, k: int) -> list[list[int]]:
     return p_axes + q_axes
 
 
-def _newton_coefficients(xs: list[int], ys: list[Scalar]) -> list[Scalar]:
-    """Monomial-basis coefficients of the interpolant through (xs[i], ys[i]),
-    in exact rationals."""
-    n = len(xs)
+def _lower_set(n: int, k: int, total: int) -> list[tuple[int, ...]]:
+    """Multi-indices alpha in N^n with every alpha_i <= k and sum(alpha) <= total."""
+    rows: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    for _ in range(n):
+        rows = [
+            (alpha + (a,), used + a)
+            for alpha, used in rows
+            for a in range(min(k, total - used) + 1)
+        ]
+    return [alpha for alpha, _ in rows]
+
+
+def _lower_set_size(n: int, k: int, total: int) -> int:
+    """len(_lower_set(n, k, total)) in closed form, by inclusion-exclusion
+    over the j axes pushed past k."""
+    return sum(
+        (-1) ** j * math.comb(n, j) * math.comb(total - j * (k + 1) + n, n)
+        for j in range(min(n, total // (k + 1)) + 1)
+    )
+
+
+def _check_node_budget(n: int, k: int, total: int, max_nodes: int) -> None:
+    """Raise ValueError, before any node is built, if the lower set has more
+    than max_nodes points; a huge m or mu costs no more than a small one."""
+    # the set holds the simplex sum(alpha) <= k, of C(n+k, k) points; its
+    # partial products C(max(n,k)+i, i) at least double with each i, so a
+    # count past the budget and too long to print stops within a few
+    # thousand steps
+    floor = 1
+    for i in range(1, min(n, k) + 1):
+        floor = floor * (max(n, k) + i) // i
+        if floor > max_nodes and floor.bit_length() > _SHOWN_BITS:
+            count = floor
+            break
+    else:
+        count = _lower_set_size(n, k, total)
+        if count <= max_nodes:
+            return
+    if count.bit_length() <= _SHOWN_BITS:
+        size = str(count)
+    else:
+        size = f"over 2^{count.bit_length() - 1}"
+    raise ValueError(
+        f"grid has {size} nodes, above the limit {max_nodes}; "
+        "raise max_nodes to force the run"
+    )
+
+
+def _scaled_differences(scale: list[int], ys: list[Scalar]) -> list[Scalar]:
+    """scale[j] * j! times the Newton coefficients [x_0..x_j] of the
+    interpolant through (x_j, ys[j]), for unit-spaced nodes x_j = x_0 + j.
+
+    There [x_0..x_j] is the forward difference Delta^j ys[0] over j!, so
+    with scale[j] = k!/j! every step stays in the integers.
+    """
     dd = list(ys)
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) * Fraction(1, xs[i] - xs[i - level])
-    coeffs: list[Scalar] = [0] * n
-    basis = [1]  # little-endian coefficients of prod (x - xs[t]) so far
-    for j in range(n):
-        for t, bc in enumerate(basis):
-            coeffs[t] += dd[j] * bc
-        if j < n - 1:
-            shifted = [0] + basis
-            scaled = [-xs[j] * b for b in basis] + [0]
-            basis = [a + b for a, b in zip(shifted, scaled)]
-    return coeffs
+    for level in range(1, len(dd)):
+        for i in range(len(dd) - 1, level - 1, -1):
+            dd[i] -= dd[i - 1]
+    return [w * d for w, d in zip(scale, dd)]
+
+
+def _newton_to_monomial(xs: list[int], cs: list[Scalar]) -> list[Scalar]:
+    """Monomial coefficients of sum_j cs[j] * prod_{t<j} (x - xs[t]), by Horner."""
+    out = [cs[-1]]
+    for j in range(len(cs) - 2, -1, -1):
+        x = xs[j]
+        out = (
+            [cs[j] - x * out[0]]
+            + [out[t - 1] - x * out[t] for t in range(1, len(out))]
+            + [out[-1]]
+        )
+    return out
+
+
+def _sweep_fibres(values: dict, axes: list[list[int]], k: int, total: int, solve) -> None:
+    """On the lower set held by values, replace each fibre along each axis in
+    turn by solve(axes[axis], fibre values); every fibre is a prefix
+    {alpha_axis = 0, 1, ...} because the set is lower."""
+    for axis, xs in enumerate(axes):
+        for alpha in values:
+            if alpha[axis]:
+                continue
+            head, tail = alpha[:axis], alpha[axis + 1 :]
+            fibre = [head + (j,) + tail for j in range(min(k, total - sum(alpha)) + 1)]
+            for key, value in zip(fibre, solve(xs, [values[key] for key in fibre])):
+                values[key] = value
 
 
 def _shape_value(m: int, mu: Partition, point: tuple[int, ...]):
@@ -71,39 +149,33 @@ def _shape_value(m: int, mu: Partition, point: tuple[int, ...]):
 def f_mu_interpolate(
     m: int, mu: Partition, max_nodes: int = DEFAULT_MAX_NODES
 ) -> MultivarPoly:
-    """The character polynomial F_mu in p_1..p_m, q_1..q_m, by tensor-grid
-    Newton interpolation over exact rationals.
+    """The character polynomial F_mu in p_1..p_m, q_1..q_m, by Newton
+    interpolation over exact rationals on the lower set of its degree bounds.
 
-    Raises ArithmeticError if the interpolant fails to reproduce the
-    character at a point outside the grid, which would mean the assumed
-    per-variable degree bound is wrong for this mu; that situation is
-    surfaced, never papered over.
+    Raises ValueError if that set has more than max_nodes points, and
+    ArithmeticError if the interpolant fails to reproduce the character at a
+    point outside the grid, which would mean an assumed degree bound is wrong
+    for this mu; that situation is surfaced, never papered over.
     """
     mu = as_partition(mu)
     k = sum(mu)
     if m < 1 or k < 1:
         raise ValueError("need m >= 1 and a nonempty mu")
+    n, total = 2 * m, k + len(mu)
+    _check_node_budget(n, k, total, max_nodes)
     axes = interpolation_grid(m, k)
-    total_nodes = math.prod(len(a) for a in axes)
-    if total_nodes > max_nodes:
-        raise ValueError(
-            f"grid has {total_nodes} nodes, above the limit {max_nodes}; "
-            "raise max_nodes to force the run"
-        )
-    # node values, then one axis at a time each fibre's Newton coefficients,
-    # with that coordinate replaced by the exponent of its monomial
-    values = {point: _shape_value(m, mu, point) for point in itertools.product(*axes)}
-    for axis, xs in enumerate(axes):
-        solved = {}
-        for point in values:
-            if point[axis] != xs[0]:
-                continue
-            head, tail = point[:axis], point[axis + 1 :]
-            ys = [values[head + (x,) + tail] for x in xs]
-            for exp, c in enumerate(_newton_coefficients(xs, ys)):
-                solved[head + (exp,) + tail] = c
-        values = solved
-    poly = MultivarPoly(2 * m, values)
+    # node values, then divided differences along every axis (k! times the
+    # Newton coefficients, per axis), then Newton to monomials along every
+    # axis; each exponent tuple ends up where its node's multi-index was
+    values = {
+        alpha: _shape_value(m, mu, tuple(axis[a] for axis, a in zip(axes, alpha)))
+        for alpha in _lower_set(n, k, total)
+    }
+    scale = [math.factorial(k) // math.factorial(j) for j in range(k + 1)]
+    _sweep_fibres(values, [scale] * n, k, total, _scaled_differences)
+    _sweep_fibres(values, axes, k, total, _newton_to_monomial)
+    denominator = math.factorial(k) ** n
+    poly = MultivarPoly(n, {e: Fraction(c, denominator) for e, c in values.items()})
     guard = _guard_point(m, k)
     expected = _shape_value(m, mu, guard)
     if poly.evaluate(guard) != expected:

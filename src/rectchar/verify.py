@@ -283,21 +283,23 @@ def criterion_elizalde(full: bool = False) -> tuple[bool, str]:
 
 
 def criterion_conjecture_sweep(full: bool = False) -> tuple[bool, str]:
-    """Interpolated F_mu checks for every mu up to the size cap, m=2."""
-    k_cap = 5 if full else 4
-    swept = 0
-    for k in range(1, k_cap + 1):
-        for mu in partitions_of(k):
-            report = conjecture1_check(2, mu)
-            if not report.passed:
-                return False, f"conjecture checks fail at mu={mu}: {report.findings}"
-            if mu == (k,) and k <= 4:
-                if report.flipped.terms != REFERENCE_FLIPPED_TWO_RECT[k]:
-                    return False, f"interpolated F_({k}) differs from reference"
-            if not off_grid_fidelity(2, mu, report.poly):
-                return False, f"off-grid fidelity fails at mu={mu}"
-            swept += 1
-    return True, f"{swept} cycle types swept with 20 off-grid spot checks each"
+    """Interpolated F_mu checks for every mu up to the size cap, m=2, and
+    m=3 with k<=3 in full."""
+    k_caps = [(2, 5), (3, 3)] if full else [(2, 4)]
+    cases = [
+        (m, mu) for m, k_cap in k_caps for k in range(1, k_cap + 1) for mu in partitions_of(k)
+    ]
+    for m, mu in cases:
+        report = conjecture1_check(m, mu)
+        if not report.passed:
+            return False, f"conjecture checks fail at m={m}, mu={mu}: {report.findings}"
+        k = report.k
+        if m == 2 and mu == (k,) and k <= 4:
+            if report.flipped.terms != REFERENCE_FLIPPED_TWO_RECT[k]:
+                return False, f"interpolated F_({k}) differs from reference"
+        if not off_grid_fidelity(m, mu, report.poly):
+            return False, f"off-grid fidelity fails at m={m}, mu={mu}"
+    return True, f"{len(cases)} cycle types swept with 20 off-grid spot checks each"
 
 
 def criterion_shape_sum(full: bool = False) -> tuple[bool, str]:

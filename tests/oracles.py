@@ -307,3 +307,51 @@ def recursive_partitions_in_box(p: int, q: int):
                 yield (part,) + rest
 
     return rec(p, q)
+
+
+def _cycles0(w: tuple[int, ...]) -> list[list[int]]:
+    """The cycles of a permutation of 0..k-1, each as a list of its points."""
+    seen = [False] * len(w)
+    cycles = []
+    for start in range(len(w)):
+        if not seen[start]:
+            cycle = []
+            point = start
+            while not seen[point]:
+                seen[point] = True
+                cycle.append(point)
+                point = w[point]
+            cycles.append(cycle)
+    return cycles
+
+
+def stanley_feray_f_mu(m: int, mu: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """F_mu in p_1..p_m, q_1..q_m, as {exponent tuple: coefficient}, from the
+    Stanley-Feray formula: the sum over every factorization s t = w_mu in S_k,
+    with (s t)(i) = s(t(i)), and every colouring phi of the cycles of s by
+    1..m, of sign(t) * prod_{cycles c of s} p_phi(c) * prod_{cycles c' of t}
+    q_j, where j is the largest colour among the cycles of s that meet c'.
+    Small k only: k! * m^k terms."""
+    k = sum(mu)
+    w: list[int] = []
+    for part in mu:
+        start = len(w)
+        w.extend(list(range(start + 1, start + part)) + [start])
+    terms: dict[tuple[int, ...], int] = {}
+    for s in itertools.permutations(range(k)):
+        s_inv = [0] * k
+        for i, image in enumerate(s):
+            s_inv[image] = i
+        t = tuple(s_inv[w[i]] for i in range(k))
+        s_cycles, t_cycles = _cycles0(s), _cycles0(t)
+        sign = -1 if (k - len(t_cycles)) % 2 else 1
+        colour_of = {point: c for c, cycle in enumerate(s_cycles) for point in cycle}
+        for phi in itertools.product(range(m), repeat=len(s_cycles)):
+            exps = [0] * (2 * m)
+            for colour in phi:
+                exps[colour] += 1
+            for cycle in t_cycles:
+                exps[m + max(phi[colour_of[point]] for point in cycle)] += 1
+            key = tuple(exps)
+            terms[key] = terms.get(key, 0) + sign
+    return {exps: c for exps, c in terms.items() if c}

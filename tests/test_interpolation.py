@@ -1,9 +1,16 @@
+import itertools
+import time
+
 import pytest
 
+from oracles import stanley_feray_f_mu
+from rectchar import interpolation
 from rectchar.factorization import factorization_poly
 from rectchar.frobenius import MultiRectShape, f_k_polynomial
 from rectchar.interpolation import (
     ConjectureReport,
+    _lower_set,
+    _lower_set_size,
     conjecture1_check,
     f_mu_interpolate,
     interpolation_grid,
@@ -19,6 +26,8 @@ def test_grid_nodes_are_admissible():
             axes = interpolation_grid(m, k)
             assert len(axes) == 2 * m
             assert all(len(axis) == k + 2 for axis in axes)
+            # the Newton solve takes unit-spaced nodes
+            assert all(axis == list(range(axis[0], axis[0] + k + 2)) for axis in axes)
             # every q combination is strictly decreasing and the smallest
             # shape on the grid still has at least k cells
             q_axes = axes[m:]
@@ -77,6 +86,54 @@ def test_negative_samples_rejected():
 def test_node_budget_enforced():
     with pytest.raises(ValueError):
         f_mu_interpolate(2, (2,), max_nodes=3)
+
+
+@pytest.mark.parametrize("m, k_cap", [(1, 5), (2, 4), (3, 3)])
+def test_matches_stanley_feray_formula(m, k_cap):
+    for k in range(1, k_cap + 1):
+        for mu in partitions_of(k):
+            assert dict(f_mu_interpolate(m, mu).terms) == stanley_feray_f_mu(m, mu)
+
+
+def test_lower_set_and_its_size():
+    for n in range(1, 6):
+        for k in range(1, 4):
+            for total in range(k, 2 * k + 4):
+                box = itertools.product(range(k + 1), repeat=n)
+                expected = [alpha for alpha in box if sum(alpha) <= total]
+                assert sorted(_lower_set(n, k, total)) == expected
+                assert _lower_set_size(n, k, total) == len(expected)
+
+
+def test_node_count_is_the_lower_set(monkeypatch):
+    # mu = (2,2), m = 2: alpha in N^4 with alpha_i <= 4 and sum(alpha) <= 6
+    shape_value = interpolation._shape_value
+    points = []
+
+    def counted(m, mu, point):
+        points.append(point)
+        return shape_value(m, mu, point)
+
+    monkeypatch.setattr(interpolation, "_shape_value", counted)
+    f_mu_interpolate(2, (2, 2), max_nodes=190)
+    assert len(points) == 190 + 1  # and the guard point
+    assert len(set(points)) == len(points)
+    with pytest.raises(ValueError, match="^grid has 190 nodes, above the limit 189;"):
+        f_mu_interpolate(2, (2, 2), max_nodes=189)
+
+
+def test_budget_is_checked_before_anything_is_built():
+    start = time.perf_counter()
+    with pytest.raises(
+        ValueError,
+        match="^grid has 200000000000000000010000000000000000001 nodes, "
+        "above the limit 20000;",
+    ):
+        f_mu_interpolate(10**19, (1,))
+    # both m and |mu| huge: the count is reported by its size
+    with pytest.raises(ValueError, match=r"^grid has over 2\^\d+ nodes, above"):
+        f_mu_interpolate(10**9, (10**9,))
+    assert time.perf_counter() - start < 5.0
 
 
 def test_conjecture_reports_pass_small_sweep():

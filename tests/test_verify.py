@@ -3,6 +3,7 @@ from rectchar.verify import (
     REFERENCE_FLIPPED_TWO_RECT,
     VerifyReport,
     catalan_number,
+    criterion_conjecture_sweep,
     run_criteria,
 )
 
@@ -57,3 +58,11 @@ def test_exception_becomes_failure(monkeypatch):
     assert reports[0].passed is False
     assert "RuntimeError" in reports[0].detail
 
+
+
+def test_full_conjecture_sweep_adds_three_rectangles():
+    # m = 2 with k <= 5 (18 cycle types), then m = 3 with k <= 3 (6 more)
+    assert criterion_conjecture_sweep(full=True) == (
+        True,
+        "24 cycle types swept with 20 off-grid spot checks each",
+    )
