@@ -221,7 +221,8 @@ def cmd_elizalde(args) -> int:
 
 def cmd_catalan_pairs(args) -> int:
     k = args.k
-    _require_positive("k", min(k, sys.maxsize))  # the enumeration cap bounds k
+    if k < 1:  # no size check: the enumeration cap bounds k
+        raise ValueError(f"k must be a positive integer, got {k}")
     count = catalan_pair_count(k)
     if args.json:
         _emit_json({"k": k, "count": count})
@@ -232,7 +233,8 @@ def cmd_catalan_pairs(args) -> int:
 
 def cmd_conjecture(args) -> int:
     m = args.m
-    _require_positive("m", min(m, sys.maxsize))  # the node budget bounds m
+    if m < 1:  # no size check: the node budget bounds m
+        raise ValueError(f"m must be a positive integer, got {m}")
     mu = parse_partition(args.mu)
     if not mu:
         raise ValueError("mu must be a nonempty partition")

@@ -76,42 +76,41 @@ def _lower_set_size(n: int, k: int, total: int) -> int:
 def _check_node_budget(n: int, k: int, total: int, max_nodes: int) -> None:
     """Raise ValueError, before any node is built, if the lower set has more
     than max_nodes points; a huge m or mu costs no more than a small one."""
-    # the set holds the simplex sum(alpha) <= k, of C(n+k, k) points; its
-    # partial products C(max(n,k)+i, i) at least double with each i, so a
-    # count past the budget and too long to print stops within a few
-    # thousand steps
-    floor = 1
-    for i in range(1, min(n, k) + 1):
-        floor = floor * (max(n, k) + i) // i
-        if floor > max_nodes and floor.bit_length() > _SHOWN_BITS:
-            count = floor
-            break
+    # the set holds the simplex sum(alpha) <= k, whose C(big + r, r) points,
+    # r = min(n, k), number over 2^r (n >= 2) and over (big / r)^r; when that
+    # floor is short the exact count is short too, and cheap
+    r, big = min(n, k), max(n, k)
+    floor_bits = r * max(1, big.bit_length() - r.bit_length() - 1)
+    if floor_bits >= max(max_nodes.bit_length(), _SHOWN_BITS):
+        size = f"over 2^{floor_bits}"
     else:
         count = _lower_set_size(n, k, total)
         if count <= max_nodes:
             return
-    if count.bit_length() <= _SHOWN_BITS:
-        size = str(count)
-    else:
-        size = f"over 2^{count.bit_length() - 1}"
+        if count.bit_length() <= _SHOWN_BITS:
+            size = str(count)
+        else:
+            size = f"over 2^{count.bit_length() - 1}"
     raise ValueError(
         f"grid has {size} nodes, above the limit {max_nodes}; "
         "raise max_nodes to force the run"
     )
 
 
-def _scaled_differences(scale: list[int], ys: list[Scalar]) -> list[Scalar]:
-    """scale[j] * j! times the Newton coefficients [x_0..x_j] of the
-    interpolant through (x_j, ys[j]), for unit-spaced nodes x_j = x_0 + j.
+def _forward_differences(ys: list[Scalar], k: int) -> list[Scalar]:
+    """k! times the Newton coefficients [x_0..x_j] of the interpolant through
+    (x_j, ys[j]), for unit-spaced nodes x_j = x_0 + j and len(ys) <= k + 1.
 
     There [x_0..x_j] is the forward difference Delta^j ys[0] over j!, so
-    with scale[j] = k!/j! every step stays in the integers.
+    scaled by k! it stays in the integers, which keeps the Newton-to-monomial
+    pass out of Fraction arithmetic.
     """
     dd = list(ys)
     for level in range(1, len(dd)):
         for i in range(len(dd) - 1, level - 1, -1):
             dd[i] -= dd[i - 1]
-    return [w * d for w, d in zip(scale, dd)]
+    scale = math.factorial(k)
+    return [d * (scale // math.factorial(j)) for j, d in enumerate(dd)]
 
 
 def _newton_to_monomial(xs: list[int], cs: list[Scalar]) -> list[Scalar]:
@@ -164,15 +163,14 @@ def f_mu_interpolate(
     n, total = 2 * m, k + len(mu)
     _check_node_budget(n, k, total, max_nodes)
     axes = interpolation_grid(m, k)
-    # node values, then divided differences along every axis (k! times the
+    # node values, then forward differences along every axis (k! times the
     # Newton coefficients, per axis), then Newton to monomials along every
     # axis; each exponent tuple ends up where its node's multi-index was
     values = {
         alpha: _shape_value(m, mu, tuple(axis[a] for axis, a in zip(axes, alpha)))
         for alpha in _lower_set(n, k, total)
     }
-    scale = [math.factorial(k) // math.factorial(j) for j in range(k + 1)]
-    _sweep_fibres(values, [scale] * n, k, total, _scaled_differences)
+    _sweep_fibres(values, axes, k, total, lambda xs, ys: _forward_differences(ys, k))
     _sweep_fibres(values, axes, k, total, _newton_to_monomial)
     denominator = math.factorial(k) ** n
     poly = MultivarPoly(n, {e: Fraction(c, denominator) for e, c in values.items()})

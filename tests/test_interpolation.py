@@ -133,6 +133,11 @@ def test_budget_is_checked_before_anything_is_built():
     # both m and |mu| huge: the count is reported by its size
     with pytest.raises(ValueError, match=r"^grid has over 2\^\d+ nodes, above"):
         f_mu_interpolate(10**9, (10**9,))
+    with pytest.raises(ValueError, match=r"^grid has over 2\^\d+ nodes, above"):
+        f_mu_interpolate(10**1000, (1000,))
+    # an exact count too long for str()
+    with pytest.raises(ValueError, match=r"^grid has over 2\^19344 nodes, above"):
+        f_mu_interpolate(5792, (1,) * 4095)
     assert time.perf_counter() - start < 5.0
 
 
