@@ -1,13 +1,21 @@
 """Irreducible symmetric group characters via border-strip removal.
 
-mn_character evaluates one character in two sweeps over the parts of the
-evaluation type, in the order given.  The down sweep removes border strips of
-each part's length from every shape reached so far, level by level, and
-stops at the trailing run of fixed points.  The up sweep gives each bottom
-shape its standard-tableaux count, which turns a long 1-tail into a single
-hook-formula call, then sums signed strip removals back up to the top shape.
-Each distinct shape of a level is evaluated once per call; nothing is kept
-between calls and no recursion depth grows with the input.
+Both mn_character and normalized_character run one down sweep over the parts
+of the evaluation type, in the order given, stopping at its trailing run of
+fixed points.  Each level removes border strips of one part's length from
+every shape reached so far and carries, per shape nu, the signed number of
+removal paths c(nu) from the top shape lam, in integers; shapes whose count
+cancels are dropped.  Each shape also carries H_lam / H_nu (H the hook
+product), built from one exact ratio per strip: removing a strip moves one
+beta-number bead, and the ratio is read off the runs of consecutive beads,
+one per block of equal rows.  The fixed points left then contribute
+f^nu = (n - k')!/H_nu each, so no bottom shape's hook product is computed:
+
+    chi = (n - k')!/H_lam * sum c(nu) H_lam/H_nu,
+    (n)_k chi / f^lam = (n - k')_(k - k') * sum c(nu) H_lam/H_nu,
+
+k' being the size of the swept parts.  Nothing is kept between calls and no
+recursion depth grows with the input.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from .partitions import (
     Partition,
@@ -54,17 +63,17 @@ def border_strip_removals(lam: Partition, size: int) -> list[BorderStripRemoval]
         raise ValueError("strip size must be positive")
     return [
         BorderStripRemoval(lam, size, result, height)
-        for result, height in _strips(lam, size)
+        for result, height, _ in _strips(lam, size)
     ]
 
 
-def _strips(lam: Partition, size: int) -> list[tuple[Partition, int]]:
-    """(result, height) of each border strip removal, for a trusted lam and
-    a positive size."""
+def _strips(lam: Partition, size: int) -> list[tuple[Partition, int, int]]:
+    """(result, height, bead) of each border strip removal, for a trusted lam
+    and a positive size; bead is the beta-number that moves down by size."""
     r = len(lam)
     betas = [lam[i] + r - 1 - i for i in range(r)]
     beta_set = set(betas)
-    out: list[tuple[Partition, int]] = []
+    out: list[tuple[Partition, int, int]] = []
     for i, b in enumerate(betas):
         nb = b - size
         if nb < 0 or nb in beta_set:
@@ -81,8 +90,89 @@ def _strips(lam: Partition, size: int) -> list[tuple[Partition, int]]:
         end = len(rows)
         while end and not rows[end - 1]:
             end -= 1
-        out.append((rows[:end], j - i))
+        out.append((rows[:end], j - i, b))
     return out
+
+
+def _bead_move_ratio(lam: Partition, bead: int, size: int) -> tuple[int, int]:
+    """(num, den), not reduced, with num/den = H_lam / H_result for the strip
+    removal of lam that moves bead down by size.
+
+    With one bead y = lam_i + r - 1 - i per row, H_lam = prod(y!) over
+    prod(y - z) for beads y > z, so moving bead b to x = b - size gives
+    H_before / H_after = b!/x! * prod over y != b of |x - y| / |b - y|.  A
+    block of equal rows is a run of consecutive beads y = low..top, and its
+    share telescopes to at most size factors on each side: below x it is
+    prod t/(t + size) over t = x - top..x - low, above b it is
+    prod (t + size)/t over t = y - b for its beads y > b.  Fewer than size
+    beads lie between x and b.
+    """
+    x = bead - size
+    num, den = math.prod(range(x + 1, bead + 1)), 1
+    rest = len(lam)
+    for row, block in groupby(lam):
+        top = row + rest - 1
+        rest -= len(list(block))
+        low = row + rest
+        if low < x:
+            u, v = x - top, x - low
+            num *= math.prod(range(u, min(u + size, v + 1)))
+            den *= math.prod(range(max(v + 1, u + size), v + size + 1))
+            continue
+        if top > bead:
+            u, v = max(low - bead, 1), top - bead
+            num *= math.prod(range(max(v + 1, u + size), v + size + 1))
+            den *= math.prod(range(u, min(u + size, v + 1)))
+        if low < bead:  # (y - x)/(b - y) for y = low..min(top, b - 1)
+            high = min(top, bead - 1)
+            num *= math.prod(range(low - x, high - x + 1))
+            den *= math.prod(range(bead - high, bead - low + 1))
+    return num, den
+
+
+def _strip_sweep(
+    lam: Partition, parts: Sequence[int], hook_ratios: bool
+) -> list[list[int]]:
+    """[c, num, den] for each shape nu left after removing strips of the given
+    sizes from lam, in order: c is the signed number of removal paths
+    lam -> nu, and num/den is H_lam / H_nu when hook_ratios is set, else 1/1.
+
+    The counts go down level by level in integers; a shape whose count
+    cancels to 0 is dropped and not expanded.  H_lam / H_nu is the product of
+    the bead-move ratios along the first path that reaches nu; every path
+    gives the same.
+    """
+    level = {lam: [1, 1, 1]}
+    for part in parts:
+        below: dict[Partition, list[int]] = {}
+        for shape, (count, num, den) in level.items():
+            for result, height, bead in _strips(shape, part):
+                step = -count if height % 2 else count
+                if result in below:
+                    below[result][0] += step
+                elif hook_ratios:
+                    up, down = _bead_move_ratio(shape, bead, part)
+                    below[result] = [step, num * up, den * down]
+                else:
+                    below[result] = [step, 1, 1]
+        level = {shape: entry for shape, entry in below.items() if entry[0]}
+    return list(level.values())
+
+
+def _hook_ratio_sum(lam: Partition, parts: Sequence[int]) -> tuple[int, int]:
+    """(num, den) with num/den the sum of c(nu) * H_lam / H_nu over the shapes
+    nu left by the strip sweep."""
+    entries = _strip_sweep(lam, parts, True)
+    den = math.lcm(*(d for _, _, d in entries))
+    return sum(c * n * (den // d) for c, n, d in entries), den
+
+
+def _sweep_depth(nu: Sequence[int]) -> int:
+    """Number of leading parts of nu before its trailing run of fixed points."""
+    depth = len(nu)
+    while depth and nu[depth - 1] == 1:
+        depth -= 1
+    return depth
 
 
 def mn_character(lam: Partition, nu: Sequence[int]) -> int:
@@ -101,35 +191,27 @@ def mn_character(lam: Partition, nu: Sequence[int]) -> int:
 
 
 def _mn_character(lam: Partition, nu: tuple[int, ...]) -> int:
-    """mn_character for a trusted lam and positive parts nu of size |lam|."""
-    depth = len(nu)
-    while depth and nu[depth - 1] == 1:
-        depth -= 1
-    # down: levels[j] maps each shape left after j parts to its removals
-    levels = []
-    shapes = {lam}
-    for part in nu[:depth]:
-        removals = {shape: _strips(shape, part) for shape in shapes}
-        levels.append(removals)
-        shapes = {result for strips in removals.values() for result, _ in strips}
-    # up: only fixed points remain below the last level
-    values = {shape: _syt_count(shape) for shape in shapes}
-    for removals in reversed(levels):
-        values = {
-            shape: sum(
-                -values[result] if height % 2 else values[result]
-                for result, height in strips
-            )
-            for shape, strips in removals.items()
-        }
-    return values[lam]
+    """mn_character for a trusted lam and positive parts nu of size |lam|.
+
+    With k' the size of the swept parts, each shape nu' left has
+    (n - k')!/H_nu' standard tableaux for the fixed points to fill, so
+    chi = (n - k')!/H_lam * sum of c(nu') H_lam/H_nu'.
+    """
+    swept = nu[: _sweep_depth(nu)]
+    n, k1 = sum(lam), sum(swept)
+    if k1 == n:  # only () is left, with one tableau
+        return sum(c for c, _, _ in _strip_sweep(lam, swept, False))
+    num, den = _hook_ratio_sum(lam, swept)
+    return num * math.factorial(n - k1) // (den * _hook_product(lam))
 
 
 def normalized_character(lam: Partition, mu: Partition) -> Fraction | int:
     """(n)_k * chi(mu padded with fixed points) / chi(identity), exact.
 
     lam has n squares, mu is the nontrivial part of the cycle type with
-    |mu| = k <= n; the type used is (mu, 1^(n-k)).
+    |mu| = k <= n; the type used is (mu, 1^(n-k)).  With k' the size of mu
+    without its trailing 1s, chi(identity) = n!/H_lam turns this into
+    (n - k')_(k - k') times the sweep's sum of c(nu) H_lam/H_nu.
     """
     lam = as_partition(lam)
     mu = as_partition(mu)
@@ -137,8 +219,10 @@ def normalized_character(lam: Partition, mu: Partition) -> Fraction | int:
     k = sum(mu)
     if k > n:
         raise ValueError(f"|mu| = {k} exceeds |lam| = {n}")
-    chi = _mn_character(lam, mu + (1,) * (n - k))
-    value = Fraction(math.perm(n, k) * chi, _syt_count(lam))
+    swept = mu[: _sweep_depth(mu)]
+    k1 = sum(swept)
+    num, den = _hook_ratio_sum(lam, swept)
+    value = Fraction(math.perm(n - k1, k - k1) * num, den)
     return int(value) if value.denominator == 1 else value
 
 

@@ -240,6 +240,8 @@ def cmd_conjecture(args) -> int:
         raise ValueError("mu must be a nonempty partition")
     if args.samples < 0:
         raise ValueError(f"samples must be nonnegative, got {args.samples}")
+    if args.max_nodes < 1:  # no size check: a huge budget forces the run
+        raise ValueError(f"max-nodes must be a positive integer, got {args.max_nodes}")
     report = conjecture1_check(m, mu, max_nodes=args.max_nodes)
     fidelity_ok = off_grid_fidelity(
         m, mu, report.poly, samples=args.samples, seed=args.seed

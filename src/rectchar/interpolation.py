@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .characters import normalized_character
-from .frobenius import MultiRectShape, flipped_polynomial
+from .frobenius import flipped_polynomial
 from .partitions import Partition, as_partition, format_partition
 from .polynomials import MultivarPoly, Scalar
 
@@ -141,8 +141,12 @@ def _sweep_fibres(values: dict, axes: list[list[int]], k: int, total: int, solve
 
 
 def _shape_value(m: int, mu: Partition, point: tuple[int, ...]):
-    shape = MultiRectShape(point[:m], point[m:])
-    return normalized_character(shape.to_partition(), mu)
+    """The normalized character at the stack of point[i] rows of length
+    point[m + i], i < m."""
+    lam: Partition = ()
+    for p, q in zip(point[:m], point[m:]):
+        lam += (q,) * p
+    return normalized_character(lam, mu)
 
 
 def f_mu_interpolate(
@@ -151,15 +155,18 @@ def f_mu_interpolate(
     """The character polynomial F_mu in p_1..p_m, q_1..q_m, by Newton
     interpolation over exact rationals on the lower set of its degree bounds.
 
-    Raises ValueError if that set has more than max_nodes points, and
-    ArithmeticError if the interpolant fails to reproduce the character at a
-    point outside the grid, which would mean an assumed degree bound is wrong
-    for this mu; that situation is surfaced, never papered over.
+    Raises ValueError if max_nodes is below 1 or that set has more than
+    max_nodes points, and ArithmeticError if the interpolant fails to
+    reproduce the character at a point outside the grid, which would mean an
+    assumed degree bound is wrong for this mu; that situation is surfaced,
+    never papered over.
     """
     mu = as_partition(mu)
     k = sum(mu)
     if m < 1 or k < 1:
         raise ValueError("need m >= 1 and a nonempty mu")
+    if max_nodes < 1:
+        raise ValueError(f"max_nodes must be a positive integer, got {max_nodes}")
     n, total = 2 * m, k + len(mu)
     _check_node_budget(n, k, total, max_nodes)
     axes = interpolation_grid(m, k)

@@ -129,17 +129,28 @@ def criterion_theorem1(full: bool = False) -> tuple[bool, str]:
     return True, f"{checked} (box, type) pairs matched exactly"
 
 
-def criterion_lemma(full: bool = False) -> tuple[bool, str]:
-    """Hook-product lemma over every shape in every box up to the cap."""
+def _box_sweep(full: bool, check, verified: str) -> tuple[bool, str]:
+    """Run check(lam, p, q), which returns a failure text or "", on every
+    shape in every p-by-q box up to the cap; stop at the first failure."""
     side = 6 if full else 5
     checked = 0
     for p in range(1, side + 1):
         for q in range(1, side + 1):
             for lam in partitions_in_box(p, q):
-                if not lemma_check(lam, p, q):
-                    return False, f"lemma fails at p={p}, q={q}, lam={lam}"
+                failure = check(lam, p, q)
+                if failure:
+                    return False, f"{failure} at p={p}, q={q}, lam={lam}"
                 checked += 1
-    return True, f"{checked} shapes verified"
+    return True, f"{checked} {verified}"
+
+
+def criterion_lemma(full: bool = False) -> tuple[bool, str]:
+    """Hook-product lemma over every shape in every box up to the cap."""
+    return _box_sweep(
+        full,
+        lambda lam, p, q: "" if lemma_check(lam, p, q) else "lemma fails",
+        "shapes verified",
+    )
 
 
 def hook_identities(lam, p: int, q: int) -> tuple[Counter[int], bool, bool]:
@@ -157,20 +168,18 @@ def hook_identities(lam, p: int, q: int) -> tuple[Counter[int], bool, bool]:
     return actual, actual == expected, product == content_form
 
 
+def _hook_failure(lam, p: int, q: int) -> str:
+    _, multiset_ok, product_ok = hook_identities(lam, p, q)
+    if not multiset_ok:
+        return "hook multiset off"
+    return "" if product_ok else "hook product form off"
+
+
 def criterion_hooks(full: bool = False) -> tuple[bool, str]:
     """Hook multiset union and the content-product form of the same product."""
-    side = 6 if full else 5
-    checked = 0
-    for p in range(1, side + 1):
-        for q in range(1, side + 1):
-            for lam in partitions_in_box(p, q):
-                _, multiset_ok, product_ok = hook_identities(lam, p, q)
-                if not multiset_ok:
-                    return False, f"hook multiset off at p={p}, q={q}, lam={lam}"
-                if not product_ok:
-                    return False, f"hook product form off at p={p}, q={q}, lam={lam}"
-                checked += 1
-    return True, f"{checked} skew shapes verified (multiset and product)"
+    return _box_sweep(
+        full, _hook_failure, "skew shapes verified (multiset and product)"
+    )
 
 
 def criterion_reference_data(full: bool = False) -> tuple[bool, str]:

@@ -136,6 +136,38 @@ def brute_strip_removals(
     return results
 
 
+@lru_cache(maxsize=None)
+def _cached_strip_removals(lam: tuple[int, ...], size: int):
+    return sorted(brute_strip_removals(lam, size))
+
+
+def reference_mn_character(lam: tuple[int, ...], nu: tuple[int, ...]) -> int:
+    """Character value by the f-based route (the reference route for
+    mn_character): signed strip-removal path counts c(nu') down to the
+    trailing fixed points of nu, then chi = sum c(nu') f^nu', with strips
+    found by brute_strip_removals and f^nu' by brute_syt_count."""
+    depth = len(nu)
+    while depth and nu[depth - 1] == 1:
+        depth -= 1
+    level = {lam: 1}
+    for part in nu[:depth]:
+        below: dict[tuple[int, ...], int] = {}
+        for shape, count in level.items():
+            for result, height in _cached_strip_removals(shape, part):
+                below[result] = below.get(result, 0) + (-count if height % 2 else count)
+        level = below
+    return sum(count * brute_syt_count(shape) for shape, count in level.items())
+
+
+def reference_normalized_character(lam: tuple[int, ...], mu: tuple[int, ...]):
+    """(n)_k chi(mu, 1^(n-k)) / f^lam from reference_mn_character and
+    brute_syt_count (the reference route for normalized_character)."""
+    n, k = sum(lam), sum(mu)
+    chi = reference_mn_character(lam, mu + (1,) * (n - k))
+    value = Fraction(math.perm(n, k) * chi, brute_syt_count(lam))
+    return int(value) if value.denominator == 1 else value
+
+
 def _partitions_upto(n: int, bound: tuple[int, ...]):
     """Partitions of n fitting under the given partition componentwise."""
 

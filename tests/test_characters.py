@@ -1,18 +1,28 @@
 import math
 import random
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_strip_removals, centralizer_order, character_by_power_sums
+from oracles import (
+    brute_strip_removals,
+    centralizer_order,
+    character_by_power_sums,
+    reference_mn_character,
+    reference_normalized_character,
+)
 from rectchar.characters import (
+    _bead_move_ratio,
+    _strips,
     border_strip_removals,
     mn_character,
     normalized_character,
     rect_character_sum,
     rect_normalized_via_hooks,
 )
-from rectchar.partitions import partitions_of, rectangle, syt_count
+from rectchar.partitions import hook_product, partitions_of, rectangle, syt_count
 
 
 def test_character_against_power_sum_oracle():
@@ -93,6 +103,35 @@ def test_strip_removal_fields():
     assert strip.size == 3
     assert strip.result == (2, 1, 1)
     assert strip.height == 1
+
+
+def test_sweep_matches_the_f_based_route():
+    for n in range(1, 11):
+        for lam in partitions_of(n):
+            for k in range(1, n + 1):
+                for mu in partitions_of(k):
+                    typ = mu + (1,) * (n - k)
+                    assert mn_character(lam, typ) == reference_mn_character(lam, typ)
+                    value = normalized_character(lam, mu)
+                    expected = reference_normalized_character(lam, mu)
+                    assert (type(value), value) == (type(expected), expected)
+
+
+def test_bead_move_ratio_is_the_hook_product_ratio():
+    for n in range(1, 13):
+        for lam in partitions_of(n):
+            for size in range(1, n + 1):
+                for result, _, bead in _strips(lam, size):
+                    ratio = Fraction(*_bead_move_ratio(lam, bead, size))
+                    assert ratio == Fraction(hook_product(lam), hook_product(result))
+
+
+def test_tall_shape_sweep_stays_fast():
+    # one ratio per strip, each costing a few factors per run of equal rows
+    start = time.monotonic()
+    value = normalized_character((1,) * 2000, (2,) * 1000)
+    assert time.monotonic() - start <= 1.0
+    assert value == math.factorial(2000)
 
 
 def test_normalized_character_values():

@@ -240,6 +240,14 @@ def test_negative_samples_is_a_usage_error(capsys):
     assert "(0 samples)" in out
 
 
+@pytest.mark.parametrize("budget", ["-5", "0"])
+def test_nonpositive_node_budget_is_a_usage_error(capsys, budget):
+    code, out, err = run_cli(
+        capsys, "conjecture", "--m", "1", "--mu", "1", "--max-nodes", budget
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: max-nodes must be a positive integer, got {budget}\n"
+
 
 BIG = "10000000000000000000"
 

@@ -86,6 +86,10 @@ def test_negative_samples_rejected():
 def test_node_budget_enforced():
     with pytest.raises(ValueError):
         f_mu_interpolate(2, (2,), max_nodes=3)
+    for budget in (0, -5):
+        message = f"^max_nodes must be a positive integer, got {budget}$"
+        with pytest.raises(ValueError, match=message):
+            f_mu_interpolate(1, (1,), max_nodes=budget)
 
 
 @pytest.mark.parametrize("m, k_cap", [(1, 5), (2, 4), (3, 3)])

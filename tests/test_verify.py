@@ -1,3 +1,4 @@
+from rectchar import verify
 from rectchar.verify import (
     CRITERIA,
     REFERENCE_FLIPPED_TWO_RECT,
@@ -65,4 +66,21 @@ def test_full_conjecture_sweep_adds_three_rectangles():
     assert criterion_conjecture_sweep(full=True) == (
         True,
         "24 cycle types swept with 20 off-grid spot checks each",
+    )
+
+
+def test_box_sweeps_report_their_first_failure(monkeypatch):
+    assert verify.criterion_lemma() == (True, "912 shapes verified")
+    assert verify.criterion_hooks() == (
+        True,
+        "912 skew shapes verified (multiset and product)",
+    )
+    monkeypatch.setattr(verify, "lemma_check", lambda lam, p, q: lam != (2, 1))
+    assert verify.criterion_lemma() == (False, "lemma fails at p=2, q=2, lam=(2, 1)")
+    monkeypatch.setattr(
+        verify, "hook_identities", lambda lam, p, q: (None, True, q < 3)
+    )
+    assert verify.criterion_hooks() == (
+        False,
+        "hook product form off at p=1, q=3, lam=()",
     )
