@@ -4,13 +4,7 @@ characters on p x q boxes, hook-product identities, residue formulas for
 multi-rectangle shapes, their leading terms and lattice-path specializations,
 and a polynomial-interpolation checker for the positivity conjecture."""
 
-from .characters import (
-    border_strip_removals,
-    mn_character,
-    normalized_character,
-    rect_character_sum,
-    rect_normalized_via_hooks,
-)
+from .characters import mn_character, normalized_character
 from .factorization import (
     catalan_pair_count,
     factorization_poly,
@@ -19,7 +13,6 @@ from .factorization import (
     theorem1_check,
 )
 from .frobenius import (
-    MultiRectShape,
     f_k_polynomial,
     f_k_special_value,
     flipped_polynomial,
@@ -52,7 +45,6 @@ from .partitions import (
     content,
     fits_in_box,
     format_partition,
-    hook_length,
     hook_lengths,
     hook_product,
     parse_partition,
@@ -64,20 +56,17 @@ from .partitions import (
 )
 from .permutations import canonical_permutation
 from .polynomials import MultivarPoly, default_names
-from .schur import lemma_check, schur_principal
-from .series import InsufficientDepthError, PowerSeries
+from .schur import lemma_check
+from .series import PowerSeries
 from .verify import VerifyReport, run_criteria
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConjectureReport",
-    "InsufficientDepthError",
-    "MultiRectShape",
     "MultivarPoly",
     "PowerSeries",
     "VerifyReport",
-    "border_strip_removals",
     "canonical_permutation",
     "catalan_pair_count",
     "cells",
@@ -99,7 +88,6 @@ __all__ = [
     "g_k_leading",
     "g_k_via_lagrange",
     "gk_generating_check",
-    "hook_length",
     "hook_lengths",
     "hook_product",
     "integrality_witness",
@@ -115,13 +103,10 @@ __all__ = [
     "partitions_in_box",
     "partitions_of",
     "rational_x_inverse_coefficient",
-    "rect_character_sum",
-    "rect_normalized_via_hooks",
     "rectangle",
     "run_criteria",
     "s_k_from_coefficient_sums",
     "s_k_sequence",
-    "schur_principal",
     "sq_shape",
     "sss_identity_check",
     "syt_count",

@@ -22,54 +22,20 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 
-from .partitions import (
-    Partition,
-    _complement,
-    _hook_product,
-    _integers,
-    _syt_count,
-    as_partition,
-    partitions_of,
-    rectangle,
-)
-
-
-@dataclass(frozen=True)
-class BorderStripRemoval:
-    """One way to strip a border strip (rim hook) off a partition."""
-
-    source: Partition
-    size: int
-    result: Partition
-    height: int  # rows spanned minus one
-
-
-def border_strip_removals(lam: Partition, size: int) -> list[BorderStripRemoval]:
-    """All removals of a connected border strip of the given size from lam.
-
-    Beta-number formulation: with r rows, the set B = {lam_i + r - 1 - i}
-    encodes lam; removing a size-s strip is moving one element b = B_i down to
-    b - s, allowed when b - s is nonnegative and not already in B.  The strip
-    height is the number of elements B_{i+1..j} strictly between b - s and b.
-    In the result, rows i+1..j each lose one cell and move up one row, row j
-    becomes b - s - (r - 1 - j), and rows left empty at the bottom are cut off.
-    """
-    lam = as_partition(lam)
-    if size <= 0:
-        raise ValueError("strip size must be positive")
-    return [
-        BorderStripRemoval(lam, size, result, height)
-        for result, height, _ in _strips(lam, size)
-    ]
+from .partitions import Partition, _hook_product, _integers, as_partition
 
 
 def _strips(lam: Partition, size: int) -> list[tuple[Partition, int, int]]:
     """(result, height, bead) of each border strip removal, for a trusted lam
-    and a positive size; bead is the beta-number that moves down by size."""
+    and a positive size.  With r rows the beads B = {lam_i + r - 1 - i} encode
+    lam; a size-s strip moves one bead b = B_i down to b - s, allowed when
+    b - s is nonnegative and not in B.  The height (rows spanned minus one)
+    counts the beads B_{i+1..j} between b - s and b: rows i+1..j each lose one
+    cell and move up a row, row j becomes b - s - (r - 1 - j), and rows left
+    empty at the bottom are cut off."""
     r = len(lam)
     betas = [lam[i] + r - 1 - i for i in range(r)]
     beta_set = set(betas)
@@ -223,41 +189,4 @@ def normalized_character(lam: Partition, mu: Partition) -> Fraction | int:
     k1 = sum(swept)
     num, den = _hook_ratio_sum(lam, swept)
     value = Fraction(math.perm(n - k1, k - k1) * num, den)
-    return int(value) if value.denominator == 1 else value
-
-
-def rect_character_sum(p: int, q: int, mu: Partition) -> int:
-    """Character of the p-by-q box at (mu, 1-tail), summed shape by shape.
-
-    Peeling the nontrivial cycles first leaves some rotated lam in the box
-    corner with weight chi(lam, mu); the fixed points then fill the box
-    complement in syt_count(complement) ways.  Equals the direct evaluation
-    mn_character(rectangle, (mu, 1^(pq-k))).
-    """
-    mu = as_partition(mu)
-    k = sum(mu)
-    if k > p * q:
-        raise ValueError(f"|mu| = {k} exceeds box size {p * q}")
-    return sum(
-        _mn_character(lam, mu) * _syt_count(_complement(lam, p, q))
-        for lam in partitions_of(k, max_part=q, max_parts=p)
-    )
-
-
-def rect_normalized_via_hooks(p: int, q: int, mu: Partition) -> Fraction | int:
-    """Normalized box character as a hook-product weighted shape sum.
-
-    Same peeling as rect_character_sum, but normalized: the value equals
-    hook_product(box) times the sum over shapes of chi(lam, mu) divided by
-    hook_product(box complement of lam).
-    """
-    mu = as_partition(mu)
-    k = sum(mu)
-    if k > p * q:
-        raise ValueError(f"|mu| = {k} exceeds box size {p * q}")
-    total = sum(
-        Fraction(_mn_character(lam, mu), _hook_product(_complement(lam, p, q)))
-        for lam in partitions_of(k, max_part=q, max_parts=p)
-    )
-    value = _hook_product(rectangle(p, q)) * total
     return int(value) if value.denominator == 1 else value

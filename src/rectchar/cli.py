@@ -271,10 +271,15 @@ def cmd_conjecture(args) -> int:
 
 def cmd_verify(args) -> int:
     numbers = None
-    if args.only:
+    if args.only is not None:
         numbers = []
         for chunk in args.only.split(","):
-            idx = int(chunk)
+            try:
+                idx = int(chunk)
+            except ValueError:
+                raise ValueError(
+                    f"--only takes comma-separated criterion numbers, got {args.only!r}"
+                ) from None
             if not 1 <= idx <= len(CRITERIA):
                 raise ValueError(f"criterion number out of range: {idx}")
             numbers.append(idx)

@@ -146,11 +146,11 @@ def theorem1_check(p: int, q: int, mu: Partition) -> bool:
 def sss_identity_check(k: int, p: int, q: int, mu: Partition) -> bool:
     """Shape-sum route equals the pair-sum route.
 
-    Left side: (-1)^k sum over lam of k of hook_product(lam)
-    * schur_principal(lam, p) * schur_principal(lam, -q) * chi^lam(mu).  With
-    schur_principal(lam, a) = content_product(lam, a) / hook_product(lam), each
+    Left side: (-1)^k sum over lam of k of H_lam s_lam(1^p) s_lam(1^-q)
+    chi^lam(mu), with the principal specialization
+    s_lam(1^a) = content_product(lam, a) / H_lam (H the hook product).  Each
     term is summed as content_product(lam, p) * content_product(lam, -q)
-    * chi^lam(mu) / hook_product(lam), one hook product per shape.
+    * chi^lam(mu) / H_lam, one hook product per shape.
     Right side: factorization_poly(mu) at (p, q).
     """
     mu = as_partition(mu)

@@ -12,42 +12,12 @@ series in t = 1/x, at an order fixed in advance by the root counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .partitions import Partition, as_partition
 from .polynomials import MultivarPoly
 from .series import linear_product
-
-
-@dataclass(frozen=True)
-class MultiRectShape:
-    """A stack of m rectangles: p_i rows of length q_i, q strictly decreasing."""
-
-    ps: tuple[int, ...]
-    qs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.ps) != len(self.qs) or not self.ps:
-            raise ValueError("need matching nonempty dimension tuples")
-        if any(p <= 0 for p in self.ps) or any(q <= 0 for q in self.qs):
-            raise ValueError("dimensions must be positive")
-        if any(later >= earlier for later, earlier in zip(self.qs[1:], self.qs)):
-            raise ValueError(f"row lengths must strictly decrease: {self.qs}")
-
-    @property
-    def m(self) -> int:
-        return len(self.ps)
-
-    def size(self) -> int:
-        return sum(p * q for p, q in zip(self.ps, self.qs))
-
-    def to_partition(self) -> Partition:
-        out: tuple[int, ...] = ()
-        for p, q in zip(self.ps, self.qs):
-            out += (q,) * p
-        return out
 
 
 def rational_x_inverse_coefficient(num_roots, den_roots):

@@ -101,16 +101,6 @@ def content(cell: Cell) -> int:
     return j - i
 
 
-def hook_length(lam: Partition, cell: Cell) -> int:
-    """Arm plus leg plus one for a cell of the diagram of lam."""
-    lam = as_partition(lam)
-    i, j = cell
-    if not (1 <= i <= len(lam) and 1 <= j <= lam[i - 1]):
-        raise ValueError(f"cell {cell} outside diagram of {lam}")
-    col_len = sum(1 for row_len in lam if row_len >= j)
-    return lam[i - 1] + col_len - i - j + 1
-
-
 def hook_lengths(lam: Partition) -> list[int]:
     """Hook lengths of every cell, row by row."""
     return _hook_lengths(as_partition(lam))

@@ -1,14 +1,15 @@
-"""Principal Schur specializations and the hook-product lemma tying them together.
+"""The hook-product lemma for a shape inside a box, checked in integers.
 
-s_lam(1^a) has the cell-product form prod (a + content)/hook; substituting a
-negative argument is legitimate because the product is a polynomial in a, and
-it transposes: s_lam at -q equals (-1)^|lam| times the conjugate shape at q.
+The principal specialization s_lam(1^a) is the cell product
+prod (a + content)/hook, a polynomial in a, so a negative argument is
+legitimate and transposes: s_lam at -q equals (-1)^|lam| times the conjugate
+shape at q.  Only the content products are computed; the hook product in the
+denominator is multiplied through.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .partitions import (
     Partition,
@@ -23,16 +24,6 @@ from .partitions import (
 def _content_product(lam: Partition, shift: int) -> int:
     """prod over cells of (shift + content), content = column - row."""
     return math.prod(shift + j - i for i, row in enumerate(lam) for j in range(row))
-
-
-def schur_principal(lam: Partition, p: int) -> Fraction | int:
-    """Schur function of shape lam at p variables all set to 1.
-
-    A negative p gives the polynomial continuation used by the lemma.
-    """
-    lam = as_partition(lam)
-    value = Fraction(_content_product(lam, p), _hook_product(lam))
-    return int(value) if value.denominator == 1 else value
 
 
 def lemma_check(lam: Partition, p: int, q: int) -> bool:

@@ -168,6 +168,49 @@ def reference_normalized_character(lam: tuple[int, ...], mu: tuple[int, ...]):
     return int(value) if value.denominator == 1 else value
 
 
+def _direct_hook_product(lam: tuple[int, ...]) -> int:
+    """Product over the cells of arm + leg + 1, legs read off reference_conjugate."""
+    conj = reference_conjugate(lam)
+    return math.prod(row - j + conj[j] - i - 1 for i, row in enumerate(lam) for j in range(row))
+
+
+def _box_complement(lam: tuple[int, ...], p: int, q: int) -> tuple[int, ...]:
+    """The cells of the p-by-q box outside lam, turned a half turn into a shape."""
+    padded = lam + (0,) * (p - len(lam))
+    return tuple(q - part for part in reversed(padded) if part < q)
+
+
+def rect_character_sum(p: int, q: int, mu: tuple[int, ...]) -> int:
+    """Character of the p-by-q box at (mu, 1^(pq-k)), summed shape by shape
+    (a shape-peeling reference route for mn_character on boxes).
+
+    Peeling the nontrivial cycles first leaves some lam of size k in the box
+    corner with weight chi^lam(mu); the fixed points then fill the rest of the
+    box in f^complement ways.  chi^lam(mu) comes from reference_mn_character
+    and f from brute_syt_count."""
+    return sum(
+        reference_mn_character(lam, mu) * brute_syt_count(_box_complement(lam, p, q))
+        for lam in recursive_partitions_of(sum(mu), max_part=q, max_parts=p)
+    )
+
+
+def rect_normalized_via_hooks(p: int, q: int, mu: tuple[int, ...]):
+    """Normalized box character as a hook-product weighted shape sum (a
+    shape-peeling reference route for normalized_character on boxes): the
+    same peeling as rect_character_sum, normalized, is H_box times the sum
+    over lam of chi^lam(mu) / H_complement, with every hook product H from
+    _direct_hook_product."""
+    total = sum(
+        Fraction(
+            reference_mn_character(lam, mu),
+            _direct_hook_product(_box_complement(lam, p, q)),
+        )
+        for lam in recursive_partitions_of(sum(mu), max_part=q, max_parts=p)
+    )
+    value = _direct_hook_product((q,) * p) * total
+    return int(value) if value.denominator == 1 else value
+
+
 def _partitions_upto(n: int, bound: tuple[int, ...]):
     """Partitions of n fitting under the given partition componentwise."""
 

@@ -10,17 +10,16 @@ from oracles import (
     brute_strip_removals,
     centralizer_order,
     character_by_power_sums,
+    rect_character_sum,
+    rect_normalized_via_hooks,
     reference_mn_character,
     reference_normalized_character,
 )
 from rectchar.characters import (
     _bead_move_ratio,
     _strips,
-    border_strip_removals,
     mn_character,
     normalized_character,
-    rect_character_sum,
-    rect_normalized_via_hooks,
 )
 from rectchar.partitions import hook_product, partitions_of, rectangle, syt_count
 
@@ -89,20 +88,13 @@ def test_strip_removals_against_brute_force():
         for lam in partitions_of(n):
             for size in range(1, n + 1):
                 expected = brute_strip_removals(lam, size)
-                actual = {
-                    (r.result, r.height) for r in border_strip_removals(lam, size)
-                }
+                actual = {(result, height) for result, height, _ in _strips(lam, size)}
                 assert actual == expected, (lam, size)
 
 
 def test_strip_removal_fields():
-    removals = border_strip_removals((3, 3, 1), 3)
-    assert len(removals) == 1
-    strip = removals[0]
-    assert strip.source == (3, 3, 1)
-    assert strip.size == 3
-    assert strip.result == (2, 1, 1)
-    assert strip.height == 1
+    # beads of (3,3,1) are 5, 4, 1: only 5 can move down by 3, past bead 4
+    assert _strips((3, 3, 1), 3) == [((2, 1, 1), 1, 5)]
 
 
 def test_sweep_matches_the_f_based_route():

@@ -183,6 +183,13 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "verify", "--only", "99")[0] == 2
 
 
+@pytest.mark.parametrize("only", ["a", "4,,4", "2,x", ""])
+def test_only_with_a_non_integer_chunk_is_a_usage_error(capsys, only):
+    code, out, err = run_cli(capsys, "verify", "--only", only)
+    assert (code, out) == (2, "")
+    assert err == f"error: --only takes comma-separated criterion numbers, got {only!r}\n"
+
+
 def test_unknown_subcommand(capsys):
     assert cli.run(["frobnicate"]) == 2
 

@@ -6,7 +6,6 @@ from rectchar import frobenius
 from rectchar.characters import normalized_character
 from rectchar.factorization import factorization_poly
 from rectchar.frobenius import (
-    MultiRectShape,
     _dimension_vars,
     _stack_roots,
     f_k_polynomial,
@@ -18,25 +17,6 @@ from rectchar.frobenius import (
 )
 from rectchar.partitions import partitions_of
 from rectchar.verify import REFERENCE_FLIPPED_TWO_RECT
-
-
-def test_multi_rect_shape():
-    assert MultiRectShape((2,), (3,)).to_partition() == (3, 3)
-    assert MultiRectShape((1, 1), (2, 1)).to_partition() == (2, 1)
-    assert MultiRectShape((2, 1), (3, 1)).to_partition() == (3, 3, 1)
-    assert MultiRectShape((2, 1), (3, 1)).size() == 7
-    assert MultiRectShape((2,), (3,)).m == 1
-
-
-def test_multi_rect_shape_validation():
-    with pytest.raises(ValueError):
-        MultiRectShape((1, 1), (2, 2))  # not strictly decreasing
-    with pytest.raises(ValueError):
-        MultiRectShape((1, 1), (1, 2))  # increasing
-    with pytest.raises(ValueError):
-        MultiRectShape((1,), (0,))
-    with pytest.raises(ValueError):
-        MultiRectShape((), ())
 
 
 def test_residue_extraction_examples():
@@ -82,23 +62,22 @@ def test_fk_one_rectangle_matches_pair_sum():
         assert f_k_polynomial(1, k) == factorization_poly((k,))
 
 
+# stacks of rectangles as (ps, qs): ps[i] rows of length qs[i]
 SHAPES = [
-    MultiRectShape((2,), (3,)),
-    MultiRectShape((1, 2), (4, 2)),
-    MultiRectShape((2, 1), (3, 1)),
-    MultiRectShape((3, 2), (4, 2)),
-    MultiRectShape((1, 1, 1), (3, 2, 1)),
+    ((2,), (3,)),
+    ((1, 2), (4, 2)),
+    ((2, 1), (3, 1)),
+    ((3, 2), (4, 2)),
+    ((1, 1, 1), (3, 2, 1)),
 ]
 
 
 def test_fk_specializes_to_shapes():
-    for shape in SHAPES:
-        point = shape.ps + shape.qs
-        for k in range(1, min(5, shape.size()) + 1):
-            poly = f_k_polynomial(shape.m, k)
-            assert poly.evaluate(point) == frobenius_normalized(
-                shape.to_partition(), k
-            ), (shape, k)
+    for ps, qs in SHAPES:
+        lam = tuple(q for p, q in zip(ps, qs) for _ in range(p))
+        for k in range(1, min(5, sum(lam)) + 1):
+            poly = f_k_polynomial(len(ps), k)
+            assert poly.evaluate(ps + qs) == frobenius_normalized(lam, k), (lam, k)
 
 
 def test_fk_integer_coefficients():
@@ -124,7 +103,7 @@ def test_special_value_agrees_with_symbolic_evaluation():
 
 def test_stack_roots_commute_with_evaluation():
     # the integer roots are the symbolic roots evaluated at the same point
-    points = [(shape.ps, shape.qs) for shape in SHAPES]
+    points = list(SHAPES)
     points += [((1,) * m, (-1,) * m) for m in range(1, 5)]
     for ps, qs in points:
         upper, lower = _stack_roots(*_dimension_vars(len(ps)))

@@ -6,7 +6,7 @@ import pytest
 from oracles import stanley_feray_f_mu
 from rectchar import interpolation
 from rectchar.factorization import factorization_poly
-from rectchar.frobenius import MultiRectShape, f_k_polynomial
+from rectchar.frobenius import f_k_polynomial
 from rectchar.interpolation import (
     ConjectureReport,
     _lower_set,
@@ -60,15 +60,9 @@ def test_interpolant_degree_bound():
 def test_interpolant_reproduces_characters_off_grid():
     poly = f_mu_interpolate(2, (2, 1))
     # every shape here has at least one coordinate outside the grid bands
-    for shape in [
-        MultiRectShape((7, 2), (9, 2)),
-        MultiRectShape((1, 6), (12, 4)),
-        MultiRectShape((6, 6), (13, 6)),
-    ]:
-        point = shape.ps + shape.qs
-        assert poly.evaluate(point) == normalized_character(
-            shape.to_partition(), (2, 1)
-        )
+    for ps, qs in [((7, 2), (9, 2)), ((1, 6), (12, 4)), ((6, 6), (13, 6))]:
+        lam = tuple(q for p, q in zip(ps, qs) for _ in range(p))
+        assert poly.evaluate(ps + qs) == normalized_character(lam, (2, 1))
 
 
 def test_off_grid_fidelity_is_deterministic():

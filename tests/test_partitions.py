@@ -21,7 +21,6 @@ from rectchar.partitions import (
     content,
     fits_in_box,
     format_partition,
-    hook_length,
     hook_lengths,
     hook_product,
     parse_partition,
@@ -82,18 +81,14 @@ def test_conjugate_transposes_cells(lam):
 
 def test_hook_length_direct_count():
     # arm + leg + 1, counted straight off the diagram (cells are 1-indexed)
+    # against hook_lengths, which lists the cells row by row
     for lam in [(4, 2, 1), (3, 3, 3), (5,), (2, 2, 1, 1)]:
+        expected = []
         for (i, j) in cells(lam):
             arm = lam[i - 1] - j
             leg = sum(1 for r in range(i + 1, len(lam) + 1) if lam[r - 1] >= j)
-            assert hook_length(lam, (i, j)) == arm + leg + 1
-
-
-def test_hook_length_rejects_outside_cell():
-    with pytest.raises(ValueError):
-        hook_length((2, 1), (2, 2))
-    with pytest.raises(ValueError):
-        hook_length((2, 1), (0, 1))
+            expected.append(arm + leg + 1)
+        assert hook_lengths(lam) == expected
 
 
 @given(partitions)
