@@ -185,8 +185,15 @@ def normalized_character(lam: Partition, mu: Partition) -> Fraction | int:
     k = sum(mu)
     if k > n:
         raise ValueError(f"|mu| = {k} exceeds |lam| = {n}")
-    swept = mu[: _sweep_depth(mu)]
-    k1 = sum(swept)
+    return _normalized_character(lam, mu[: _sweep_depth(mu)], k)
+
+
+def _normalized_character(lam: Partition, swept: Sequence[int], k: int) -> Fraction | int:
+    """normalized_character for a trusted lam, the swept prefix of mu (mu
+    without its trailing 1s) and k = |mu| <= |lam|; an int unless the value
+    is not one."""
+    n, k1 = sum(lam), sum(swept)
     num, den = _hook_ratio_sum(lam, swept)
-    value = Fraction(math.perm(n - k1, k - k1) * num, den)
-    return int(value) if value.denominator == 1 else value
+    num *= math.perm(n - k1, k - k1)
+    value, rest = divmod(num, den)
+    return Fraction(num, den) if rest else value

@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 1 when a mathematical check fails, 2 on usage
 errors, 3 on an internal error: any other exception, reported on stderr as
-"internal error: <Type>: <message>" without a traceback.  Every polynomial
+"internal error: <Type>: <message>" without a traceback.  A reader that
+closes stdout early (``rectchar fk --m 3 --k 6 | head``) is not an error:
+the run stops quietly with exit code 0.  Every polynomial
 is printed in canonical order (total degree descending, ties by leading
 exponents descending); --json switches to the documented term schema.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .characters import mn_character, normalized_character
@@ -408,6 +411,8 @@ def run(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.handler(args)
+    except BrokenPipeError:
+        raise  # the reader closed stdout; main() ends the run quietly
     except (ValueError, OverflowError) as exc:
         # OverflowError: an argument too large for a machine-sized integer
         print(f"error: {exc}", file=sys.stderr)
@@ -422,7 +427,14 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # a closed pipe may first show here
+    except BrokenPipeError:
+        # send what is still buffered to devnull so shutdown stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -143,6 +143,14 @@ def theorem1_check(p: int, q: int, mu: Partition) -> bool:
     return lhs == rhs
 
 
+@lru_cache(maxsize=64)
+def _character_table(mu: Partition) -> tuple[tuple[Partition, int, int], ...]:
+    """(lam, chi^lam(mu), H_lam) for every lam of |mu| where the character is
+    nonzero, for a trusted mu; one table serves every box (p, q)."""
+    rows = ((lam, _mn_character(lam, mu)) for lam in partitions_of(sum(mu)))
+    return tuple((lam, chi, _hook_product(lam)) for lam, chi in rows if chi)
+
+
 def sss_identity_check(k: int, p: int, q: int, mu: Partition) -> bool:
     """Shape-sum route equals the pair-sum route.
 
@@ -150,7 +158,7 @@ def sss_identity_check(k: int, p: int, q: int, mu: Partition) -> bool:
     chi^lam(mu), with the principal specialization
     s_lam(1^a) = content_product(lam, a) / H_lam (H the hook product).  Each
     term is summed as content_product(lam, p) * content_product(lam, -q)
-    * chi^lam(mu) / H_lam, one hook product per shape.
+    * chi^lam(mu) / H_lam, over mu's cached character table.
     Right side: factorization_poly(mu) at (p, q).
     """
     mu = as_partition(mu)
@@ -158,11 +166,8 @@ def sss_identity_check(k: int, p: int, q: int, mu: Partition) -> bool:
         raise ValueError(f"mu = {mu} is not a partition of {k}")
     sign = -1 if k % 2 else 1
     lhs = sign * sum(
-        Fraction(
-            _content_product(lam, p) * _content_product(lam, -q) * _mn_character(lam, mu),
-            _hook_product(lam),
-        )
-        for lam in partitions_of(k)
+        Fraction(_content_product(lam, p) * _content_product(lam, -q) * chi, hooks)
+        for lam, chi, hooks in _character_table(mu)
     )
     rhs = factorization_poly(mu).evaluate((p, q))
     return lhs == rhs

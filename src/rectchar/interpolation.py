@@ -1,17 +1,21 @@
 """Exact reconstruction of multi-rectangle character polynomials from values.
 
 For a fixed cycle-type prefix mu of size k, the normalized character of an
-m-rectangle stack is a polynomial in the 2m dimensions of degree at most k in
-each variable and of total degree at most k + len(mu): by the Stanley-Feray
-formula each monomial comes from a factorization s*t = w_mu, with p-degree
-cyc(s) and q-degree cyc(t), and cyc(s) + cyc(t) <= k + len(mu).  So its
-values on the lower set {alpha : alpha_i <= k, sum(alpha) <= k + len(mu)} pin
-it down (Dyn & Floater, "Multivariate polynomial interpolation on lower
+m-rectangle stack is a polynomial in p_1..p_m, q_1..q_m: by the
+Stanley-Feray formula each monomial comes from a factorization s*t = w_mu
+in S_k, with p-degree cyc(s) <= k, q-degree cyc(t) <= k, and
+cyc(s) + cyc(t) <= k + len(mu).  So its values on the lower set
+
+    {alpha : alpha_1 + .. + alpha_m <= k, alpha_(m+1) + .. + alpha_2m <= k,
+     sum(alpha) <= k + len(mu)}
+
+pin it down (Dyn & Floater, "Multivariate polynomial interpolation on lower
 sets", J. Approx. Theory 177, 2014).  Node alpha sits at coordinate
 alpha_i of each axis; the axes are chosen so every node is an honest shape
-(row lengths strictly decreasing, enough squares to hold mu).  The Newton
-interpolant is then audited at a point outside the grid before being
-returned.
+(row lengths strictly decreasing, enough squares to hold mu), which lets the
+node values come from the trusted character kernel, as exact integers.  The
+Newton solve runs in integers on node indices, and the interpolant is then
+audited at a point outside the grid before being returned.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .characters import normalized_character
+from .characters import _normalized_character, _sweep_depth, normalized_character
 from .frobenius import flipped_polynomial
 from .partitions import Partition, as_partition, format_partition
 from .polynomials import MultivarPoly, Scalar
@@ -52,39 +56,67 @@ def interpolation_grid(m: int, k: int) -> list[list[int]]:
     return p_axes + q_axes
 
 
-def _lower_set(n: int, k: int, total: int) -> list[tuple[int, ...]]:
-    """Multi-indices alpha in N^n with every alpha_i <= k and sum(alpha) <= total."""
+def _simplex(m: int, k: int) -> list[tuple[tuple[int, ...], int]]:
+    """(beta, sum(beta)) for every beta in N^m with sum(beta) <= k, in
+    lexicographic order."""
     rows: list[tuple[tuple[int, ...], int]] = [((), 0)]
-    for _ in range(n):
-        rows = [
-            (alpha + (a,), used + a)
-            for alpha, used in rows
-            for a in range(min(k, total - used) + 1)
-        ]
-    return [alpha for alpha, _ in rows]
+    for _ in range(m):
+        rows = [(beta + (b,), used + b) for beta, used in rows for b in range(k - used + 1)]
+    return rows
 
 
-def _lower_set_size(n: int, k: int, total: int) -> int:
-    """len(_lower_set(n, k, total)) in closed form, by inclusion-exclusion
-    over the j axes pushed past k."""
-    return sum(
-        (-1) ** j * math.comb(n, j) * math.comb(total - j * (k + 1) + n, n)
-        for j in range(min(n, total // (k + 1)) + 1)
-    )
+def _lower_set(m: int, k: int, total: int) -> list[tuple[int, ...]]:
+    """Multi-indices alpha in N^(2m), in lexicographic order, with
+    sum(alpha[:m]) <= k, sum(alpha[m:]) <= k and sum(alpha) <= total."""
+    simplex = _simplex(m, k)
+    return [
+        p + q
+        for p, a in simplex
+        if a <= total
+        for q, b in simplex
+        if b <= total - a
+    ]
 
 
-def _check_node_budget(n: int, k: int, total: int, max_nodes: int) -> None:
+def _lower_set_size(m: int, k: int, total: int) -> int:
+    """len(_lower_set(m, k, total)) in closed form.
+
+    From 2k on it is every pair of a p-part and a q-part, C(k + m, m)^2.
+    Below, take the C(total + 2m, 2m) points of sum at most total and cut
+    those whose p-sum a exceeds k, C(a + m - 1, m - 1) C(total - a + m, m)
+    for each a = k+1..total, and as many whose q-sum does; no point has
+    both.  The binomials are stepped by a ratio, so the cost is total - k
+    steps, len(mu) for F_mu, even for a huge m.
+    """
+    if total >= 2 * k:
+        return math.comb(k + m, k) ** 2
+    everything = math.comb(total + 2 * m, total)
+    if total <= k:
+        return everything
+    cut = 0
+    on_p = math.comb(k + m, k + 1)  # C(a + m - 1, m - 1) at a = k + 1
+    on_q = math.comb(total - k - 1 + m, m)  # C(total - a + m, m) at a = k + 1
+    for a in range(k + 1, total + 1):
+        cut += on_p * on_q
+        on_p = on_p * (a + m) // (a + 1)
+        on_q = on_q * (total - a) // (total - a + m)
+    return everything - 2 * cut
+
+
+def _check_node_budget(m: int, k: int, total: int, max_nodes: int) -> None:
     """Raise ValueError, before any node is built, if the lower set has more
-    than max_nodes points; a huge m or mu costs no more than a small one."""
-    # the set holds the simplex sum(alpha) <= k, whose C(big + r, r) points,
-    # r = min(n, k), number over 2^r (n >= 2) and over (big / r)^r; when that
-    # floor is short the exact count is short too, and cheap
+    than max_nodes points; a huge m or |mu| costs no more than a small one,
+    and the exact count at most len(mu) steps."""
+    # the set holds the simplex sum(alpha) <= k in N^n, n = 2m, whose
+    # C(big + r, r) points, r = min(n, k), number over 2^r (n >= 2) and over
+    # (big / r)^r; when that floor is short the exact count is short too
+    n = 2 * m
     r, big = min(n, k), max(n, k)
     floor_bits = r * max(1, big.bit_length() - r.bit_length() - 1)
     if floor_bits >= max(max_nodes.bit_length(), _SHOWN_BITS):
         size = f"over 2^{floor_bits}"
     else:
-        count = _lower_set_size(n, k, total)
+        count = _lower_set_size(m, k, total)
         if count <= max_nodes:
             return
         if count.bit_length() <= _SHOWN_BITS:
@@ -97,9 +129,23 @@ def _check_node_budget(n: int, k: int, total: int, max_nodes: int) -> None:
     )
 
 
-def _forward_differences(ys: list[Scalar], k: int) -> list[Scalar]:
+def _fibres(nodes: list[tuple[int, ...]]) -> list[list[list[int]]]:
+    """Per axis, the fibres of the lower set along it, each a list of node
+    indices for alpha_axis = 0, 1, ...; nodes must be in lexicographic order,
+    and each fibre is a prefix because the set is lower."""
+    out = []
+    for axis in range(len(nodes[0])):
+        fibres: dict[tuple[int, ...], list[int]] = {}
+        for i, alpha in enumerate(nodes):
+            fibres.setdefault(alpha[:axis] + alpha[axis + 1 :], []).append(i)
+        out.append(list(fibres.values()))
+    return out
+
+
+def _forward_differences(ys: list[Scalar], weights: list[int]) -> list[Scalar]:
     """k! times the Newton coefficients [x_0..x_j] of the interpolant through
-    (x_j, ys[j]), for unit-spaced nodes x_j = x_0 + j and len(ys) <= k + 1.
+    (x_j, ys[j]), for unit-spaced nodes x_j = x_0 + j, given weights[j] =
+    k!/j! for j <= k and len(ys) <= k + 1.
 
     There [x_0..x_j] is the forward difference Delta^j ys[0] over j!, so
     scaled by k! it stays in the integers, which keeps the Newton-to-monomial
@@ -109,8 +155,7 @@ def _forward_differences(ys: list[Scalar], k: int) -> list[Scalar]:
     for level in range(1, len(dd)):
         for i in range(len(dd) - 1, level - 1, -1):
             dd[i] -= dd[i - 1]
-    scale = math.factorial(k)
-    return [d * (scale // math.factorial(j)) for j, d in enumerate(dd)]
+    return [d * w for d, w in zip(dd, weights)]
 
 
 def _newton_to_monomial(xs: list[int], cs: list[Scalar]) -> list[Scalar]:
@@ -126,34 +171,32 @@ def _newton_to_monomial(xs: list[int], cs: list[Scalar]) -> list[Scalar]:
     return out
 
 
-def _sweep_fibres(values: dict, axes: list[list[int]], k: int, total: int, solve) -> None:
-    """On the lower set held by values, replace each fibre along each axis in
-    turn by solve(axes[axis], fibre values); every fibre is a prefix
-    {alpha_axis = 0, 1, ...} because the set is lower."""
-    for axis, xs in enumerate(axes):
-        for alpha in values:
-            if alpha[axis]:
-                continue
-            head, tail = alpha[:axis], alpha[axis + 1 :]
-            fibre = [head + (j,) + tail for j in range(min(k, total - sum(alpha)) + 1)]
-            for key, value in zip(fibre, solve(xs, [values[key] for key in fibre])):
-                values[key] = value
+def _sweep_fibres(
+    values: list[Scalar], axes: list[list[int]], fibres: list[list[list[int]]], solve
+) -> None:
+    """Replace the values on each fibre along each axis in turn by
+    solve(axes[axis], fibre values)."""
+    for xs, along in zip(axes, fibres):
+        for fibre in along:
+            for i, value in zip(fibre, solve(xs, [values[i] for i in fibre])):
+                values[i] = value
 
 
-def _shape_value(m: int, mu: Partition, point: tuple[int, ...]):
+def _shape_value(m: int, swept: Partition, k: int, point: tuple[int, ...]):
     """The normalized character at the stack of point[i] rows of length
-    point[m + i], i < m."""
+    point[m + i], i < m, for mu of size k with swept prefix swept (mu without
+    its trailing 1s); point must give an honest shape of at least k squares."""
     lam: Partition = ()
     for p, q in zip(point[:m], point[m:]):
         lam += (q,) * p
-    return normalized_character(lam, mu)
+    return _normalized_character(lam, swept, k)
 
 
 def f_mu_interpolate(
     m: int, mu: Partition, max_nodes: int = DEFAULT_MAX_NODES
 ) -> MultivarPoly:
     """The character polynomial F_mu in p_1..p_m, q_1..q_m, by Newton
-    interpolation over exact rationals on the lower set of its degree bounds.
+    interpolation in integers on the lower set of its degree bounds.
 
     Raises ValueError if max_nodes is below 1 or that set has more than
     max_nodes points, and ArithmeticError if the interpolant fails to
@@ -168,21 +211,30 @@ def f_mu_interpolate(
     if max_nodes < 1:
         raise ValueError(f"max_nodes must be a positive integer, got {max_nodes}")
     n, total = 2 * m, k + len(mu)
-    _check_node_budget(n, k, total, max_nodes)
+    _check_node_budget(m, k, total, max_nodes)
     axes = interpolation_grid(m, k)
+    swept = mu[: _sweep_depth(mu)]
+    nodes = _lower_set(m, k, total)
     # node values, then forward differences along every axis (k! times the
     # Newton coefficients, per axis), then Newton to monomials along every
     # axis; each exponent tuple ends up where its node's multi-index was
-    values = {
-        alpha: _shape_value(m, mu, tuple(axis[a] for axis, a in zip(axes, alpha)))
-        for alpha in _lower_set(n, k, total)
-    }
-    _sweep_fibres(values, axes, k, total, lambda xs, ys: _forward_differences(ys, k))
-    _sweep_fibres(values, axes, k, total, _newton_to_monomial)
-    denominator = math.factorial(k) ** n
-    poly = MultivarPoly(n, {e: Fraction(c, denominator) for e, c in values.items()})
+    values = [
+        _shape_value(m, swept, k, tuple(axis[a] for axis, a in zip(axes, alpha)))
+        for alpha in nodes
+    ]
+    fibres = _fibres(nodes)
+    scale = math.factorial(k)
+    weights = [scale // math.factorial(j) for j in range(k + 1)]
+    _sweep_fibres(values, axes, fibres, lambda xs, ys: _forward_differences(ys, weights))
+    _sweep_fibres(values, axes, fibres, _newton_to_monomial)
+    denominator = scale**n
+    terms: dict[tuple[int, ...], Scalar] = {}
+    for alpha, c in zip(nodes, values):
+        quotient, rest = divmod(c, denominator)
+        terms[alpha] = Fraction(c, denominator) if rest else quotient
+    poly = MultivarPoly(n, terms)
     guard = _guard_point(m, k)
-    expected = _shape_value(m, mu, guard)
+    expected = _shape_value(m, swept, k, guard)
     if poly.evaluate(guard) != expected:
         raise ArithmeticError(
             f"interpolant for mu={format_partition(mu)}, m={m} disagrees with "
@@ -224,7 +276,8 @@ def off_grid_fidelity(
             continue
         if all(x in s for x, s in zip(point, grid_sets)):
             continue  # landed on the grid; draw again
-        if poly.evaluate(point) != _shape_value(m, mu, point):
+        lam = tuple(q for p, q in zip(ps, qs) for _ in range(p))
+        if poly.evaluate(point) != normalized_character(lam, mu):
             return False
         done += 1
     return True

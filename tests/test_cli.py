@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -270,8 +274,9 @@ BIG = "10000000000000000000"
             f"error: k={BIG} exceeds enumeration cap 10\n",
         ),
         (
+            # (m + 1)^2 nodes
             ("conjecture", "--m", BIG, "--mu", "1"),
-            "error: grid has 200000000000000000010000000000000000001 nodes, "
+            "error: grid has 100000000000000000020000000000000000001 nodes, "
             "above the limit 20000; raise max_nodes to force the run\n",
         ),
     ],
@@ -305,3 +310,21 @@ def test_only_a_plain_arithmetic_error_is_a_failed_check(
 
     monkeypatch.setattr(cli, "cmd_sk", broken)
     assert run_cli(capsys, "sk", "--m", "1", "--kmax", "2") == (code, "", err)
+
+
+def test_closed_stdout_ends_the_run_quietly():
+    # the reader is gone before the child writes: every write hits a closed pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "rectchar.cli", "fk", "--m", "3", "--k", "6"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (0, b"")

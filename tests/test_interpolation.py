@@ -9,14 +9,16 @@ from rectchar.factorization import factorization_poly
 from rectchar.frobenius import f_k_polynomial
 from rectchar.interpolation import (
     ConjectureReport,
+    _guard_point,
     _lower_set,
     _lower_set_size,
+    _shape_value,
     conjecture1_check,
     f_mu_interpolate,
     interpolation_grid,
     off_grid_fidelity,
 )
-from rectchar.characters import normalized_character
+from rectchar.characters import _sweep_depth, normalized_character
 from rectchar.partitions import partitions_of
 
 
@@ -86,7 +88,7 @@ def test_node_budget_enforced():
             f_mu_interpolate(1, (1,), max_nodes=budget)
 
 
-@pytest.mark.parametrize("m, k_cap", [(1, 5), (2, 4), (3, 3)])
+@pytest.mark.parametrize("m, k_cap", [(1, 5), (2, 4), (3, 3), (4, 2)])
 def test_matches_stanley_feray_formula(m, k_cap):
     for k in range(1, k_cap + 1):
         for mu in partitions_of(k):
@@ -94,47 +96,78 @@ def test_matches_stanley_feray_formula(m, k_cap):
 
 
 def test_lower_set_and_its_size():
-    for n in range(1, 6):
-        for k in range(1, 4):
-            for total in range(k, 2 * k + 4):
-                box = itertools.product(range(k + 1), repeat=n)
-                expected = [alpha for alpha in box if sum(alpha) <= total]
-                assert sorted(_lower_set(n, k, total)) == expected
-                assert _lower_set_size(n, k, total) == len(expected)
+    for m in range(1, 4):
+        for k in range(1, 5):
+            for total in (0, 1, k, k + 1, k + 2, 2 * k - 1, 2 * k, 2 * k + 3):
+                box = itertools.product(range(k + 1), repeat=2 * m)
+                expected = [
+                    alpha
+                    for alpha in box
+                    if sum(alpha[:m]) <= k and sum(alpha[m:]) <= k and sum(alpha) <= total
+                ]
+                assert _lower_set(m, k, total) == expected
+                assert _lower_set_size(m, k, total) == len(expected)
 
 
 def test_node_count_is_the_lower_set(monkeypatch):
-    # mu = (2,2), m = 2: alpha in N^4 with alpha_i <= 4 and sum(alpha) <= 6
+    # mu = (2,2), m = 2: alpha in N^4 with alpha_1 + alpha_2 <= 4,
+    # alpha_3 + alpha_4 <= 4 and sum(alpha) <= 6
     shape_value = interpolation._shape_value
     points = []
 
-    def counted(m, mu, point):
-        points.append(point)
-        return shape_value(m, mu, point)
+    def counted(*args):
+        points.append(args[-1])
+        return shape_value(*args)
 
     monkeypatch.setattr(interpolation, "_shape_value", counted)
-    f_mu_interpolate(2, (2, 2), max_nodes=190)
-    assert len(points) == 190 + 1  # and the guard point
+    f_mu_interpolate(2, (2, 2), max_nodes=160)
+    assert len(points) == 160 + 1  # and the guard point
     assert len(set(points)) == len(points)
-    with pytest.raises(ValueError, match="^grid has 190 nodes, above the limit 189;"):
-        f_mu_interpolate(2, (2, 2), max_nodes=189)
+    with pytest.raises(ValueError, match="^grid has 160 nodes, above the limit 159;"):
+        f_mu_interpolate(2, (2, 2), max_nodes=159)
+
+
+# the (m, mu) of the stack-interpolate benchmark workload
+WORKLOAD_CASES = [(2, mu) for k in range(1, 5) for mu in partitions_of(k)] + [
+    (3, mu) for k in range(1, 3) for mu in partitions_of(k)
+]
+
+
+@pytest.mark.parametrize("m, mu", WORKLOAD_CASES)
+def test_node_kernel_matches_the_validated_route(m, mu):
+    k = sum(mu)
+    axes = interpolation_grid(m, k)
+    swept = mu[: _sweep_depth(mu)]
+    points = [
+        tuple(axis[a] for axis, a in zip(axes, alpha))
+        for alpha in _lower_set(m, k, k + len(mu))
+    ]
+    for point in points + [_guard_point(m, k)]:
+        value = _shape_value(m, swept, k, point)
+        lam = tuple(q for p, q in zip(point[:m], point[m:]) for _ in range(p))
+        assert type(value) is int
+        assert value == normalized_character(lam, mu)
 
 
 def test_budget_is_checked_before_anything_is_built():
     start = time.perf_counter()
+    # (m + 1)^2 nodes for mu = (1): p- and q-parts each one of m + 1 points
     with pytest.raises(
         ValueError,
-        match="^grid has 200000000000000000010000000000000000001 nodes, "
+        match="^grid has 100000000000000000020000000000000000001 nodes, "
         "above the limit 20000;",
     ):
         f_mu_interpolate(10**19, (1,))
+    # |mu| huge with few parts: the closed form takes a few steps
+    with pytest.raises(ValueError, match=r"^grid has \d+ nodes, above the limit 20000;"):
+        f_mu_interpolate(3, (10**9,))
     # both m and |mu| huge: the count is reported by its size
     with pytest.raises(ValueError, match=r"^grid has over 2\^\d+ nodes, above"):
         f_mu_interpolate(10**9, (10**9,))
     with pytest.raises(ValueError, match=r"^grid has over 2\^\d+ nodes, above"):
         f_mu_interpolate(10**1000, (1000,))
     # an exact count too long for str()
-    with pytest.raises(ValueError, match=r"^grid has over 2\^19344 nodes, above"):
+    with pytest.raises(ValueError, match=r"^grid has over 2\^19337 nodes, above"):
         f_mu_interpolate(5792, (1,) * 4095)
     assert time.perf_counter() - start < 5.0
 
