@@ -16,6 +16,12 @@ alpha_i of each axis; the axes are chosen so every node is an honest shape
 node values come from the trusted character kernel, as exact integers.  The
 Newton solve runs in integers on node indices, and the interpolant is then
 audited at a point outside the grid before being returned.
+
+Only mu's swept prefix nu (mu without its trailing 1s) is interpolated:
+Ch_(mu, 1) = (n - |mu|) Ch_mu (Kerov & Olshanski, C. R. Acad. Sci. Paris
+319, 1994) gives F_mu = (N - |nu|)_(|mu| - |nu|) F_nu, N = sum p_i q_i.
+The node budget still counts mu's own set, which holds nu's set and every
+monomial of F_mu.
 """
 
 from __future__ import annotations
@@ -192,34 +198,17 @@ def _shape_value(m: int, swept: Partition, k: int, point: tuple[int, ...]):
     return _normalized_character(lam, swept, k)
 
 
-def f_mu_interpolate(
-    m: int, mu: Partition, max_nodes: int = DEFAULT_MAX_NODES
-) -> MultivarPoly:
-    """The character polynomial F_mu in p_1..p_m, q_1..q_m, by Newton
-    interpolation in integers on the lower set of its degree bounds.
-
-    Raises ValueError if max_nodes is below 1 or that set has more than
-    max_nodes points, and ArithmeticError if the interpolant fails to
-    reproduce the character at a point outside the grid, which would mean an
-    assumed degree bound is wrong for this mu; that situation is surfaced,
-    never papered over.
-    """
-    mu = as_partition(mu)
-    k = sum(mu)
-    if m < 1 or k < 1:
-        raise ValueError("need m >= 1 and a nonempty mu")
-    if max_nodes < 1:
-        raise ValueError(f"max_nodes must be a positive integer, got {max_nodes}")
-    n, total = 2 * m, k + len(mu)
-    _check_node_budget(m, k, total, max_nodes)
+def _interpolate(m: int, nu: Partition) -> MultivarPoly:
+    """F_nu for a nonempty nu without trailing 1s, by Newton interpolation in
+    integers on the lower set of its degree bounds."""
+    k, n = sum(nu), 2 * m
     axes = interpolation_grid(m, k)
-    swept = mu[: _sweep_depth(mu)]
-    nodes = _lower_set(m, k, total)
+    nodes = _lower_set(m, k, k + len(nu))
     # node values, then forward differences along every axis (k! times the
     # Newton coefficients, per axis), then Newton to monomials along every
     # axis; each exponent tuple ends up where its node's multi-index was
     values = [
-        _shape_value(m, swept, k, tuple(axis[a] for axis, a in zip(axes, alpha)))
+        _shape_value(m, nu, k, tuple(axis[a] for axis, a in zip(axes, alpha)))
         for alpha in nodes
     ]
     fibres = _fibres(nodes)
@@ -232,7 +221,35 @@ def f_mu_interpolate(
     for alpha, c in zip(nodes, values):
         quotient, rest = divmod(c, denominator)
         terms[alpha] = Fraction(c, denominator) if rest else quotient
-    poly = MultivarPoly(n, terms)
+    return MultivarPoly(n, terms)
+
+
+def f_mu_interpolate(
+    m: int, mu: Partition, max_nodes: int = DEFAULT_MAX_NODES
+) -> MultivarPoly:
+    """The character polynomial F_mu in p_1..p_m, q_1..q_m: F_nu, for nu the
+    swept prefix of mu, interpolated on nu's lower set, times N - j for each
+    trailing 1 of mu, j = |nu|..|mu| - 1, where N = p_1 q_1 + .. + p_m q_m.
+
+    Raises ValueError if max_nodes is below 1 or mu's own lower set has more
+    than max_nodes points, and ArithmeticError if the result fails to
+    reproduce the character at a point outside the grid, which would mean an
+    assumed degree bound is wrong for this mu; that situation is surfaced,
+    never papered over.
+    """
+    mu = as_partition(mu)
+    k = sum(mu)
+    if m < 1 or k < 1:
+        raise ValueError("need m >= 1 and a nonempty mu")
+    if max_nodes < 1:
+        raise ValueError(f"max_nodes must be a positive integer, got {max_nodes}")
+    n = 2 * m
+    _check_node_budget(m, k, k + len(mu), max_nodes)
+    swept = mu[: _sweep_depth(mu)]
+    poly = _interpolate(m, swept) if swept else MultivarPoly.const(n, 1)
+    size = MultivarPoly(n, {tuple(int(t % m == i) for t in range(n)): 1 for i in range(m)})
+    for j in range(sum(swept), k):
+        poly = poly * (size - j)
     guard = _guard_point(m, k)
     expected = _shape_value(m, swept, k, guard)
     if poly.evaluate(guard) != expected:

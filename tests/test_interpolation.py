@@ -95,6 +95,15 @@ def test_matches_stanley_feray_formula(m, k_cap):
             assert dict(f_mu_interpolate(m, mu).terms) == stanley_feray_f_mu(m, mu)
 
 
+# mu with trailing fixed points, interpolated on their swept part only
+@pytest.mark.parametrize(
+    "m, mu",
+    [(2, (2, 1, 1, 1)), (2, (1,) * 5), (2, (3, 1, 1)), (3, (2, 1, 1)), (3, (1,) * 4)],
+)
+def test_fixed_points_match_stanley_feray_formula(m, mu):
+    assert dict(f_mu_interpolate(m, mu).terms) == stanley_feray_f_mu(m, mu)
+
+
 def test_lower_set_and_its_size():
     for m in range(1, 4):
         for k in range(1, 5):
@@ -109,9 +118,8 @@ def test_lower_set_and_its_size():
                 assert _lower_set_size(m, k, total) == len(expected)
 
 
-def test_node_count_is_the_lower_set(monkeypatch):
-    # mu = (2,2), m = 2: alpha in N^4 with alpha_1 + alpha_2 <= 4,
-    # alpha_3 + alpha_4 <= 4 and sum(alpha) <= 6
+def _counted_points(monkeypatch) -> list:
+    """The points at which _shape_value is called from now on."""
     shape_value = interpolation._shape_value
     points = []
 
@@ -120,11 +128,32 @@ def test_node_count_is_the_lower_set(monkeypatch):
         return shape_value(*args)
 
     monkeypatch.setattr(interpolation, "_shape_value", counted)
+    return points
+
+
+def test_node_count_is_the_lower_set(monkeypatch):
+    # mu = (2,2), m = 2: alpha in N^4 with alpha_1 + alpha_2 <= 4,
+    # alpha_3 + alpha_4 <= 4 and sum(alpha) <= 6
+    points = _counted_points(monkeypatch)
     f_mu_interpolate(2, (2, 2), max_nodes=160)
     assert len(points) == 160 + 1  # and the guard point
     assert len(set(points)) == len(points)
     with pytest.raises(ValueError, match="^grid has 160 nodes, above the limit 159;"):
         f_mu_interpolate(2, (2, 2), max_nodes=159)
+
+
+def test_trailing_fixed_points_take_no_nodes(monkeypatch):
+    points = _counted_points(monkeypatch)
+    # mu = (2,1,1) at m = 2 takes nu = (2)'s set, then the guard point
+    f_mu_interpolate(2, (2, 1, 1))
+    assert len(points) == len(_lower_set(2, 2, 3)) + 1 == 28
+    points.clear()
+    # mu = 1^k is the falling factorial (N)_k: only the guard point
+    f_mu_interpolate(2, (1, 1, 1))
+    assert points == [_guard_point(2, 3)]
+    # the budget still counts mu's own set
+    with pytest.raises(ValueError, match="^grid has 200 nodes, above the limit 199;"):
+        f_mu_interpolate(2, (2, 1, 1), max_nodes=199)
 
 
 # the (m, mu) of the stack-interpolate benchmark workload
