@@ -1,21 +1,22 @@
 """Irreducible symmetric group characters via border-strip removal.
 
-Both mn_character and normalized_character run one down sweep over the parts
-of the evaluation type, in the order given, stopping at its trailing run of
-fixed points.  Each level removes border strips of one part's length from
-every shape reached so far and carries, per shape nu, the signed number of
-removal paths c(nu) from the top shape lam, in integers; shapes whose count
-cancels are dropped.  Each shape also carries H_lam / H_nu (H the hook
-product), built from one exact ratio per strip: removing a strip moves one
-beta-number bead, and the ratio is read off the runs of consecutive beads,
-one per block of equal rows.  The fixed points left then contribute
-f^nu = (n - k')!/H_nu each, so no bottom shape's hook product is computed:
+One down sweep over the parts of the evaluation type, in the order given,
+stopping at its trailing run of fixed points, computes the normalized
+character.  Each level removes border strips of one part's length from every
+shape reached so far and carries, per shape nu, the signed number of removal
+paths c(nu) from the top shape lam, in integers; shapes whose count cancels
+are dropped.  Each shape also carries H_lam / H_nu (H the hook product),
+built from one exact ratio per strip: removing a strip moves one beta-number
+bead, and the ratio is read off the runs of consecutive beads, one per block
+of equal rows.  The fixed points left then contribute f^nu = (n - k')!/H_nu
+each, k' being the size of the swept parts, so no bottom shape's hook
+product is computed:
 
-    chi = (n - k')!/H_lam * sum c(nu) H_lam/H_nu,
-    (n)_k chi / f^lam = (n - k')_(k - k') * sum c(nu) H_lam/H_nu,
+    (n)_k chi / f^lam = (n - k')_(k - k') * sum c(nu) H_lam/H_nu.
 
-k' being the size of the swept parts.  Nothing is kept between calls and no
-recursion depth grows with the input.
+At k = n the left side is chi * H_lam, so the character itself is that value
+divided by H_lam.  Nothing is kept between calls and no recursion depth
+grows with the input.
 """
 
 from __future__ import annotations
@@ -96,12 +97,10 @@ def _bead_move_ratio(lam: Partition, bead: int, size: int) -> tuple[int, int]:
     return num, den
 
 
-def _strip_sweep(
-    lam: Partition, parts: Sequence[int], hook_ratios: bool
-) -> list[list[int]]:
+def _strip_sweep(lam: Partition, parts: Sequence[int]) -> list[list[int]]:
     """[c, num, den] for each shape nu left after removing strips of the given
     sizes from lam, in order: c is the signed number of removal paths
-    lam -> nu, and num/den is H_lam / H_nu when hook_ratios is set, else 1/1.
+    lam -> nu, and num/den is H_lam / H_nu.
 
     The counts go down level by level in integers; a shape whose count
     cancels to 0 is dropped and not expanded.  H_lam / H_nu is the product of
@@ -116,21 +115,11 @@ def _strip_sweep(
                 step = -count if height % 2 else count
                 if result in below:
                     below[result][0] += step
-                elif hook_ratios:
+                else:
                     up, down = _bead_move_ratio(shape, bead, part)
                     below[result] = [step, num * up, den * down]
-                else:
-                    below[result] = [step, 1, 1]
         level = {shape: entry for shape, entry in below.items() if entry[0]}
     return list(level.values())
-
-
-def _hook_ratio_sum(lam: Partition, parts: Sequence[int]) -> tuple[int, int]:
-    """(num, den) with num/den the sum of c(nu) * H_lam / H_nu over the shapes
-    nu left by the strip sweep."""
-    entries = _strip_sweep(lam, parts, True)
-    den = math.lcm(*(d for _, _, d in entries))
-    return sum(c * n * (den // d) for c, n, d in entries), den
 
 
 def _sweep_depth(nu: Sequence[int]) -> int:
@@ -157,18 +146,10 @@ def mn_character(lam: Partition, nu: Sequence[int]) -> int:
 
 
 def _mn_character(lam: Partition, nu: tuple[int, ...]) -> int:
-    """mn_character for a trusted lam and positive parts nu of size |lam|.
-
-    With k' the size of the swept parts, each shape nu' left has
-    (n - k')!/H_nu' standard tableaux for the fixed points to fill, so
-    chi = (n - k')!/H_lam * sum of c(nu') H_lam/H_nu'.
-    """
-    swept = nu[: _sweep_depth(nu)]
-    n, k1 = sum(lam), sum(swept)
-    if k1 == n:  # only () is left, with one tableau
-        return sum(c for c, _, _ in _strip_sweep(lam, swept, False))
-    num, den = _hook_ratio_sum(lam, swept)
-    return num * math.factorial(n - k1) // (den * _hook_product(lam))
+    """mn_character for a trusted lam and positive parts nu of size |lam|: the
+    normalized character at k = n, which is chi * H_lam, divided by H_lam."""
+    theta = _normalized_character(lam, nu[: _sweep_depth(nu)], sum(lam))
+    return theta // _hook_product(lam)
 
 
 def normalized_character(lam: Partition, mu: Partition) -> Fraction | int:
@@ -193,7 +174,8 @@ def _normalized_character(lam: Partition, swept: Sequence[int], k: int) -> Fract
     without its trailing 1s) and k = |mu| <= |lam|; an int unless the value
     is not one."""
     n, k1 = sum(lam), sum(swept)
-    num, den = _hook_ratio_sum(lam, swept)
-    num *= math.perm(n - k1, k - k1)
+    entries = _strip_sweep(lam, swept)
+    den = math.lcm(*(d for _, _, d in entries))
+    num = sum(c * h * (den // d) for c, h, d in entries) * math.perm(n - k1, k - k1)
     value, rest = divmod(num, den)
     return Fraction(num, den) if rest else value

@@ -243,6 +243,8 @@ def cmd_conjecture(args) -> int:
         raise ValueError("mu must be a nonempty partition")
     if args.samples < 0:
         raise ValueError(f"samples must be nonnegative, got {args.samples}")
+    if args.samples > sys.maxsize:
+        raise ValueError(f"samples={args.samples} is too large")
     if args.max_nodes < 1:  # no size check: a huge budget forces the run
         raise ValueError(f"max-nodes must be a positive integer, got {args.max_nodes}")
     report = conjecture1_check(m, mu, max_nodes=args.max_nodes)

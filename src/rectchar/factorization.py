@@ -88,20 +88,6 @@ def _pair_cycle_counts(w: Permutation) -> list[list[int]]:
     return [tally[a * stride : (a + 1) * stride] for a in range(stride)]
 
 
-def factorization_poly_for(w: Permutation) -> MultivarPoly:
-    """The pair-sum polynomial in (p, q) for an explicit representative w."""
-    k = len(w)
-    counts = _pair_cycle_counts(w)
-    terms: dict[tuple[int, ...], int] = {}
-    for a in range(k + 1):
-        row = counts[a]
-        for b in range(k + 1):
-            if row[b]:
-                sign = -1 if (k + b) % 2 else 1
-                terms[(a, b)] = sign * row[b]
-    return MultivarPoly(2, terms)
-
-
 def _partition_cache(fn):
     """lru_cache for factorization_poly, whose partition may be any iterable.
 
@@ -128,9 +114,18 @@ def _partition_cache(fn):
 def factorization_poly(mu: Partition) -> MultivarPoly:
     """Sum of (-1)^k p^cycles(u) (-q)^cycles(v) over pairs u v = w_mu."""
     mu = as_partition(mu)
-    if sum(mu) > _ENUMERATION_CAP:  # before w_mu is built: k may be huge
-        raise ValueError(f"k={sum(mu)} exceeds enumeration cap {_ENUMERATION_CAP}")
-    return factorization_poly_for(canonical_permutation(mu))
+    k = sum(mu)
+    if k > _ENUMERATION_CAP:  # before w_mu is built: k may be huge
+        raise ValueError(f"k={k} exceeds enumeration cap {_ENUMERATION_CAP}")
+    counts = _pair_cycle_counts(canonical_permutation(mu))
+    terms: dict[tuple[int, ...], int] = {}
+    for a in range(k + 1):
+        row = counts[a]
+        for b in range(k + 1):
+            if row[b]:
+                sign = -1 if (k + b) % 2 else 1
+                terms[(a, b)] = sign * row[b]
+    return MultivarPoly(2, terms)
 
 
 def theorem1_check(p: int, q: int, mu: Partition) -> bool:

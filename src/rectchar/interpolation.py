@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .characters import _normalized_character, _sweep_depth, normalized_character
-from .frobenius import flipped_polynomial
+from .frobenius import _dimension_vars, flipped_polynomial
 from .partitions import Partition, as_partition, format_partition
 from .polynomials import MultivarPoly, Scalar
 
@@ -243,11 +243,11 @@ def f_mu_interpolate(
         raise ValueError("need m >= 1 and a nonempty mu")
     if max_nodes < 1:
         raise ValueError(f"max_nodes must be a positive integer, got {max_nodes}")
-    n = 2 * m
     _check_node_budget(m, k, k + len(mu), max_nodes)
     swept = mu[: _sweep_depth(mu)]
-    poly = _interpolate(m, swept) if swept else MultivarPoly.const(n, 1)
-    size = MultivarPoly(n, {tuple(int(t % m == i) for t in range(n)): 1 for i in range(m)})
+    poly = _interpolate(m, swept) if swept else MultivarPoly.const(2 * m, 1)
+    ps, qs = _dimension_vars(m)
+    size = sum(p * q for p, q in zip(ps, qs))
     for j in range(sum(swept), k):
         poly = poly * (size - j)
     guard = _guard_point(m, k)
@@ -278,6 +278,8 @@ def off_grid_fidelity(
         raise ValueError(f"samples must be nonnegative, got {samples}")
     mu = as_partition(mu)
     k = sum(mu)
+    if m < 1 or k < 1:  # with m < 1 every draw is empty and the loop never ends
+        raise ValueError("need m >= 1 and a nonempty mu")
     if seed is None:
         seed = hash((m, mu)) & 0xFFFFFFFF
     rng = random.Random(seed)

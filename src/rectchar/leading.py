@@ -81,9 +81,7 @@ def s_k_sequence(m: int, kmax: int) -> list[int]:
     """
     if m < 1:
         raise ValueError("m must be positive")
-    order = kmax + 1
-    ratio = PowerSeries([1, -1], order) * PowerSeries([1, m - 1], order).reciprocal()
-    u = _inverse_reciprocal(ratio)
+    u = _inverse_reciprocal(_kernel_ratio([1], [1 - m], kmax + 1))
     out: list[int] = []
     for k in range(1, kmax + 1):
         value = -u.coefficient(k + 1)

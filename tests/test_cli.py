@@ -279,8 +279,13 @@ BIG = "10000000000000000000"
             "error: grid has 100000000000000000020000000000000000001 nodes, "
             "above the limit 20000; raise max_nodes to force the run\n",
         ),
+        (
+            # rejected before sampling, which would otherwise run until killed
+            ("conjecture", "--m", "1", "--mu", "1", "--samples", BIG),
+            f"error: samples={BIG} is too large\n",
+        ),
     ],
-    ids=["sk", "fk", "gk", "catalan-pairs", "conjecture"],
+    ids=["sk", "fk", "gk", "catalan-pairs", "conjecture", "conjecture-samples"],
 )
 def test_argument_too_large_for_the_machine_is_a_usage_error(capsys, argv, err):
     assert run_cli(capsys, *argv) == (2, "", err)

@@ -25,10 +25,9 @@ def mostly(common, rare):
     return st.integers(0, 3).flatmap(lambda i: common if i else rare)
 
 
-def ints(cap: int, huge: bool = True):
-    """Integers 1..cap, or now and then 0, -1..-3 or +-2^63..2^70 (if huge)."""
-    edge = st.integers(-3, 0)
-    return mostly(st.integers(1, cap), edge | HUGE if huge else edge)
+def ints(cap: int):
+    """Integers 1..cap, or now and then 0, -1..-3 or +-2^63..2^70."""
+    return mostly(st.integers(1, cap), st.integers(-3, 0) | HUGE)
 
 
 def partitions(cap: int, length: int):
@@ -99,8 +98,7 @@ COMMANDS = {
     "conjecture": argv(
         flag("m", ints(2)),
         flag("mu", partitions(3, 2)),
-        # a huge sample count is valid and merely slow
-        optional(flag("samples", ints(3, huge=False) | HUGE.filter(lambda v: v < 0))),
+        optional(flag("samples", ints(3))),
         optional(flag("seed", ints(10))),
         optional(flag("max-nodes", ints(400))),
         switch("json"),

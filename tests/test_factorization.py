@@ -15,7 +15,6 @@ from rectchar.factorization import (
     _pair_cycle_counts,
     catalan_pair_count,
     factorization_poly,
-    factorization_poly_for,
     narayana_refinement,
     sss_identity_check,
     theorem1_check,
@@ -82,7 +81,7 @@ def test_representative_independence():
             w = canonical_permutation(mu)
             g = tuple(rng.sample(range(1, k + 1), k))
             conjugated = compose(compose(g, w), inverse(g))
-            assert factorization_poly_for(conjugated) == factorization_poly(mu)
+            assert _pair_cycle_counts(conjugated) == _pair_cycle_counts(w), (mu, g)
 
 
 def test_extreme_monomials():

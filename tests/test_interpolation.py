@@ -238,3 +238,9 @@ def test_invalid_arguments():
         f_mu_interpolate(0, (1,))
     with pytest.raises(ValueError):
         f_mu_interpolate(1, ())
+    # with m < 1 every drawn shape is empty, too small for mu, so the draw
+    # loop would never end
+    poly = f_mu_interpolate(1, (1,))
+    for m, mu in [(0, (1,)), (-1, (1,)), (1, ())]:
+        with pytest.raises(ValueError, match="^need m >= 1 and a nonempty mu$"):
+            off_grid_fidelity(m, mu, poly, samples=1)
