@@ -2,15 +2,22 @@
 
 One down sweep over the parts of the evaluation type, in the order given,
 stopping at its trailing run of fixed points, computes the normalized
-character.  Each level removes border strips of one part's length from every
-shape reached so far and carries, per shape nu, the signed number of removal
-paths c(nu) from the top shape lam, in integers; shapes whose count cancels
-are dropped.  Each shape also carries H_lam / H_nu (H the hook product),
-built from one exact ratio per strip: removing a strip moves one beta-number
-bead, and the ratio is read off the runs of consecutive beads, one per block
-of equal rows.  The fixed points left then contribute f^nu = (n - k')!/H_nu
-each, k' being the size of the swept parts, so no bottom shape's hook
-product is computed:
+character.  The sweep works on beads: a shape lam with r rows is its bead
+tuple, the r numbers lam_i + r - 1 - i in ascending order, and r stays
+fixed, so rows emptied on the way stay as the beads 0, 1, ..., and a bead
+tuple names one shape.  Removing a border strip of size s moves one
+bead b down to a free place x = b - s, with one slice and insert; the
+strip's height is the number of beads between x and b.
+
+Each level removes strips of one part's length from every shape reached so
+far and carries, per shape nu, the signed number of removal paths c(nu)
+from the top shape lam, in integers; shapes whose count cancels are
+dropped.  Each shape also carries H_lam / H_nu (H the hook product), built
+from one exact ratio per strip, read off the runs of consecutive beads of
+the shape it is removed from; the runs are found once per shape and serve
+all of its strips.  The fixed points left then contribute
+f^nu = (n - k')!/H_nu each, k' being the size of the swept parts, so no
+bottom shape's hook product is computed:
 
     (n)_k chi / f^lam = (n - k')_(k - k') * sum c(nu) H_lam/H_nu.
 
@@ -22,76 +29,86 @@ grows with the input.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import groupby
 
 from .partitions import Partition, _hook_product, _integers, as_partition
 
+Beads = tuple[int, ...]
+Runs = list[tuple[int, int, int]]
 
-def _strips(lam: Partition, size: int) -> list[tuple[Partition, int, int]]:
-    """(result, height, bead) of each border strip removal, for a trusted lam
-    and a positive size.  With r rows the beads B = {lam_i + r - 1 - i} encode
-    lam; a size-s strip moves one bead b = B_i down to b - s, allowed when
-    b - s is nonnegative and not in B.  The height (rows spanned minus one)
-    counts the beads B_{i+1..j} between b - s and b: rows i+1..j each lose one
-    cell and move up a row, row j becomes b - s - (r - 1 - j), and rows left
-    empty at the bottom are cut off."""
-    r = len(lam)
-    betas = [lam[i] + r - 1 - i for i in range(r)]
-    beta_set = set(betas)
-    out: list[tuple[Partition, int, int]] = []
-    for i, b in enumerate(betas):
-        nb = b - size
-        if nb < 0 or nb in beta_set:
-            continue
-        j = i
-        while j + 1 < r and betas[j + 1] > nb:
-            j += 1
-        rows = (
-            lam[:i]
-            + tuple(x - 1 for x in lam[i + 1 : j + 1])
-            + (nb - (r - 1 - j),)
-            + lam[j + 1 :]
-        )
-        end = len(rows)
-        while end and not rows[end - 1]:
-            end -= 1
-        out.append((rows[:end], j - i, b))
+
+def _beads(lam: Partition) -> Beads:
+    """The bead tuple of lam, ascending: lam_i + r - 1 - i over its r rows."""
+    return tuple(part + i for i, part in enumerate(reversed(lam)))
+
+
+def _runs(beads: Beads) -> Runs:
+    """(low, top, index of low) for each maximal run low..top of consecutive
+    beads, in ascending order, for a nonempty bead tuple."""
+    runs = []
+    start = 0
+    for i in range(1, len(beads)):
+        if beads[i] != beads[i - 1] + 1:
+            runs.append((beads[start], beads[i - 1], start))
+            start = i
+    runs.append((beads[start], beads[-1], start))
+    return runs
+
+
+def _bead_moves(beads: Beads, runs: Runs, size: int) -> list[tuple[Beads, int, int]]:
+    """(result, height, bead) of each removal of a border strip of the given
+    positive size, for a bead tuple and its runs: bead b moves to x = b - size
+    when x is nonnegative and free.  In a run low..top only the beads below
+    low + size can move, as the others land on the run itself."""
+    out = []
+    for low, top, start in runs:
+        for b in range(max(low, size), min(top, low + size - 1) + 1):
+            x = b - size
+            pos = bisect_left(beads, x)
+            if beads[pos] == x:
+                continue
+            i = start + b - low
+            out.append((beads[:pos] + (x,) + beads[pos:i] + beads[i + 1 :], i - pos, b))
     return out
 
 
-def _bead_move_ratio(lam: Partition, bead: int, size: int) -> tuple[int, int]:
-    """(num, den), not reduced, with num/den = H_lam / H_result for the strip
-    removal of lam that moves bead down by size.
+def _bead_move_ratio(runs: Runs, bead: int, size: int) -> tuple[int, int]:
+    """(num, den), not reduced, with num/den = H_before / H_after for the move
+    of bead down by size, given the runs of the bead tuple before it.
 
-    With one bead y = lam_i + r - 1 - i per row, H_lam = prod(y!) over
-    prod(y - z) for beads y > z, so moving bead b to x = b - size gives
-    H_before / H_after = b!/x! * prod over y != b of |x - y| / |b - y|.  A
-    block of equal rows is a run of consecutive beads y = low..top, and its
-    share telescopes to at most size factors on each side: below x it is
-    prod t/(t + size) over t = x - top..x - low, above b it is
-    prod (t + size)/t over t = y - b for its beads y > b.  Fewer than size
-    beads lie between x and b.
+    With beads y, H = prod(y!) over prod(y - z) for beads y > z, so moving
+    bead b to x = b - size gives H_before / H_after = b!/x! * prod over
+    y != b of |x - y| / |b - y|.  A run of consecutive beads y = low..top
+    telescopes to at most size factors on each side: below x its share is
+    prod t/(t + size) over t = u..v = x - top..x - low, which for a run
+    longer than size is prod(u..u + size - 1) / prod(v + 1..v + size); above
+    b it is prod (t + size)/t over t = y - b for its beads y > b, likewise.
+    Fewer than size beads lie between x and b.
     """
     x = bead - size
     num, den = math.prod(range(x + 1, bead + 1)), 1
-    rest = len(lam)
-    for row, block in groupby(lam):
-        top = row + rest - 1
-        rest -= len(list(block))
-        low = row + rest
-        if low < x:
+    for low, top, _ in runs:
+        if top < x:
             u, v = x - top, x - low
-            num *= math.prod(range(u, min(u + size, v + 1)))
-            den *= math.prod(range(max(v + 1, u + size), v + size + 1))
+            if v - u < size:
+                num *= math.prod(range(u, v + 1))
+                den *= math.prod(range(u + size, v + size + 1))
+            else:
+                num *= math.prod(range(u, u + size))
+                den *= math.prod(range(v + 1, v + size + 1))
             continue
         if top > bead:
-            u, v = max(low - bead, 1), top - bead
-            num *= math.prod(range(max(v + 1, u + size), v + size + 1))
-            den *= math.prod(range(u, min(u + size, v + 1)))
+            u, v = low - bead if low > bead else 1, top - bead
+            if v - u < size:
+                num *= math.prod(range(u + size, v + size + 1))
+                den *= math.prod(range(u, v + 1))
+            else:
+                num *= math.prod(range(v + 1, v + size + 1))
+                den *= math.prod(range(u, u + size))
         if low < bead:  # (y - x)/(b - y) for y = low..min(top, b - 1)
-            high = min(top, bead - 1)
+            high = top if top < bead else bead - 1
             num *= math.prod(range(low - x, high - x + 1))
             den *= math.prod(range(bead - high, bead - low + 1))
     return num, den
@@ -102,23 +119,24 @@ def _strip_sweep(lam: Partition, parts: Sequence[int]) -> list[list[int]]:
     sizes from lam, in order: c is the signed number of removal paths
     lam -> nu, and num/den is H_lam / H_nu.
 
-    The counts go down level by level in integers; a shape whose count
-    cancels to 0 is dropped and not expanded.  H_lam / H_nu is the product of
-    the bead-move ratios along the first path that reaches nu; every path
-    gives the same.
+    The counts go down level by level in integers, on bead tuples; a shape
+    whose count cancels to 0 is dropped and not expanded.  H_lam / H_nu is
+    the product of the bead-move ratios along the first path that reaches
+    nu; every path gives the same.
     """
-    level = {lam: [1, 1, 1]}
+    level = {_beads(lam): [1, 1, 1]}
     for part in parts:
-        below: dict[Partition, list[int]] = {}
-        for shape, (count, num, den) in level.items():
-            for result, height, bead in _strips(shape, part):
+        below: dict[Beads, list[int]] = {}
+        for beads, (count, num, den) in level.items():
+            runs = _runs(beads)
+            for result, height, bead in _bead_moves(beads, runs, part):
                 step = -count if height % 2 else count
                 if result in below:
                     below[result][0] += step
                 else:
-                    up, down = _bead_move_ratio(shape, bead, part)
+                    up, down = _bead_move_ratio(runs, bead, part)
                     below[result] = [step, num * up, den * down]
-        level = {shape: entry for shape, entry in below.items() if entry[0]}
+        level = {beads: entry for beads, entry in below.items() if entry[0]}
     return list(level.values())
 
 

@@ -17,11 +17,19 @@ from oracles import (
 )
 from rectchar.characters import (
     _bead_move_ratio,
-    _strips,
+    _bead_moves,
+    _beads,
+    _runs,
     mn_character,
     normalized_character,
 )
-from rectchar.partitions import hook_product, partitions_of, rectangle, syt_count
+from rectchar.partitions import (
+    as_partition,
+    hook_product,
+    partitions_of,
+    rectangle,
+    syt_count,
+)
 
 
 def test_character_against_power_sum_oracle():
@@ -83,18 +91,49 @@ def test_non_integer_cycle_lengths_are_rejected():
         mn_character((3, 1), (2.5, 2))
 
 
+def _rows(beads):
+    """The shape an ascending bead tuple stands for, empty rows cut off."""
+    return as_partition(b - i for i, b in reversed(list(enumerate(beads))))
+
+
 def test_strip_removals_against_brute_force():
-    for n in range(1, 8):
+    for n in range(1, 9):
         for lam in partitions_of(n):
-            for size in range(1, n + 1):
-                expected = brute_strip_removals(lam, size)
-                actual = {(result, height) for result, height, _ in _strips(lam, size)}
-                assert actual == expected, (lam, size)
+            for pad in (0, 1, 3):
+                beads = _beads(lam + (0,) * pad)
+                assert _rows(beads) == lam
+                for size in range(1, n + 1):
+                    moves = _bead_moves(beads, _runs(beads), size)
+                    for result, _, bead in moves:
+                        assert len(result) == len(beads)
+                        assert list(result) == sorted(set(result))
+                        assert set(beads) - set(result) == {bead}
+                    actual = {(_rows(result), height) for result, height, _ in moves}
+                    assert len(actual) == len(moves)
+                    assert actual == brute_strip_removals(lam, size), (lam, pad, size)
 
 
 def test_strip_removal_fields():
-    # beads of (3,3,1) are 5, 4, 1: only 5 can move down by 3, past bead 4
-    assert _strips((3, 3, 1), 3) == [((2, 1, 1), 1, 5)]
+    # beads of (3,3,1) are 1, 4, 5: only 5 can move down by 3, past bead 4
+    beads = _beads((3, 3, 1))
+    assert beads == (1, 4, 5)
+    assert _runs(beads) == [(1, 1, 0), (4, 5, 1)]
+    assert _bead_moves(beads, _runs(beads), 3) == [((1, 2, 4), 1, 5)]
+    # an empty row is the bead 0 and stays in the tuple
+    assert _bead_moves((0, 3), [(0, 0, 0), (3, 3, 1)], 2) == [((0, 1), 0, 3)]
+
+
+def test_bead_move_ratio_is_the_hook_product_ratio():
+    for n in range(1, 13):
+        for lam in partitions_of(n):
+            for pad in (0, 2):
+                beads = _beads(lam + (0,) * pad)
+                runs = _runs(beads)
+                for size in range(1, n + 1):
+                    for result, _, bead in _bead_moves(beads, runs, size):
+                        ratio = Fraction(*_bead_move_ratio(runs, bead, size))
+                        expected = Fraction(hook_product(lam), hook_product(_rows(result)))
+                        assert ratio == expected, (lam, pad, size, bead)
 
 
 def test_sweep_matches_the_f_based_route():
@@ -109,17 +148,8 @@ def test_sweep_matches_the_f_based_route():
                     assert (type(value), value) == (type(expected), expected)
 
 
-def test_bead_move_ratio_is_the_hook_product_ratio():
-    for n in range(1, 13):
-        for lam in partitions_of(n):
-            for size in range(1, n + 1):
-                for result, _, bead in _strips(lam, size):
-                    ratio = Fraction(*_bead_move_ratio(lam, bead, size))
-                    assert ratio == Fraction(hook_product(lam), hook_product(result))
-
-
 def test_tall_shape_sweep_stays_fast():
-    # one ratio per strip, each costing a few factors per run of equal rows
+    # one ratio per strip, each costing a few factors per run of consecutive beads
     start = time.monotonic()
     value = normalized_character((1,) * 2000, (2,) * 1000)
     assert time.monotonic() - start <= 1.0

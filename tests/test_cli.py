@@ -267,6 +267,12 @@ BIG = "10000000000000000000"
     "argv, err",
     [
         (("sk", "--m", "1", "--kmax", BIG), f"error: kmax={BIG} is too large\n"),
+        (
+            # fits a machine index, but its series would not fit in memory
+            ("sk", "--m", "1", "--kmax", "4611686018427387904"),
+            "error: kmax=4611686018427387904 exceeds the cap 250\n",
+        ),
+        (("sk", "--m", "2", "--kmax", "251"), "error: kmax=251 exceeds the cap 250\n"),
         (("fk", "--m", "1", "--k", BIG), f"error: k={BIG} is too large\n"),
         (("gk", "--m", "1", "--k", BIG), f"error: k={BIG} is too large\n"),
         (
@@ -285,7 +291,16 @@ BIG = "10000000000000000000"
             f"error: samples={BIG} is too large\n",
         ),
     ],
-    ids=["sk", "fk", "gk", "catalan-pairs", "conjecture", "conjecture-samples"],
+    ids=[
+        "sk",
+        "sk-over-cap",
+        "sk-cap-plus-one",
+        "fk",
+        "gk",
+        "catalan-pairs",
+        "conjecture",
+        "conjecture-samples",
+    ],
 )
 def test_argument_too_large_for_the_machine_is_a_usage_error(capsys, argv, err):
     assert run_cli(capsys, *argv) == (2, "", err)

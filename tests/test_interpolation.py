@@ -10,6 +10,7 @@ from rectchar.frobenius import f_k_polynomial
 from rectchar.interpolation import (
     ConjectureReport,
     _guard_point,
+    _interpolate,
     _lower_set,
     _lower_set_size,
     _shape_value,
@@ -134,6 +135,7 @@ def _counted_points(monkeypatch) -> list:
 def test_node_count_is_the_lower_set(monkeypatch):
     # mu = (2,2), m = 2: alpha in N^4 with alpha_1 + alpha_2 <= 4,
     # alpha_3 + alpha_4 <= 4 and sum(alpha) <= 6
+    _interpolate.cache_clear()
     points = _counted_points(monkeypatch)
     f_mu_interpolate(2, (2, 2), max_nodes=160)
     assert len(points) == 160 + 1  # and the guard point
@@ -143,6 +145,7 @@ def test_node_count_is_the_lower_set(monkeypatch):
 
 
 def test_trailing_fixed_points_take_no_nodes(monkeypatch):
+    _interpolate.cache_clear()
     points = _counted_points(monkeypatch)
     # mu = (2,1,1) at m = 2 takes nu = (2)'s set, then the guard point
     f_mu_interpolate(2, (2, 1, 1))
@@ -154,6 +157,29 @@ def test_trailing_fixed_points_take_no_nodes(monkeypatch):
     # the budget still counts mu's own set
     with pytest.raises(ValueError, match="^grid has 200 nodes, above the limit 199;"):
         f_mu_interpolate(2, (2, 1, 1), max_nodes=199)
+
+
+def test_warm_call_evaluates_only_the_guard_point(monkeypatch):
+    f_mu_interpolate(2, (2,))
+    points = _counted_points(monkeypatch)
+    # F_(2) is cached, so F_(2,1,1) = (N - 2)(N - 3) F_(2) takes no node
+    poly = f_mu_interpolate(2, (2, 1, 1))
+    assert points == [_guard_point(2, 4)]
+    assert dict(poly.terms) == stanley_feray_f_mu(2, (2, 1, 1))
+    # the budget and the guard are checked on every call, warm or cold
+    with pytest.raises(ValueError, match="^grid has 200 nodes, above the limit 199;"):
+        f_mu_interpolate(2, (2, 1, 1), max_nodes=199)
+    assert points == [_guard_point(2, 4)]
+
+
+def test_interpolation_cache_is_bounded():
+    # each kept F_nu has at most DEFAULT_MAX_NODES terms
+    maxsize = _interpolate.cache_info().maxsize
+    assert maxsize is not None and 1 <= maxsize <= 8
+    _interpolate.cache_clear()
+    for k in range(2, maxsize + 4):
+        f_mu_interpolate(1, (k,))
+    assert _interpolate.cache_info().currsize == maxsize
 
 
 # the (m, mu) of the stack-interpolate benchmark workload
