@@ -6,7 +6,7 @@ cycle type mu extends to a polynomial in the 2m side lengths. The open
 question: after the sign-normalizing flip, are all coefficients nonnegative
 integers, with total sum counting a family of lattice paths? This script
 recovers the polynomials by exact interpolation on the lower set cut out by
-their degree bounds and checks every property.
+their Stanley-Feray degree and colour bounds and checks every property.
 """
 
 from rectchar import (

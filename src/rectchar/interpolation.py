@@ -1,27 +1,37 @@
 """Exact reconstruction of multi-rectangle character polynomials from values.
 
 For a fixed cycle-type prefix mu of size k, the normalized character of an
-m-rectangle stack is a polynomial in p_1..p_m, q_1..q_m: by the
-Stanley-Feray formula each monomial comes from a factorization s*t = w_mu
-in S_k, with p-degree cyc(s) <= k, q-degree cyc(t) <= k, and
-cyc(s) + cyc(t) <= k + len(mu).  So its values on the lower set
+m-rectangle stack is a polynomial in p_1..p_m, q_1..q_m, given by the
+Stanley-Feray formula (Stanley, "A conjectured combinatorial interpretation
+of the normalized irreducible character values of the symmetric group",
+2006; Feray, "Proof of Stanley's conjecture about irreducible character
+values of the symmetric group", Ann. Comb. 2010): each monomial comes from
+a factorization s*t = w_mu in S_k and a colouring of the cycles of s by
+1..m.  Each cycle of s gives p_j, j its colour, and each cycle of t gives
+q_j, j the largest colour among the cycles of s it meets.  So a monomial
+with p-exponents a and q-exponents b has |a| = cyc(s) <= k,
+|b| = cyc(t) <= k and |a| + |b| <= k + len(mu), its q-colours are p-colours,
+and its largest p-colour is a q-colour.  Its values on the colour set, the
+multi-indices alpha = (a, b) that divide such a monomial, pin it down
+(Dyn & Floater, "Multivariate polynomial interpolation on lower sets",
+J. Approx. Theory 177, 2014).  The colour set is a lower set inside the
+degree set
 
     {alpha : alpha_1 + .. + alpha_m <= k, alpha_(m+1) + .. + alpha_2m <= k,
-     sum(alpha) <= k + len(mu)}
+     sum(alpha) <= k + len(mu)},
 
-pin it down (Dyn & Floater, "Multivariate polynomial interpolation on lower
-sets", J. Approx. Theory 177, 2014).  Node alpha sits at coordinate
-alpha_i of each axis; the axes are chosen so every node is an honest shape
-(row lengths strictly decreasing, enough squares to hold mu), which lets the
-node values come from the trusted character kernel, as exact integers.  The
-Newton solve runs in integers on node indices, and the interpolant is then
-audited at a point outside the grid before being returned.
+and equal to it at m = 1.  Node alpha sits at coordinate alpha_i of each
+axis; the axes are chosen so every node is an honest shape (row lengths
+strictly decreasing, enough squares to hold mu), which lets the node values
+come from the trusted character kernel, as exact integers.  The Newton
+solve runs in integers on node indices, and the interpolant is then audited
+at a point outside the grid before being returned.
 
 Only mu's swept prefix nu (mu without its trailing 1s) is interpolated:
 Ch_(mu, 1) = (n - |mu|) Ch_mu (Kerov & Olshanski, C. R. Acad. Sci. Paris
 319, 1994) gives F_mu = (N - |nu|)_(|mu| - |nu|) F_nu, N = sum p_i q_i.
-The node budget still counts mu's own set, which holds nu's set and every
-monomial of F_mu.
+The node budget counts mu's own degree set, which holds nu's colour set and
+every monomial of F_mu, in closed form.
 """
 
 from __future__ import annotations
@@ -50,7 +60,7 @@ def interpolation_grid(m: int, k: int) -> list[list[int]]:
     combination gives strictly decreasing row lengths; with one rectangle the
     band starts above k so every node shape has at least k squares.  Each
     axis is a run of consecutive integers, which the Newton solve relies on;
-    the lower-set nodes use its first k+1 entries, and the guard point sits
+    the colour-set nodes use its first k+1 entries, and the guard point sits
     one past the last.
     """
     d = k + 2
@@ -75,20 +85,37 @@ def _simplex(m: int, k: int) -> list[tuple[tuple[int, ...], int]]:
 
 
 def _lower_set(m: int, k: int, total: int) -> list[tuple[int, ...]]:
-    """Multi-indices alpha in N^(2m), in lexicographic order, with
-    sum(alpha[:m]) <= k, sum(alpha[m:]) <= k and sum(alpha) <= total."""
-    simplex = _simplex(m, k)
-    return [
-        p + q
-        for p, a in simplex
-        if a <= total
-        for q, b in simplex
-        if b <= total - a
-    ]
+    """Multi-indices alpha = (a, b) in N^m x N^m, in lexicographic order,
+    that divide a monomial the Stanley-Feray formula allows at these degree
+    bounds: p-degree at most k, q-degree at most k, total degree at most
+    total, every q-colour also a p-colour, and the top colour a q-colour.
+
+    The cheapest such monomial above (a, b) adds p_j for each colour j with
+    b_j > 0 = a_j, and q_j for the top colour j of a and b when b_j = 0, so
+    alpha is kept when need_p = |a| + #{j : b_j > 0 = a_j} and
+    need_q = |b| + [b_top = 0] satisfy the three bounds.  Lowering any
+    coordinate raises neither need, so the set is lower.
+    """
+    parts = []
+    for beta, used in _simplex(m, k):
+        support = sum(1 << j for j, e in enumerate(beta) if e)
+        parts.append((beta, used, support, support.bit_length()))
+    out = []
+    for a, size_a, support_a, top_a in parts:
+        outside_a = ~support_a
+        for b, size_b, support_b, top_b in parts:
+            need_p = size_a + (support_b & outside_a).bit_count()
+            need_q = size_b + (top_a > top_b)
+            if need_p <= k and need_q <= k and need_p + need_q <= total:
+                out.append(a + b)
+    return out
 
 
-def _lower_set_size(m: int, k: int, total: int) -> int:
-    """len(_lower_set(m, k, total)) in closed form.
+def _degree_set_size(m: int, k: int, total: int) -> int:
+    """The number of alpha in N^(2m) with sum(alpha[:m]) <= k,
+    sum(alpha[m:]) <= k and sum(alpha) <= total, in closed form: the size of
+    the degree set, which holds _lower_set(m, k, total), so an upper bound
+    on the nodes.
 
     From 2k on it is every pair of a p-part and a q-part, C(k + m, m)^2.
     Below, take the C(total + 2m, 2m) points of sum at most total and cut
@@ -113,7 +140,7 @@ def _lower_set_size(m: int, k: int, total: int) -> int:
 
 
 def _check_node_budget(m: int, k: int, total: int, max_nodes: int) -> None:
-    """Raise ValueError, before any node is built, if the lower set has more
+    """Raise ValueError, before any node is built, if the degree set has more
     than max_nodes points; a huge m or |mu| costs no more than a small one,
     and the exact count at most len(mu) steps."""
     # the set holds the simplex sum(alpha) <= k in N^n, n = 2m, whose
@@ -125,7 +152,7 @@ def _check_node_budget(m: int, k: int, total: int, max_nodes: int) -> None:
     if floor_bits >= max(max_nodes.bit_length(), _SHOWN_BITS):
         size = f"over 2^{floor_bits}"
     else:
-        count = _lower_set_size(m, k, total)
+        count = _degree_set_size(m, k, total)
         if count <= max_nodes:
             return
         if count.bit_length() <= _SHOWN_BITS:
@@ -139,32 +166,33 @@ def _check_node_budget(m: int, k: int, total: int, max_nodes: int) -> None:
 
 
 def _fibres(nodes: list[tuple[int, ...]]) -> list[list[list[int]]]:
-    """Per axis, the fibres of the lower set along it, each a list of node
-    indices for alpha_axis = 0, 1, ...; nodes must be in lexicographic order,
-    and each fibre is a prefix because the set is lower."""
+    """Per axis, the fibres of the lower set along it that hold two or more
+    nodes, each a list of node indices for alpha_axis = 0, 1, ...; nodes must
+    be in lexicographic order, and each fibre is a prefix because the set is
+    lower.  Both passes of the solve leave a one-node fibre as it is."""
     out = []
     for axis in range(len(nodes[0])):
         fibres: dict[tuple[int, ...], list[int]] = {}
         for i, alpha in enumerate(nodes):
             fibres.setdefault(alpha[:axis] + alpha[axis + 1 :], []).append(i)
-        out.append(list(fibres.values()))
+        out.append([fibre for fibre in fibres.values() if len(fibre) > 1])
     return out
 
 
-def _forward_differences(ys: list[Scalar], weights: list[int]) -> list[Scalar]:
-    """k! times the Newton coefficients [x_0..x_j] of the interpolant through
-    (x_j, ys[j]), for unit-spaced nodes x_j = x_0 + j, given weights[j] =
-    k!/j! for j <= k and len(ys) <= k + 1.
+def _divided_differences(ys: list[int]) -> list[int]:
+    """The Newton coefficients [x_0..x_j] of the interpolant through
+    (x_j, ys[j]), for unit-spaced nodes x_j = x_0 + j.
 
-    There [x_0..x_j] is the forward difference Delta^j ys[0] over j!, so
-    scaled by k! it stays in the integers, which keeps the Newton-to-monomial
-    pass out of Fraction arithmetic.
+    Level j divides each difference of level j - 1 by j, so [x_0..x_j] is
+    the forward difference Delta^j ys[0] over j!; every division is exact
+    when the ys are multiples of (len(ys) - 1)!, which keeps the solve in
+    the integers.
     """
     dd = list(ys)
     for level in range(1, len(dd)):
         for i in range(len(dd) - 1, level - 1, -1):
-            dd[i] -= dd[i - 1]
-    return [d * w for d, w in zip(dd, weights)]
+            dd[i] = (dd[i] - dd[i - 1]) // level
+    return dd
 
 
 def _newton_to_monomial(xs: list[int], cs: list[Scalar]) -> list[Scalar]:
@@ -206,7 +234,7 @@ def _shape_value(m: int, swept: Partition, k: int, point: tuple[int, ...]):
 @lru_cache(maxsize=8)
 def _interpolate(m: int, nu: Partition) -> MultivarPoly:
     """F_nu for a nonempty nu without trailing 1s, by Newton interpolation in
-    integers on the lower set of its degree bounds.
+    integers on its colour set.
 
     Cached by (m, nu), so the F_nu shared by mu = nu, (nu, 1), (nu, 1, 1), ..
     is solved once per process; the polynomial is read-only.
@@ -214,19 +242,19 @@ def _interpolate(m: int, nu: Partition) -> MultivarPoly:
     k, n = sum(nu), 2 * m
     axes = interpolation_grid(m, k)
     nodes = _lower_set(m, k, k + len(nu))
-    # node values, then forward differences along every axis (k! times the
-    # Newton coefficients, per axis), then Newton to monomials along every
-    # axis; each exponent tuple ends up where its node's multi-index was
+    # node values times (k!)^n, then divided differences along every axis
+    # (each axis takes one k! from the scale and leaves integers), then
+    # Newton to monomials along every axis; each exponent tuple ends up where
+    # its node's multi-index was, as an integer over (k!)^n
+    denominator = math.factorial(k) ** n
     values = [
         _shape_value(m, nu, k, tuple(axis[a] for axis, a in zip(axes, alpha)))
+        * denominator
         for alpha in nodes
     ]
     fibres = _fibres(nodes)
-    scale = math.factorial(k)
-    weights = [scale // math.factorial(j) for j in range(k + 1)]
-    _sweep_fibres(values, axes, fibres, lambda xs, ys: _forward_differences(ys, weights))
+    _sweep_fibres(values, axes, fibres, lambda xs, ys: _divided_differences(ys))
     _sweep_fibres(values, axes, fibres, _newton_to_monomial)
-    denominator = scale**n
     terms: dict[tuple[int, ...], Scalar] = {}
     for alpha, c in zip(nodes, values):
         quotient, rest = divmod(c, denominator)
@@ -238,14 +266,14 @@ def f_mu_interpolate(
     m: int, mu: Partition, max_nodes: int = DEFAULT_MAX_NODES
 ) -> MultivarPoly:
     """The character polynomial F_mu in p_1..p_m, q_1..q_m: F_nu, for nu the
-    swept prefix of mu, interpolated on nu's lower set, times N - j for each
+    swept prefix of mu, interpolated on nu's colour set, times N - j for each
     trailing 1 of mu, j = |nu|..|mu| - 1, where N = p_1 q_1 + .. + p_m q_m.
 
-    Raises ValueError if max_nodes is below 1 or mu's own lower set has more
+    Raises ValueError if max_nodes is below 1 or mu's own degree set has more
     than max_nodes points, and ArithmeticError if the result fails to
     reproduce the character at a point outside the grid, which would mean an
-    assumed degree bound is wrong for this mu; that situation is surfaced,
-    never papered over.
+    assumed bound on the monomials of F_mu is wrong for this mu; that
+    situation is surfaced, never papered over.
     """
     mu = as_partition(mu)
     k = sum(mu)

@@ -255,8 +255,15 @@ def partitions_in_box(p: int, q: int) -> Iterator[Partition]:
     """All partitions with at most p parts, each at most q (the empty one included).
 
     Every shape comes before its extensions, with larger parts first: the
-    order of a depth-first walk that adds one row at a time.
+    order of a depth-first walk that adds one row at a time.  Raises
+    ValueError at the call, as rectangle does, when a side is negative.
     """
+    if p < 0 or q < 0:
+        raise ValueError("box sides must be nonnegative")
+    return _partitions_in_box(p, q)
+
+
+def _partitions_in_box(p: int, q: int) -> Iterator[Partition]:
     lam: list[int] = []
     yield ()
     while True:

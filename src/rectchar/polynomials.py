@@ -1,8 +1,9 @@
 """Sparse multivariate polynomials with exact integer or rational coefficients.
 
 Terms are stored as a dict from exponent tuples to nonzero coefficients and
-exposed read-only, so a polynomial returned from a cache cannot be changed
-by its caller.
+exposed read-only, and a polynomial's attributes cannot be rebound or
+deleted after construction, so a polynomial returned from a cache cannot be
+changed by its caller.
 Rational coefficients that are actually integers are normalized to int, so a
 polynomial is integral exactly when every stored coefficient is an int.
 
@@ -37,7 +38,6 @@ class MultivarPoly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: dict[tuple[int, ...], Scalar] | None = None):
-        self.nvars = nvars
         clean: dict[tuple[int, ...], Scalar] = {}
         if terms:
             for exps, c in terms.items():
@@ -47,7 +47,19 @@ class MultivarPoly:
                 c = _clean_coef(c)
                 if c:
                     clean[exps] = c
-        self.terms = MappingProxyType(clean)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MultivarPoly is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"MultivarPoly is immutable: cannot delete {name!r}")
+
+    def __copy__(self):
+        # copy.copy would restore the slots through __setattr__; an immutable
+        # value can stand for its own copy
+        return self
 
     # -- constructors ------------------------------------------------------
 
@@ -148,7 +160,7 @@ class MultivarPoly:
             raise ValueError("value count mismatch")
         total: Scalar = 0
         for exps, c in self.terms.items():
-            total += c * math.prod(v**e for v, e in zip(values, exps) if e)
+            total += c * math.prod(map(pow, values, exps))
         return _clean_coef(total) if isinstance(total, Fraction) else total
 
     def negate_vars(self, indices: Iterable[int]) -> "MultivarPoly":

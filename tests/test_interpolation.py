@@ -12,7 +12,7 @@ from rectchar.interpolation import (
     _guard_point,
     _interpolate,
     _lower_set,
-    _lower_set_size,
+    _degree_set_size,
     _shape_value,
     conjecture1_check,
     f_mu_interpolate,
@@ -105,18 +105,83 @@ def test_fixed_points_match_stanley_feray_formula(m, mu):
     assert dict(f_mu_interpolate(m, mu).terms) == stanley_feray_f_mu(m, mu)
 
 
+def _allowed(alpha: tuple[int, ...], m: int, k: int, total: int) -> bool:
+    """alpha = (a, b) is an exponent the Stanley-Feray formula allows within
+    these bounds: |a| <= k, |b| <= k, |a| + |b| <= total, every q-colour
+    a p-colour, and the top colour a q-colour."""
+    a, b = alpha[:m], alpha[m:]
+    used = [j for j in range(m) if a[j] or b[j]]
+    return (
+        sum(a) <= k
+        and sum(b) <= k
+        and sum(alpha) <= total
+        and all(a[j] for j in range(m) if b[j])
+        and (not used or b[used[-1]] > 0)
+    )
+
+
+def _steps_down(alpha: tuple[int, ...]):
+    for i, e in enumerate(alpha):
+        if e:
+            yield alpha[:i] + (e - 1,) + alpha[i + 1 :]
+
+
+LOWER_SET_CASES = [
+    (m, k, total)
+    for m in range(1, 4)
+    for k in range(1, 5)
+    for total in sorted({0, 1, k, k + 1, k + 2, 2 * k - 1, 2 * k, 2 * k + 3})
+]
+
+
 def test_lower_set_and_its_size():
-    for m in range(1, 4):
-        for k in range(1, 5):
-            for total in (0, 1, k, k + 1, k + 2, 2 * k - 1, 2 * k, 2 * k + 3):
-                box = itertools.product(range(k + 1), repeat=2 * m)
-                expected = [
-                    alpha
-                    for alpha in box
-                    if sum(alpha[:m]) <= k and sum(alpha[m:]) <= k and sum(alpha) <= total
-                ]
-                assert _lower_set(m, k, total) == expected
-                assert _lower_set_size(m, k, total) == len(expected)
+    for m, k, total in LOWER_SET_CASES:
+        box = list(itertools.product(range(k + 1), repeat=2 * m))
+        expected = []
+        for alpha in box:
+            a, b = alpha[:m], alpha[m:]
+            used = [j for j in range(m) if a[j] or b[j]]
+            need_p = sum(a) + sum(1 for j in range(m) if b[j] and not a[j])
+            need_q = sum(b) + (1 if used and not b[used[-1]] else 0)
+            if need_p <= k and need_q <= k and need_p + need_q <= total:
+                expected.append(alpha)
+        nodes = _lower_set(m, k, total)
+        assert nodes == expected, (m, k, total)
+        # the rule keeps exactly the divisors of the allowed exponents
+        closure = {alpha for alpha in box if _allowed(alpha, m, k, total)}
+        frontier = list(closure)
+        while frontier:
+            for below in _steps_down(frontier.pop()):
+                if below not in closure:
+                    closure.add(below)
+                    frontier.append(below)
+        assert set(nodes) == closure, (m, k, total)
+        # the budget counts the degree set, which holds the colour set
+        degree_set = [
+            alpha
+            for alpha in box
+            if sum(alpha[:m]) <= k and sum(alpha[m:]) <= k and sum(alpha) <= total
+        ]
+        assert _degree_set_size(m, k, total) == len(degree_set)
+        assert set(nodes) <= set(degree_set)
+        if m == 1 and total > k:  # as for every F_nu at m = 1
+            assert nodes == degree_set
+
+
+def test_lower_set_is_lower():
+    for m, k, total in LOWER_SET_CASES:
+        nodes = set(_lower_set(m, k, total))
+        for alpha in nodes:
+            assert all(below in nodes for below in _steps_down(alpha)), alpha
+
+
+@pytest.mark.parametrize("m, k_cap", [(1, 5), (2, 4), (3, 3)])
+def test_lower_set_holds_the_stanley_feray_support(m, k_cap):
+    for k in range(1, k_cap + 1):
+        for nu in partitions_of(k):
+            nodes = set(_lower_set(m, k, k + len(nu)))
+            support = stanley_feray_f_mu(m, nu)
+            assert support and set(support) <= nodes, (m, nu)
 
 
 def _counted_points(monkeypatch) -> list:
@@ -133,12 +198,13 @@ def _counted_points(monkeypatch) -> list:
 
 
 def test_node_count_is_the_lower_set(monkeypatch):
-    # mu = (2,2), m = 2: alpha in N^4 with alpha_1 + alpha_2 <= 4,
-    # alpha_3 + alpha_4 <= 4 and sum(alpha) <= 6
+    # mu = (2,2), m = 2: the colour set takes 131 of the degree set's 160
+    # alpha in N^4 with alpha_1 + alpha_2 <= 4, alpha_3 + alpha_4 <= 4 and
+    # sum(alpha) <= 6; the budget counts the degree set
     _interpolate.cache_clear()
     points = _counted_points(monkeypatch)
     f_mu_interpolate(2, (2, 2), max_nodes=160)
-    assert len(points) == 160 + 1  # and the guard point
+    assert len(points) == 131 + 1  # and the guard point
     assert len(set(points)) == len(points)
     with pytest.raises(ValueError, match="^grid has 160 nodes, above the limit 159;"):
         f_mu_interpolate(2, (2, 2), max_nodes=159)
@@ -149,7 +215,7 @@ def test_trailing_fixed_points_take_no_nodes(monkeypatch):
     points = _counted_points(monkeypatch)
     # mu = (2,1,1) at m = 2 takes nu = (2)'s set, then the guard point
     f_mu_interpolate(2, (2, 1, 1))
-    assert len(points) == len(_lower_set(2, 2, 3)) + 1 == 28
+    assert len(points) == len(_lower_set(2, 2, 3)) + 1 == 19
     points.clear()
     # mu = 1^k is the falling factorial (N)_k: only the guard point
     f_mu_interpolate(2, (1, 1, 1))

@@ -175,6 +175,15 @@ def test_partitions_in_box_count_is_binomial():
             assert len(list(partitions_in_box(p, q))) == math.comb(p + q, p)
 
 
+def test_partitions_in_box_rejects_negative_sides():
+    # like rectangle, and at the call, before anything is iterated
+    for p, q in [(-1, 2), (2, -1), (-1, -1)]:
+        with pytest.raises(ValueError, match="^box sides must be nonnegative$"):
+            partitions_in_box(p, q)
+        with pytest.raises(ValueError):
+            rectangle(p, q)
+    assert list(partitions_in_box(0, 2)) == list(partitions_in_box(2, 0)) == [()]
+
 
 def test_partitions_of_order_matches_recursive_route():
     caps = [None] + list(range(14))

@@ -1,8 +1,12 @@
+import copy
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rectchar.factorization import factorization_poly
+from rectchar.frobenius import f_k_polynomial
+from rectchar.interpolation import f_mu_interpolate
 from rectchar.polynomials import MultivarPoly, default_names
 
 NVARS = 3
@@ -117,13 +121,33 @@ def test_coefficient_queries():
 
 
 def test_cached_polynomial_cannot_be_corrupted():
-    from rectchar.frobenius import f_k_polynomial
-
     before = f_k_polynomial(1, 2).canonical_terms()
     with pytest.raises(TypeError):
         f_k_polynomial(1, 2).terms[(9, 9)] = 5
     assert f_k_polynomial(1, 2).canonical_terms() == before
     assert (9, 9) not in f_k_polynomial(1, 2).terms
+
+
+# each producer hands out one cached object per argument
+@pytest.mark.parametrize(
+    "producer, args",
+    [(f_k_polynomial, (1, 2)), (factorization_poly, ((2,),)), (f_mu_interpolate, (1, (2,)))],
+    ids=["f_k_polynomial", "factorization_poly", "f_mu_interpolate"],
+)
+def test_cached_polynomial_cannot_be_rebound(producer, args):
+    before = producer(*args).canonical_terms()
+    poly = producer(*args)
+    for name, value in [("nvars", 5), ("terms", {(9, 9): 1}), ("extra", 1)]:
+        with pytest.raises(AttributeError, match="^MultivarPoly is immutable"):
+            setattr(poly, name, value)
+    for name in ("nvars", "terms"):
+        with pytest.raises(AttributeError, match="^MultivarPoly is immutable"):
+            delattr(poly, name)
+    assert copy.copy(poly) is poly
+    again = producer(*args)
+    assert again.nvars == 2
+    assert again.canonical_terms() == before
+    assert again.evaluate((3, 4)) == poly.evaluate((3, 4))
 
 
 def test_default_names():
