@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Sequence
-from fractions import Fraction
 
 from .partitions import Partition, _hook_product, _integers, as_partition
 
@@ -170,13 +169,15 @@ def _mn_character(lam: Partition, nu: tuple[int, ...]) -> int:
     return theta // _hook_product(lam)
 
 
-def normalized_character(lam: Partition, mu: Partition) -> Fraction | int:
+def normalized_character(lam: Partition, mu: Partition) -> int:
     """(n)_k * chi(mu padded with fixed points) / chi(identity), exact.
 
     lam has n squares, mu is the nontrivial part of the cycle type with
     |mu| = k <= n; the type used is (mu, 1^(n-k)).  With k' the size of mu
     without its trailing 1s, chi(identity) = n!/H_lam turns this into
-    (n - k')_(k - k') times the sweep's sum of c(nu) H_lam/H_nu.
+    (n - k')_(k - k') times the sweep's sum of c(nu) H_lam/H_nu.  The value
+    is an integer (central character values are algebraic integers), so a
+    remainder raises ArithmeticError.
     """
     lam = as_partition(lam)
     mu = as_partition(mu)
@@ -187,13 +188,17 @@ def normalized_character(lam: Partition, mu: Partition) -> Fraction | int:
     return _normalized_character(lam, mu[: _sweep_depth(mu)], k)
 
 
-def _normalized_character(lam: Partition, swept: Sequence[int], k: int) -> Fraction | int:
+def _normalized_character(lam: Partition, swept: Sequence[int], k: int) -> int:
     """normalized_character for a trusted lam, the swept prefix of mu (mu
-    without its trailing 1s) and k = |mu| <= |lam|; an int unless the value
-    is not one."""
+    without its trailing 1s) and k = |mu| <= |lam|."""
     n, k1 = sum(lam), sum(swept)
     entries = _strip_sweep(lam, swept)
     den = math.lcm(*(d for _, _, d in entries))
     num = sum(c * h * (den // d) for c, h, d in entries) * math.perm(n - k1, k - k1)
     value, rest = divmod(num, den)
-    return Fraction(num, den) if rest else value
+    if rest:
+        raise ArithmeticError(
+            f"normalized character of {lam} at {tuple(swept)}, k={k}, came out "
+            f"non-integral: {num}/{den}"
+        )
+    return value

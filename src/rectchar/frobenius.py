@@ -43,8 +43,9 @@ def _phi_roots(lam: Partition) -> list[int]:
     return [lam[i] + r - 1 - i for i in range(r)]
 
 
-def frobenius_normalized(lam: Partition, k: int) -> Fraction | int:
-    """Normalized character of lam at a single k-cycle plus fixed points."""
+def frobenius_normalized(lam: Partition, k: int) -> int:
+    """Normalized character of lam at a single k-cycle plus fixed points; an
+    integer, so a remainder raises ArithmeticError."""
     lam = as_partition(lam)
     n = sum(lam)
     if not 1 <= k <= n:
@@ -52,8 +53,15 @@ def frobenius_normalized(lam: Partition, k: int) -> Fraction | int:
     mu = _phi_roots(lam)
     num_roots = list(range(k)) + [x + k for x in mu]
     raw = rational_x_inverse_coefficient(num_roots, mu)
-    value = Fraction(-raw, k)
-    return int(value) if value.denominator == 1 else value
+    return _integral(Fraction(-raw, k))
+
+
+def _integral(value: Fraction) -> int:
+    """value as an int; a character value with a remainder is an error, never
+    returned as a Fraction."""
+    if value.denominator != 1:
+        raise ArithmeticError(f"character value came out non-integral: {value}")
+    return int(value)
 
 
 def _dimension_vars(m: int) -> tuple[list[MultivarPoly], list[MultivarPoly]]:
@@ -112,20 +120,19 @@ def flipped_polynomial(poly: MultivarPoly, m: int, k: int) -> MultivarPoly:
     return -flipped if k % 2 else flipped
 
 
-def f_k_special_value(m: int, k: int) -> Fraction | int:
+def f_k_special_value(m: int, k: int) -> int:
     """(-1)^k F_k at all p_i = 1, q_i = -1.
 
     Computed by specializing the rectangle dimensions before expanding (the
     coefficient ring map commutes with the series arithmetic), so large k
     stays cheap; agreement with evaluating f_k_polynomial is tested, and the
-    value is the falling factorial (k+m-1)_k.
+    value is the falling factorial (k+m-1)_k, so a remainder raises
+    ArithmeticError.
     """
     if m < 1 or k < 1:
         raise ValueError("need m >= 1 and k >= 1")
     value = _stack_character(k, *_stack_roots((1,) * m, (-1,) * m))
-    if k % 2:
-        value = -value
-    return int(value) if value.denominator == 1 else value
+    return _integral(-value if k % 2 else value)
 
 
 def integrality_witness(m: int, k: int) -> bool:

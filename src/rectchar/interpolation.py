@@ -21,11 +21,18 @@ degree set
      sum(alpha) <= k + len(mu)},
 
 and equal to it at m = 1.  Node alpha sits at coordinate alpha_i of each
-axis; the axes are chosen so every node is an honest shape (row lengths
-strictly decreasing, enough squares to hold mu), which lets the node values
-come from the trusted character kernel, as exact integers.  The Newton
-solve runs in integers on node indices, and the interpolant is then audited
-at a point outside the grid before being returned.
+axis.  Every p-axis starts at 0 and the q-axes are disjoint descending bands,
+the last starting at 0, so a node is a stack with strictly decreasing widths
+once its empty blocks (p_i = 0 or q_i = 0) are dropped.  Such a degenerate
+stack still holds the value of the polynomial: Ch_mu is a polynomial
+function on all Young diagrams and vanishes on those with fewer than |mu|
+cells (Kerov & Olshanski, C. R. Acad. Sci. Paris 319, 1994), and
+interpolation on a lower set is unisolvent for any distinct nodes on each
+axis (Dyn & Floater).  So a node below |mu| cells is 0 with no kernel call,
+nodes with the same nonempty blocks are one shape, and each distinct shape
+is evaluated once, by the trusted character kernel, as an exact integer.
+The Newton solve runs in integers on node indices, and the interpolant is
+then audited at a point outside the grid before being returned.
 
 Only mu's swept prefix nu (mu without its trailing 1s) is interpolated:
 Ch_(mu, 1) = (n - |mu|) Ch_mu (Kerov & Olshanski, C. R. Acad. Sci. Paris
@@ -54,24 +61,22 @@ _SHOWN_BITS = 4096  # node counts longer than this are reported by size
 
 
 def interpolation_grid(m: int, k: int) -> list[list[int]]:
-    """Node lists for p_1..p_m then q_1..q_m.
+    """Node lists for p_1..p_m then q_1..q_m, each k + 2 consecutive integers.
 
-    p nodes are 1..k+2.  q_i nodes sit in disjoint descending bands so any
-    combination gives strictly decreasing row lengths; with one rectangle the
-    band starts above k so every node shape has at least k squares.  Each
+    p nodes are 0..k+1.  q_i nodes sit in the band (m - i)(k + 2) ..
+    (m - i + 1)(k + 2) - 1, so the bands are disjoint and descending and
+    q_m's starts at 0: a node is a stack of strictly decreasing widths once
+    its empty blocks are dropped, and may hold fewer than k cells.  Each
     axis is a run of consecutive integers, which the Newton solve relies on;
     the colour-set nodes use its first k+1 entries, and the guard point sits
-    one past the last.
+    one past the last, a stack with every block nonempty and at least k
+    cells.
     """
+    if m < 1 or k < 1:
+        raise ValueError(f"need m >= 1 and k >= 1, got m={m}, k={k}")
     d = k + 2
-    p_axes = [list(range(1, d + 1)) for _ in range(m)]
-    if m == 1:
-        q_axes = [list(range(k + 1, k + d + 1))]
-    else:
-        q_axes = [
-            list(range((m - i) * d + 1, (m - i + 1) * d + 1))
-            for i in range(1, m + 1)
-        ]
+    p_axes = [list(range(d)) for _ in range(m)]
+    q_axes = [list(range((m - i) * d, (m - i + 1) * d)) for i in range(1, m + 1)]
     return p_axes + q_axes
 
 
@@ -219,13 +224,19 @@ def _sweep_fibres(
                 values[i] = value
 
 
-def _shape_value(m: int, swept: Partition, k: int, point: tuple[int, ...]):
+def _shape_value(m: int, swept: Partition, k: int, point: tuple[int, ...]) -> int:
     """The normalized character at the stack of point[i] rows of length
     point[m + i], i < m, for mu of size k with swept prefix swept (mu without
-    its trailing 1s); point must give an honest shape of at least k squares."""
+    its trailing 1s).  A block with no rows or no columns adds nothing; the
+    widths of the other blocks must strictly decrease.  A stack of fewer than
+    k cells gives 0, the falling factorial (n)_k being 0 there, without a
+    kernel call."""
     lam: Partition = ()
     for p, q in zip(point[:m], point[m:]):
-        lam += (q,) * p
+        if q:
+            lam += (q,) * p
+    if sum(lam) < k:
+        return 0
     return _normalized_character(lam, swept, k)
 
 
@@ -245,13 +256,17 @@ def _interpolate(m: int, nu: Partition) -> MultivarPoly:
     # node values times (k!)^n, then divided differences along every axis
     # (each axis takes one k! from the scale and leaves integers), then
     # Newton to monomials along every axis; each exponent tuple ends up where
-    # its node's multi-index was, as an integer over (k!)^n
+    # its node's multi-index was, as an integer over (k!)^n.  Nodes whose
+    # nonempty (p_i, q_i) blocks agree are one shape, evaluated once.
     denominator = math.factorial(k) ** n
-    values = [
-        _shape_value(m, nu, k, tuple(axis[a] for axis, a in zip(axes, alpha)))
-        * denominator
-        for alpha in nodes
-    ]
+    shapes: dict[tuple[tuple[int, int], ...], int] = {}
+    values = []
+    for alpha in nodes:
+        point = tuple(axis[a] for axis, a in zip(axes, alpha))
+        blocks = tuple((p, q) for p, q in zip(point[:m], point[m:]) if p and q)
+        if blocks not in shapes:
+            shapes[blocks] = _shape_value(m, nu, k, point) * denominator
+        values.append(shapes[blocks])
     fibres = _fibres(nodes)
     _sweep_fibres(values, axes, fibres, lambda xs, ys: _divided_differences(ys))
     _sweep_fibres(values, axes, fibres, _newton_to_monomial)
@@ -299,7 +314,8 @@ def f_mu_interpolate(
 
 
 def _guard_point(m: int, k: int) -> tuple[int, ...]:
-    """An admissible shape with every coordinate one past its axis's last node."""
+    """The point one past each axis's last node: a stack with every block
+    nonempty, strictly decreasing widths and at least k cells."""
     return tuple(axis[-1] + 1 for axis in interpolation_grid(m, k))
 
 

@@ -15,6 +15,7 @@ from oracles import (
     reference_mn_character,
     reference_normalized_character,
 )
+from rectchar import characters
 from rectchar.characters import (
     _bead_move_ratio,
     _bead_moves,
@@ -167,6 +168,22 @@ def test_normalized_character_values():
 def test_normalized_character_rejects_oversized_mu():
     with pytest.raises(ValueError):
         normalized_character((2, 1), (4,))
+
+
+def test_normalized_character_is_an_int():
+    for n in range(1, 9):
+        for lam in partitions_of(n):
+            for k in range(1, n + 1):
+                for mu in partitions_of(k):
+                    assert type(normalized_character(lam, mu)) is int, (lam, mu)
+
+
+def test_non_integral_normalized_character_raises(monkeypatch):
+    # a sweep whose sum 1/2 does not divide: the value is an error, never a
+    # Fraction
+    monkeypatch.setattr(characters, "_strip_sweep", lambda lam, parts: [[1, 1, 2]])
+    with pytest.raises(ArithmeticError, match="non-integral: 1/2$"):
+        normalized_character((2,), (2,))
 
 
 def test_rect_character_sum_matches_direct_evaluation():

@@ -119,3 +119,23 @@ def test_only_fk_polynomial_is_cached():
         name for name, value in vars(frobenius).items() if hasattr(value, "cache_info")
     ]
     assert cached == ["f_k_polynomial"]
+
+
+def test_character_values_are_ints():
+    for n in range(1, 9):
+        for lam in partitions_of(n):
+            for k in range(1, n + 1):
+                assert type(frobenius_normalized(lam, k)) is int, (lam, k)
+    for m in range(1, 4):
+        for k in range(1, 9):
+            assert type(f_k_special_value(m, k)) is int, (m, k)
+
+
+def test_non_integral_character_value_raises(monkeypatch):
+    # a residue of 1 at k = 2 makes the value -1/2 (or 1/2): an error, never a
+    # Fraction
+    monkeypatch.setattr(frobenius, "rational_x_inverse_coefficient", lambda num, den: 1)
+    with pytest.raises(ArithmeticError, match="non-integral: -1/2$"):
+        frobenius_normalized((2,), 2)
+    with pytest.raises(ArithmeticError, match="non-integral: -1/2$"):
+        f_k_special_value(1, 2)

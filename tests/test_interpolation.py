@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 
 import pytest
@@ -23,22 +24,40 @@ from rectchar.characters import _sweep_depth, normalized_character
 from rectchar.partitions import partitions_of
 
 
+def _blocks(m: int, point: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The nonempty (p_i, q_i) blocks of a stack, top to bottom."""
+    return tuple((p, q) for p, q in zip(point[:m], point[m:]) if p and q)
+
+
+def _stack(m: int, point: tuple[int, ...]) -> tuple[int, ...]:
+    """The rows of a stack, its empty blocks dropped."""
+    return tuple(q for p, q in _blocks(m, point) for _ in range(p))
+
+
 def test_grid_nodes_are_admissible():
     for m in (1, 2, 3):
         for k in (1, 3):
             axes = interpolation_grid(m, k)
+            p_axes, q_axes = axes[:m], axes[m:]
             assert len(axes) == 2 * m
-            assert all(len(axis) == k + 2 for axis in axes)
             # the Newton solve takes unit-spaced nodes
             assert all(axis == list(range(axis[0], axis[0] + k + 2)) for axis in axes)
-            # every q combination is strictly decreasing and the smallest
-            # shape on the grid still has at least k cells
-            q_axes = axes[m:]
+            # every p-axis and the q_m band start at 0, so nodes may be
+            # degenerate stacks
+            assert all(axis[0] == 0 for axis in p_axes)
+            assert q_axes[-1][0] == 0
+            # the q bands are disjoint and strictly descending
             for i in range(m - 1):
                 assert min(q_axes[i]) > max(q_axes[i + 1])
-            min_n = sum(min(axes[i]) * min(q_axes[i]) for i in range(m))
-            assert min_n >= k
-            assert min(q_axes[-1]) >= 1
+            # every node of the tensor grid, and the guard point, is a
+            # partition once its empty blocks are dropped
+            guard = _guard_point(m, k)
+            for point in itertools.chain(itertools.product(*axes), [guard]):
+                widths = [q for _, q in _blocks(m, point)]
+                assert all(a > b for a, b in zip(widths, widths[1:])), point
+            # the guard point is a stack of nonempty blocks with at least k cells
+            assert len(_blocks(m, guard)) == m
+            assert sum(p * q for p, q in zip(guard[:m], guard[m:])) >= k
 
 
 def test_single_cycle_matches_residue_route():
@@ -200,22 +219,42 @@ def _counted_points(monkeypatch) -> list:
 def test_node_count_is_the_lower_set(monkeypatch):
     # mu = (2,2), m = 2: the colour set takes 131 of the degree set's 160
     # alpha in N^4 with alpha_1 + alpha_2 <= 4, alpha_3 + alpha_4 <= 4 and
-    # sum(alpha) <= 6; the budget counts the degree set
+    # sum(alpha) <= 6; its nodes make 62 distinct shapes, each evaluated
+    # once; the budget counts the degree set
     _interpolate.cache_clear()
     points = _counted_points(monkeypatch)
     f_mu_interpolate(2, (2, 2), max_nodes=160)
-    assert len(points) == 131 + 1  # and the guard point
-    assert len(set(points)) == len(points)
+    assert len(_lower_set(2, 4, 6)) == 131
+    assert len(points) == 62 + 1  # and the guard point
+    assert len({_blocks(2, point) for point in points}) == len(points)
     with pytest.raises(ValueError, match="^grid has 160 nodes, above the limit 159;"):
         f_mu_interpolate(2, (2, 2), max_nodes=159)
+
+
+def test_kernel_runs_once_per_shape_of_at_least_k_cells(monkeypatch):
+    # of F_(2,2)'s 62 shapes at m = 2, the 6 below 4 cells take no kernel call
+    _interpolate.cache_clear()
+    kernel = interpolation._normalized_character
+    shapes = []
+
+    def counted(lam, swept, k):
+        shapes.append(lam)
+        return kernel(lam, swept, k)
+
+    monkeypatch.setattr(interpolation, "_normalized_character", counted)
+    f_mu_interpolate(2, (2, 2))
+    assert len(shapes) == 56 + 1  # and the guard point
+    assert all(sum(lam) >= 4 for lam in shapes)
 
 
 def test_trailing_fixed_points_take_no_nodes(monkeypatch):
     _interpolate.cache_clear()
     points = _counted_points(monkeypatch)
-    # mu = (2,1,1) at m = 2 takes nu = (2)'s set, then the guard point
+    # mu = (2,1,1) at m = 2 takes nu = (2)'s 18 nodes, which make 10 shapes,
+    # then the guard point
     f_mu_interpolate(2, (2, 1, 1))
-    assert len(points) == len(_lower_set(2, 2, 3)) + 1 == 19
+    assert len(_lower_set(2, 2, 3)) == 18
+    assert len(points) == 10 + 1
     points.clear()
     # mu = 1^k is the falling factorial (N)_k: only the guard point
     f_mu_interpolate(2, (1, 1, 1))
@@ -265,9 +304,35 @@ def test_node_kernel_matches_the_validated_route(m, mu):
     ]
     for point in points + [_guard_point(m, k)]:
         value = _shape_value(m, swept, k, point)
-        lam = tuple(q for p, q in zip(point[:m], point[m:]) for _ in range(p))
+        lam = _stack(m, point)
         assert type(value) is int
-        assert value == normalized_character(lam, mu)
+        if sum(lam) < k:
+            assert value == 0
+        else:
+            assert value == normalized_character(lam, mu)
+
+
+def _evaluate(terms: dict[tuple[int, ...], int], point: tuple[int, ...]) -> int:
+    return sum(c * math.prod(x**e for x, e in zip(point, exps)) for exps, c in terms.items())
+
+
+@pytest.mark.parametrize("m, k_cap", [(1, 5), (2, 4), (3, 3)])
+def test_degenerate_nodes_hold_the_character(m, k_cap):
+    # the Stanley-Feray oracle, which shares no code with the interpolation,
+    # takes at every colour-set node, degenerate stacks included, the value
+    # of the stack's character, 0 below k cells
+    for k in range(1, k_cap + 1):
+        axes = interpolation_grid(m, k)
+        for mu in partitions_of(k):
+            oracle = stanley_feray_f_mu(m, mu)
+            points = [
+                tuple(axis[a] for axis, a in zip(axes, alpha))
+                for alpha in _lower_set(m, k, k + len(mu))
+            ]
+            for point in points + [_guard_point(m, k)]:
+                lam = _stack(m, point)
+                expected = normalized_character(lam, mu) if sum(lam) >= k else 0
+                assert _evaluate(oracle, point) == expected, (m, mu, point)
 
 
 def test_budget_is_checked_before_anything_is_built():
