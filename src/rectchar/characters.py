@@ -21,6 +21,14 @@ bottom shape's hook product is computed:
 
     (n)_k chi / f^lam = (n - k')_(k - k') * sum c(nu) H_lam/H_nu.
 
+The last level is summed without being expanded into shapes where it need
+not be.  For a last part of 2 each parent's strips sum to its content
+sum: the signed H_nu / H_xi over the shapes xi left by nu's strips of size 2
+is Ch_(2)(nu) = 2 * (sum of the contents of nu), since the class sum of
+the transpositions acts on the irreducible module by it (Jucys 1974;
+Okounkov & Vershik, Selecta Math. 1996).  A single parent's strips leave
+distinct shapes, so each adds its own signed ratio with no merge.
+
 At k = n the left side is chi * H_lam, so the character itself is that value
 divided by H_lam.  Nothing is kept between calls and no recursion depth
 grows with the input.
@@ -56,20 +64,19 @@ def _runs(beads: Beads) -> Runs:
     return runs
 
 
-def _bead_moves(beads: Beads, runs: Runs, size: int) -> list[tuple[Beads, int, int]]:
-    """(result, height, bead) of each removal of a border strip of the given
-    positive size, for a bead tuple and its runs: bead b moves to x = b - size
-    when x is nonnegative and free.  In a run low..top only the beads below
+def _free_moves(beads: Beads, runs: Runs, size: int) -> list[tuple[int, int, int]]:
+    """(pos, i, bead) for each removal of a border strip of the given positive
+    size, for a bead tuple and its runs: bead = beads[i] moves to x = bead -
+    size when x is nonnegative and free, and x would sit at index pos, so
+    the strip's height is i - pos.  In a run low..top only the beads below
     low + size can move, as the others land on the run itself."""
     out = []
     for low, top, start in runs:
         for b in range(max(low, size), min(top, low + size - 1) + 1):
             x = b - size
             pos = bisect_left(beads, x)
-            if beads[pos] == x:
-                continue
-            i = start + b - low
-            out.append((beads[:pos] + (x,) + beads[pos:i] + beads[i + 1 :], i - pos, b))
+            if beads[pos] != x:
+                out.append((pos, start + b - low, b))
     return out
 
 
@@ -113,30 +120,74 @@ def _bead_move_ratio(runs: Runs, bead: int, size: int) -> tuple[int, int]:
     return num, den
 
 
-def _strip_sweep(lam: Partition, parts: Sequence[int]) -> list[list[int]]:
-    """[c, num, den] for each shape nu left after removing strips of the given
-    sizes from lam, in order: c is the signed number of removal paths
-    lam -> nu, and num/den is H_lam / H_nu.
+def _twice_content_sum(beads: Beads) -> int:
+    """Ch_(2)(nu) = 2 * (sum of the contents of nu's cells), for nu's bead
+    tuple of r beads: with b = nu_i + r - i, (b - r)(b - r + 1) sums to
+    Ch_(2)(nu) + sum of i(i - 1) over i = 1..r, the latter (r - 1)r(r + 1)/3.
+    Padding nu with empty rows leaves the value as it is."""
+    r = len(beads)
+    return sum((b - r) * (b - r + 1) for b in beads) - (r - 1) * r * (r + 1) // 3
 
-    The counts go down level by level in integers, on bead tuples; a shape
-    whose count cancels to 0 is dropped and not expanded.  H_lam / H_nu is
-    the product of the bead-move ratios along the first path that reaches
-    nu; every path gives the same.
+
+def _merged_level(level: dict[Beads, list[int]], part: int) -> dict[Beads, list[int]]:
+    """The next level of the sweep: every strip of the given size removed
+    from every shape of level, by slice and insert, and the paths to one
+    shape merged by its bead tuple.  A shape whose count cancels to 0 is
+    dropped and not expanded; H_lam / H_nu is the product of the bead-move
+    ratios along the first path that reaches nu, as every path gives the
+    same."""
+    below: dict[Beads, list[int]] = {}
+    for beads, (count, num, den) in level.items():
+        runs = _runs(beads)
+        for pos, i, bead in _free_moves(beads, runs, part):
+            result = beads[:pos] + (bead - part,) + beads[pos:i] + beads[i + 1 :]
+            step = -count if (i - pos) % 2 else count
+            if result in below:
+                below[result][0] += step
+            else:
+                up, down = _bead_move_ratio(runs, bead, part)
+                below[result] = [step, num * up, den * down]
+    return {beads: entry for beads, entry in below.items() if entry[0]}
+
+
+def _strip_sweep(lam: Partition, parts: Sequence[int]) -> list[list[int]]:
+    """Weighted entries [w, num, den] whose sum of w * num/den is the sum,
+    over the shapes nu left after removing strips of the given sizes from
+    lam in order, of c(nu) H_lam / H_nu, c(nu) being the signed number of
+    removal paths lam -> nu.
+
+    Every level but the last goes down in integers on bead tuples, merged
+    by shape (_merged_level).  The last level is not expanded into shapes
+    where it need not be:
+
+    - a last part of 2 weights each parent nu by Ch_(2)(nu), the signed sum
+      of H_nu / H_xi over the shapes xi that nu's strips of size 2 leave,
+      which is twice nu's content sum (Jucys; Okounkov & Vershik);
+    - a single parent gives one entry per strip, its signed move ratio,
+      since the strips of one shape leave distinct shapes;
+    - otherwise the last level is merged like the others, one entry per
+      shape with w = c(nu).
     """
+    if not parts:
+        return [[1, 1, 1]]
     level = {_beads(lam): [1, 1, 1]}
-    for part in parts:
-        below: dict[Beads, list[int]] = {}
-        for beads, (count, num, den) in level.items():
-            runs = _runs(beads)
-            for result, height, bead in _bead_moves(beads, runs, part):
-                step = -count if height % 2 else count
-                if result in below:
-                    below[result][0] += step
-                else:
-                    up, down = _bead_move_ratio(runs, bead, part)
-                    below[result] = [step, num * up, den * down]
-        level = {beads: entry for beads, entry in below.items() if entry[0]}
-    return list(level.values())
+    for part in parts[:-1]:
+        level = _merged_level(level, part)
+    last = parts[-1]
+    if last == 2:
+        return [
+            [count * _twice_content_sum(beads), num, den]
+            for beads, (count, num, den) in level.items()
+        ]
+    if len(level) == 1:
+        [(beads, (count, num, den))] = level.items()
+        runs = _runs(beads)
+        out = []
+        for pos, i, bead in _free_moves(beads, runs, last):
+            up, down = _bead_move_ratio(runs, bead, last)
+            out.append([-count if (i - pos) % 2 else count, num * up, den * down])
+        return out
+    return list(_merged_level(level, last).values())
 
 
 def _sweep_depth(nu: Sequence[int]) -> int:

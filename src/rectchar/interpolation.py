@@ -58,6 +58,7 @@ from .polynomials import MultivarPoly, Scalar
 
 DEFAULT_MAX_NODES = 20_000
 _SHOWN_BITS = 4096  # node counts longer than this are reported by size
+_AUDIT_CHUNK = 32  # off-grid samples evaluated per batch, which bounds memory
 
 
 def interpolation_grid(m: int, k: int) -> list[list[int]]:
@@ -299,10 +300,11 @@ def f_mu_interpolate(
     _check_node_budget(m, k, k + len(mu), max_nodes)
     swept = mu[: _sweep_depth(mu)]
     poly = _interpolate(m, swept) if swept else MultivarPoly.const(2 * m, 1)
-    ps, qs = _dimension_vars(m)
-    size = sum(p * q for p, q in zip(ps, qs))
-    for j in range(sum(swept), k):
-        poly = poly * (size - j)
+    if len(swept) < len(mu):
+        ps, qs = _dimension_vars(m)
+        size = sum(p * q for p, q in zip(ps, qs))
+        for j in range(sum(swept), k):
+            poly = poly * (size - j)
     guard = _guard_point(m, k)
     expected = _shape_value(m, swept, k, guard)
     if poly.evaluate(guard) != expected:
@@ -327,7 +329,11 @@ def off_grid_fidelity(
     seed: int | None = None,
 ) -> bool:
     """Compare poly, the interpolated F_mu, against direct character values at
-    random admissible shapes drawn outside the interpolation grid."""
+    random admissible shapes drawn outside the interpolation grid.
+
+    The draws are compared in chunks of up to _AUDIT_CHUNK, poly being
+    evaluated once per chunk (MultivarPoly.evaluate_many), so memory stays
+    bounded for any number of samples."""
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
     mu = as_partition(mu)
@@ -343,17 +349,22 @@ def off_grid_fidelity(
     hi_q = m * (k + 3) + 6
     done = 0
     while done < samples:
-        ps = tuple(rng.randint(1, k + 4) for _ in range(m))
-        qs = tuple(sorted(rng.sample(range(1, hi_q + 1), m), reverse=True))
-        point = ps + qs
-        if sum(p * q for p, q in zip(ps, qs)) < k:
-            continue
-        if all(x in s for x, s in zip(point, grid_sets)):
-            continue  # landed on the grid; draw again
-        lam = tuple(q for p, q in zip(ps, qs) for _ in range(p))
-        if poly.evaluate(point) != _normalized_character(lam, swept, k):
+        chunk = min(_AUDIT_CHUNK, samples - done)
+        points, expected = [], []
+        while len(points) < chunk:
+            ps = tuple(rng.randint(1, k + 4) for _ in range(m))
+            qs = tuple(sorted(rng.sample(range(1, hi_q + 1), m), reverse=True))
+            point = ps + qs
+            if sum(p * q for p, q in zip(ps, qs)) < k:
+                continue
+            if all(x in s for x, s in zip(point, grid_sets)):
+                continue  # landed on the grid; draw again
+            lam = tuple(q for p, q in zip(ps, qs) for _ in range(p))
+            points.append(point)
+            expected.append(_normalized_character(lam, swept, k))
+        if poly.evaluate_many(points) != expected:
             return False
-        done += 1
+        done += chunk
     return True
 
 

@@ -15,6 +15,7 @@ so with variables (p, q) the term p^2*q precedes p*q^2.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from types import MappingProxyType
@@ -162,6 +163,28 @@ class MultivarPoly:
         for exps, c in self.terms.items():
             total += c * math.prod(map(pow, values, exps))
         return _clean_coef(total) if isinstance(total, Fraction) else total
+
+    def evaluate_many(self, points: Sequence[Sequence[Scalar]]) -> list[Scalar]:
+        """[self.evaluate(p) for p in points], by columns: each variable's
+        powers up to its largest exponent are built once over all points,
+        and each term is taken once."""
+        for values in points:
+            if len(values) != self.nvars:
+                raise ValueError("value count mismatch")
+        totals: list[Scalar] = [0] * len(points)
+        powers = []
+        for v, column in enumerate(zip(*points)):
+            rows = [[1] * len(points)]
+            for _ in range(max((e[v] for e in self.terms), default=0)):
+                rows.append(list(map(operator.mul, rows[-1], column)))
+            powers.append(rows)
+        for exps, c in self.terms.items():
+            values = [c] * len(points)
+            for rows, e in zip(powers, exps):
+                if e:
+                    values = list(map(operator.mul, values, rows[e]))
+            totals = list(map(operator.add, totals, values))
+        return [_clean_coef(t) if isinstance(t, Fraction) else t for t in totals]
 
     def negate_vars(self, indices: Iterable[int]) -> "MultivarPoly":
         """Substitute x_i -> -x_i for each index in indices."""

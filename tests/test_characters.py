@@ -18,14 +18,16 @@ from oracles import (
 from rectchar import characters
 from rectchar.characters import (
     _bead_move_ratio,
-    _bead_moves,
     _beads,
+    _free_moves,
     _runs,
     mn_character,
     normalized_character,
 )
 from rectchar.partitions import (
     as_partition,
+    cells,
+    content,
     hook_product,
     partitions_of,
     rectangle,
@@ -97,6 +99,15 @@ def _rows(beads):
     return as_partition(b - i for i, b in reversed(list(enumerate(beads))))
 
 
+def _bead_moves(beads, size):
+    """(result, height, bead) for each move of _free_moves, with the bead
+    tuple it leaves."""
+    return [
+        (beads[:pos] + (b - size,) + beads[pos:i] + beads[i + 1 :], i - pos, b)
+        for pos, i, b in _free_moves(beads, _runs(beads), size)
+    ]
+
+
 def test_strip_removals_against_brute_force():
     for n in range(1, 9):
         for lam in partitions_of(n):
@@ -104,7 +115,7 @@ def test_strip_removals_against_brute_force():
                 beads = _beads(lam + (0,) * pad)
                 assert _rows(beads) == lam
                 for size in range(1, n + 1):
-                    moves = _bead_moves(beads, _runs(beads), size)
+                    moves = _bead_moves(beads, size)
                     for result, _, bead in moves:
                         assert len(result) == len(beads)
                         assert list(result) == sorted(set(result))
@@ -119,9 +130,11 @@ def test_strip_removal_fields():
     beads = _beads((3, 3, 1))
     assert beads == (1, 4, 5)
     assert _runs(beads) == [(1, 1, 0), (4, 5, 1)]
-    assert _bead_moves(beads, _runs(beads), 3) == [((1, 2, 4), 1, 5)]
+    assert _free_moves(beads, _runs(beads), 3) == [(1, 2, 5)]
+    assert _bead_moves(beads, 3) == [((1, 2, 4), 1, 5)]
     # an empty row is the bead 0 and stays in the tuple
-    assert _bead_moves((0, 3), [(0, 0, 0), (3, 3, 1)], 2) == [((0, 1), 0, 3)]
+    assert _runs((0, 3)) == [(0, 0, 0), (3, 3, 1)]
+    assert _bead_moves((0, 3), 2) == [((0, 1), 0, 3)]
 
 
 def test_bead_move_ratio_is_the_hook_product_ratio():
@@ -131,7 +144,7 @@ def test_bead_move_ratio_is_the_hook_product_ratio():
                 beads = _beads(lam + (0,) * pad)
                 runs = _runs(beads)
                 for size in range(1, n + 1):
-                    for result, _, bead in _bead_moves(beads, runs, size):
+                    for result, _, bead in _bead_moves(beads, size):
                         ratio = Fraction(*_bead_move_ratio(runs, bead, size))
                         expected = Fraction(hook_product(lam), hook_product(_rows(result)))
                         assert ratio == expected, (lam, pad, size, bead)
@@ -147,6 +160,61 @@ def test_sweep_matches_the_f_based_route():
                     value = normalized_character(lam, mu)
                     expected = reference_normalized_character(lam, mu)
                     assert (type(value), value) == (type(expected), expected)
+
+
+def test_transposition_is_the_content_sum():
+    # the class sum of the transpositions acts on V^lam by the content sum
+    for n in range(2, 11):
+        for lam in partitions_of(n):
+            expected = 2 * sum(content(c) for c in cells(lam))
+            assert normalized_character(lam, (2,)) == expected, lam
+
+
+def test_types_ending_in_two_match_the_oracle():
+    # a last part of 2 is read off each parent's content sum, at every depth
+    for mu in ((2,), (2, 2), (3, 2), (2, 2, 2), (3, 2, 2), (4, 2, 2)):
+        for n in range(sum(mu), 11):
+            for lam in partitions_of(n):
+                assert normalized_character(lam, mu) == reference_normalized_character(
+                    lam, mu
+                ), (lam, mu)
+
+
+def test_two_first_is_swept_like_any_part():
+    # (2, 3) ends in 3, so its 2 is an inner level and its 3 the last one
+    for nu in ((2, 3), (2, 3, 1), (2, 1, 2), (1, 2), (2, 4, 2), (3, 2, 3)):
+        for lam in partitions_of(sum(nu)):
+            assert mn_character(lam, nu) == reference_mn_character(lam, nu), (lam, nu)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    inner = getattr(characters, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(characters, name, counted)
+    return calls
+
+
+def test_last_level_is_not_expanded(monkeypatch):
+    ratios = _count_calls(monkeypatch, "_bead_move_ratio")
+    merges = _count_calls(monkeypatch, "_merged_level")
+    lam = (5, 4, 4, 2, 1)
+    # a lone 2 is the content sum of lam: no strip is enumerated
+    assert normalized_character(lam, (2,)) == reference_normalized_character(lam, (2,))
+    assert ratios == [] and merges == []
+    # a single parent adds each strip's ratio with no child bead tuple built
+    assert normalized_character(lam, (3,)) == reference_normalized_character(lam, (3,))
+    assert len(ratios) > 0 and merges == []
+    # two levels: the first is merged, the last (a 2) is summed in place,
+    # so the only ratios are those of the first level's strips
+    del ratios[:]
+    assert normalized_character(lam, (3, 2)) == reference_normalized_character(lam, (3, 2))
+    assert len(merges) == 1
+    assert len(ratios) == len(_bead_moves(_beads(lam), 3))
 
 
 def test_tall_shape_sweep_stays_fast():

@@ -22,6 +22,7 @@ from rectchar.interpolation import (
 )
 from rectchar.characters import _sweep_depth, normalized_character
 from rectchar.partitions import partitions_of
+from rectchar.polynomials import MultivarPoly
 
 
 def _blocks(m: int, point: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
@@ -91,6 +92,42 @@ def test_off_grid_fidelity_is_deterministic():
     poly = f_mu_interpolate(2, (2,))
     assert off_grid_fidelity(2, (2,), poly, samples=10, seed=123)
     assert off_grid_fidelity(2, (2,), poly, samples=10, seed=123)
+
+
+def _bumped(poly: MultivarPoly, exps: tuple[int, ...], by: int) -> MultivarPoly:
+    terms = dict(poly.terms)
+    terms[exps] = terms.get(exps, 0) + by
+    return MultivarPoly(poly.nvars, terms)
+
+
+def test_off_grid_fidelity_rejects_a_wrong_coefficient():
+    # every drawn point has positive coordinates, so a coefficient off by 1
+    # shows at the first sample, whatever the chunking
+    poly = f_mu_interpolate(2, (2, 2))
+    exps = next(iter(poly.terms))
+    wrong = _bumped(poly, exps, 1)
+    for samples in (1, 32, 33, 70):
+        for seed in (None, 0, 5, 441):
+            assert off_grid_fidelity(2, (2, 2), poly, samples=samples, seed=seed)
+            assert not off_grid_fidelity(2, (2, 2), wrong, samples=samples, seed=seed)
+
+
+def test_off_grid_fidelity_reads_every_chunk(monkeypatch):
+    # an error that shows only at p_1 = p_2 = k + 4, the top of the p draw:
+    # with seed 4 the first such sample is the 50th, in the second chunk
+    m, mu, k = 2, (2, 2), 4
+    error = MultivarPoly.const(2 * m, 1)
+    for v in range(m):
+        x = MultivarPoly(2 * m, {tuple(int(i == v) for i in range(2 * m)): 1})
+        for j in range(1, k + 4):
+            error = error * (x - j)
+    wrong = f_mu_interpolate(m, mu) + error
+    counts = (1, 31, 32, 33, 49, 50, 64, 65, 70)
+    chunked = [off_grid_fidelity(m, mu, wrong, samples=n, seed=4) for n in counts]
+    assert chunked == [n < 50 for n in counts]
+    # one sample at a time, as an unbatched loop would draw and compare
+    monkeypatch.setattr(interpolation, "_AUDIT_CHUNK", 1)
+    assert [off_grid_fidelity(m, mu, wrong, samples=n, seed=4) for n in counts] == chunked
 
 
 def test_negative_samples_rejected():

@@ -40,6 +40,28 @@ def test_evaluation_is_ring_homomorphism(f, g, pt):
     assert (f + g).evaluate(pt) == f.evaluate(pt) + g.evaluate(pt)
 
 
+@given(poly_strategy(), st.lists(points, max_size=6))
+@settings(max_examples=60)
+def test_evaluate_many_is_evaluate_per_point(f, pts):
+    half = f / 2 + MultivarPoly(NVARS, {(1, 0, 2): Fraction(1, 3)})
+    for poly in (f, half, MultivarPoly.zero(NVARS)):
+        values = poly.evaluate_many(pts)
+        expected = [poly.evaluate(pt) for pt in pts]
+        assert [(type(v), v) for v in values] == [(type(v), v) for v in expected]
+
+
+def test_evaluate_many_edge_cases():
+    poly = MultivarPoly(2, {(2, 1): Fraction(1, 2), (0, 0): 3})
+    assert poly.evaluate_many([]) == []
+    # Fraction values that come out whole are ints, as from evaluate
+    assert poly.evaluate_many([(2, 1), (1, 1)]) == [5, Fraction(7, 2)]
+    assert type(poly.evaluate_many([(2, 1)])[0]) is int
+    assert MultivarPoly.const(0, 4).evaluate_many([(), ()]) == [4, 4]
+    for bad in ([(1, 2, 3)], [(1, 2), (1,)]):
+        with pytest.raises(ValueError, match="^value count mismatch$"):
+            poly.evaluate_many(bad)
+
+
 def test_constructor_drops_zeros_and_normalizes_fractions():
     poly = MultivarPoly(2, {(1, 0): Fraction(4, 2), (0, 1): 0})
     assert poly.terms == {(1, 0): 2}
