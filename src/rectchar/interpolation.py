@@ -20,31 +20,41 @@ degree set
     {alpha : alpha_1 + .. + alpha_m <= k, alpha_(m+1) + .. + alpha_2m <= k,
      sum(alpha) <= k + len(mu)},
 
-and equal to it at m = 1.  Node alpha sits at coordinate alpha_i of each
-axis.  Every p-axis starts at 0 and the q-axes are disjoint descending bands,
-the last starting at 0, so a node is a stack with strictly decreasing widths
-once its empty blocks (p_i = 0 or q_i = 0) are dropped.  Such a degenerate
-stack still holds the value of the polynomial: Ch_mu is a polynomial
-function on all Young diagrams and vanishes on those with fewer than |mu|
-cells (Kerov & Olshanski, C. R. Acad. Sci. Paris 319, 1994), and
-interpolation on a lower set is unisolvent for any distinct nodes on each
-axis (Dyn & Floater).  So a node below |mu| cells is 0 with no kernel call,
-nodes with the same nonempty blocks are one shape, and each distinct shape
-is evaluated once, by the trusted character kernel, as an exact integer.
-The Newton solve runs in integers on node indices, and the interpolant is
+and equal to it at m = 1.
+
+Setting p_j = 0 drops block j, every q-colour being a p-colour, so the
+terms of F_mu whose p-colours are a set S of s blocks are H^(s)(p_S, q_S),
+where the face H^(s) is the part of the s-block polynomial that holds every
+p_1..p_s; H^(s) is 0 for s > k, each colour taking a cycle of s.  F_mu is
+filled from its faces, each solved once per process and shared by every m.
+A face term holds p_1..p_s and, s being its top colour, q_s, so
+H^(s) = p_1..p_s q_s G, and G is interpolated on the colour-set nodes with
+those coordinates at least 1, each moved down by one: again a lower set.
+Node alpha sits at coordinate alpha_i of each axis.  The p-axes start at 0
+and the q-axes are disjoint descending bands, the last starting at 0, so a
+face node is a stack of s nonempty blocks with strictly decreasing widths.
+Its value is the character there, less the faces below s at each proper
+subset of its blocks, over p_1..p_s q_s.  The character is taken from the
+trusted kernel as an exact integer, or is 0 with no kernel call below |mu|
+cells, where Ch_mu vanishes (Kerov & Olshanski, C. R. Acad. Sci. Paris 319,
+1994).  The Newton solve runs in integers on node indices, and F_mu is
 then audited at a point outside the grid before being returned.
 
 Only mu's swept prefix nu (mu without its trailing 1s) is interpolated:
-Ch_(mu, 1) = (n - |mu|) Ch_mu (Kerov & Olshanski, C. R. Acad. Sci. Paris
-319, 1994) gives F_mu = (N - |nu|)_(|mu| - |nu|) F_nu, N = sum p_i q_i.
+Ch_(mu, 1) = (n - |mu|) Ch_mu (Kerov & Olshanski) gives
+F_mu = (N - |nu|)_(|mu| - |nu|) F_nu, N = sum p_i q_i, and that factor is
+expanded term by term.
 The node budget counts mu's own degree set, which holds nu's colour set and
 every monomial of F_mu, in closed form.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -52,7 +62,7 @@ from functools import lru_cache
 # normalized_character is unused here, but perfbench's tracer wraps it under
 # this module's name, so the name stays
 from .characters import _normalized_character, _sweep_depth, normalized_character
-from .frobenius import _dimension_vars, flipped_polynomial
+from .frobenius import flipped_polynomial
 from .partitions import Partition, as_partition, format_partition
 from .polynomials import MultivarPoly, Scalar
 
@@ -241,49 +251,117 @@ def _shape_value(m: int, swept: Partition, k: int, point: tuple[int, ...]) -> in
     return _normalized_character(lam, swept, k)
 
 
+def _fill(m: int, faces: list[MultivarPoly]) -> MultivarPoly:
+    """The sum, over every set S of 1 to len(faces) of the m blocks, of
+    faces[|S| - 1] with its s blocks placed at S in order.  Different S give
+    different p-supports, so each term is placed once and nothing is added."""
+    terms: dict[tuple[int, ...], Scalar] = {}
+    for s, face in enumerate(faces, 1):
+        for blocks in itertools.combinations(range(m), s):
+            slots = blocks + tuple(m + j for j in blocks)
+            for exps, c in face.terms.items():
+                out = [0] * (2 * m)
+                for slot, e in zip(slots, exps):
+                    out[slot] = e
+                terms[tuple(out)] = c
+    return MultivarPoly(2 * m, terms)
+
+
+# _interpolate asks for faces 1, 2, .. in turn, so the faces below s are the
+# latest entries and are read back, not solved again, while s <= 65; a face
+# of 66 blocks needs m and |nu| of at least 66, whose degree set holds over
+# 10^50 points
+@lru_cache(maxsize=64)
+def _face(s: int, nu: Partition) -> MultivarPoly:
+    """H^(s)_nu, the terms of F_nu at s blocks that hold every p_1..p_s, for
+    a nonempty nu without trailing 1s and 1 <= s <= |nu|.
+
+    Such a term's top colour s is a q-colour, so H = p_1..p_s q_s G; G is
+    interpolated on the colour-set nodes with every a_j >= 1 and b_s >= 1,
+    each moved down by one in those coordinates, which is again a lower set.
+    The node (p, q) is a stack with every block nonempty, and its value is
+    the character there, less the faces below s at each proper subset of
+    its blocks, over p_1..p_s q_s.  Each factor is at most |nu|, so with
+    integer coefficients below, (|nu|!)^(s+1) times the value is an
+    integer; a rational face below adds the lcm of the denominators it
+    leaves.  The solve then runs in integers, as for a whole colour set.
+    """
+    k = sum(nu)
+    below = _fill(s, [_face(t, nu) for t in range(1, s)])
+    top = 2 * s - 1  # the index of q_s
+    shift = (1,) * s + (0,) * (s - 1) + (1,)
+    axes = [axis[d:] for axis, d in zip(interpolation_grid(s, k), shift)]
+    nodes = [
+        tuple(map(operator.sub, alpha, shift))
+        for alpha in _lower_set(s, k, k + len(nu))
+        if all(alpha[:s]) and alpha[top]
+    ]
+    points = [tuple(map(list.__getitem__, axes, beta)) for beta in nodes]
+    rests = [
+        _shape_value(s, nu, k, point) - lower
+        for point, lower in zip(points, below.evaluate_many(points))
+    ]
+    spread = math.lcm(*(r.denominator for r in rests))
+    room = math.factorial(k) ** (s + 1)
+    # every fibre has at most k nodes, so the solve takes (k - 1)! per axis
+    scale = math.factorial(k - 1) ** (2 * s)
+    values = [
+        int(r * spread) * (room // (math.prod(point[:s]) * point[top])) * scale
+        for r, point in zip(rests, points)
+    ]
+    fibres = _fibres(nodes)
+    _sweep_fibres(values, axes, fibres, lambda xs, ys: _divided_differences(ys))
+    _sweep_fibres(values, axes, fibres, _newton_to_monomial)
+    denominator = spread * room * scale
+    terms: dict[tuple[int, ...], Scalar] = {}
+    for beta, c in zip(nodes, values):
+        quotient, rest = divmod(c, denominator)
+        terms[tuple(map(operator.add, beta, shift))] = (
+            Fraction(c, denominator) if rest else quotient
+        )
+    return MultivarPoly(2 * s, terms)
+
+
 # the largest F_nu the default node budget allows, F_(197) at m = 1, holds
 # 9801 terms in about 2 MB, so 8 of them stay near the size of the process
 @lru_cache(maxsize=8)
 def _interpolate(m: int, nu: Partition) -> MultivarPoly:
-    """F_nu for a nonempty nu without trailing 1s, by Newton interpolation in
-    integers on its colour set.
+    """F_nu for a nonempty nu without trailing 1s: the sum over every set S
+    of at most |nu| of the m blocks of H^(|S|)_nu at the blocks of S.
 
     Cached by (m, nu), so the F_nu shared by mu = nu, (nu, 1), (nu, 1, 1), ..
-    is solved once per process; the polynomial is read-only.
+    is filled once per process; the polynomial is read-only.
     """
-    k, n = sum(nu), 2 * m
-    axes = interpolation_grid(m, k)
-    nodes = _lower_set(m, k, k + len(nu))
-    # node values times (k!)^n, then divided differences along every axis
-    # (each axis takes one k! from the scale and leaves integers), then
-    # Newton to monomials along every axis; each exponent tuple ends up where
-    # its node's multi-index was, as an integer over (k!)^n.  Nodes whose
-    # nonempty (p_i, q_i) blocks agree are one shape, evaluated once.
-    denominator = math.factorial(k) ** n
-    shapes: dict[tuple[tuple[int, int], ...], int] = {}
-    values = []
-    for alpha in nodes:
-        point = tuple(axis[a] for axis, a in zip(axes, alpha))
-        blocks = tuple((p, q) for p, q in zip(point[:m], point[m:]) if p and q)
-        if blocks not in shapes:
-            shapes[blocks] = _shape_value(m, nu, k, point) * denominator
-        values.append(shapes[blocks])
-    fibres = _fibres(nodes)
-    _sweep_fibres(values, axes, fibres, lambda xs, ys: _divided_differences(ys))
-    _sweep_fibres(values, axes, fibres, _newton_to_monomial)
+    return _fill(m, [_face(s, nu) for s in range(1, min(m, sum(nu)) + 1)])
+
+
+def _falling_size(m: int, start: int, r: int) -> MultivarPoly:
+    """(N - start)_r for N = p_1 q_1 + .. + p_m q_m, term by term: the
+    coefficient c_d of x^d in (x - start)_r times N^d, whose terms are
+    d! / prod(e_i!) prod (p_i q_i)^(e_i) over the ways e to split d among
+    the m blocks."""
+    cs = [1]  # low degree first
+    for j in range(start, start + r):
+        cs = [below - j * c for below, c in zip([0] + cs, cs + [0])]
     terms: dict[tuple[int, ...], Scalar] = {}
-    for alpha, c in zip(nodes, values):
-        quotient, rest = divmod(c, denominator)
-        terms[alpha] = Fraction(c, denominator) if rest else quotient
-    return MultivarPoly(n, terms)
+    for d, c in enumerate(cs):
+        scaled = c * math.factorial(d)
+        for colours in itertools.combinations_with_replacement(range(m), d):
+            exps = [0] * (2 * m)
+            for j in colours:
+                exps[j] += 1
+                exps[m + j] += 1
+            split = Counter(colours).values()
+            terms[tuple(exps)] = scaled // math.prod(map(math.factorial, split))
+    return MultivarPoly(2 * m, terms)
 
 
 def f_mu_interpolate(
     m: int, mu: Partition, max_nodes: int = DEFAULT_MAX_NODES
 ) -> MultivarPoly:
     """The character polynomial F_mu in p_1..p_m, q_1..q_m: F_nu, for nu the
-    swept prefix of mu, interpolated on nu's colour set, times N - j for each
-    trailing 1 of mu, j = |nu|..|mu| - 1, where N = p_1 q_1 + .. + p_m q_m.
+    swept prefix of mu, filled from its faces, times (N - |nu|)_r for the r
+    trailing 1s of mu, where N = p_1 q_1 + .. + p_m q_m.
 
     Raises ValueError if max_nodes is below 1 or mu's own degree set has more
     than max_nodes points, and ArithmeticError if the result fails to
@@ -299,12 +377,10 @@ def f_mu_interpolate(
         raise ValueError(f"max_nodes must be a positive integer, got {max_nodes}")
     _check_node_budget(m, k, k + len(mu), max_nodes)
     swept = mu[: _sweep_depth(mu)]
-    poly = _interpolate(m, swept) if swept else MultivarPoly.const(2 * m, 1)
+    poly = _interpolate(m, swept) if swept else None
     if len(swept) < len(mu):
-        ps, qs = _dimension_vars(m)
-        size = sum(p * q for p, q in zip(ps, qs))
-        for j in range(sum(swept), k):
-            poly = poly * (size - j)
+        factor = _falling_size(m, sum(swept), len(mu) - len(swept))
+        poly = factor if poly is None else poly * factor
     guard = _guard_point(m, k)
     expected = _shape_value(m, swept, k, guard)
     if poly.evaluate(guard) != expected:
@@ -343,21 +419,21 @@ def off_grid_fidelity(
     if seed is None:
         seed = hash((m, mu)) & 0xFFFFFFFF
     rng = random.Random(seed)
+    randint, sample = rng.randint, rng.sample
     swept = mu[: _sweep_depth(mu)]
-    axes = interpolation_grid(m, k)
-    grid_sets = [set(a) for a in axes]
-    hi_q = m * (k + 3) + 6
+    grid_sets = [set(a) for a in interpolation_grid(m, k)]
+    top_p, q_range = k + 4, range(1, m * (k + 3) + 7)
     done = 0
     while done < samples:
         chunk = min(_AUDIT_CHUNK, samples - done)
         points, expected = [], []
         while len(points) < chunk:
-            ps = tuple(rng.randint(1, k + 4) for _ in range(m))
-            qs = tuple(sorted(rng.sample(range(1, hi_q + 1), m), reverse=True))
-            point = ps + qs
-            if sum(p * q for p, q in zip(ps, qs)) < k:
+            ps = tuple([randint(1, top_p) for _ in range(m)])
+            qs = tuple(sorted(sample(q_range, m), reverse=True))
+            if sum(map(operator.mul, ps, qs)) < k:
                 continue
-            if all(x in s for x, s in zip(point, grid_sets)):
+            point = ps + qs
+            if all(map(operator.contains, grid_sets, point)):
                 continue  # landed on the grid; draw again
             lam = tuple(q for p, q in zip(ps, qs) for _ in range(p))
             points.append(point)

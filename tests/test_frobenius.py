@@ -121,6 +121,21 @@ def test_only_fk_polynomial_is_cached():
     assert cached == ["f_k_polynomial"]
 
 
+def test_fk_polynomial_cache_is_bounded(monkeypatch):
+    maxsize = f_k_polynomial.cache_info().maxsize
+    assert maxsize is not None and 64 <= maxsize <= 256
+    # the residue at large k is slow and beside the point here, so each key
+    # is filled by a stand-in; the cache is cleared again after the stand-ins
+    monkeypatch.setattr(frobenius, "_stack_character", lambda k, upper, lower: k)
+    f_k_polynomial.cache_clear()
+    try:
+        for k in range(1, maxsize + 4):
+            f_k_polynomial(1, k)
+        assert f_k_polynomial.cache_info().currsize == maxsize
+    finally:
+        f_k_polynomial.cache_clear()
+
+
 def test_character_values_are_ints():
     for n in range(1, 9):
         for lam in partitions_of(n):

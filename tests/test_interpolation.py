@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,7 @@ from rectchar.factorization import factorization_poly
 from rectchar.frobenius import f_k_polynomial
 from rectchar.interpolation import (
     ConjectureReport,
+    _face,
     _guard_point,
     _interpolate,
     _lower_set,
@@ -253,24 +255,30 @@ def _counted_points(monkeypatch) -> list:
     return points
 
 
+def _clear_caches() -> None:
+    _interpolate.cache_clear()
+    _face.cache_clear()
+
+
 def test_node_count_is_the_lower_set(monkeypatch):
     # mu = (2,2), m = 2: the colour set takes 131 of the degree set's 160
     # alpha in N^4 with alpha_1 + alpha_2 <= 4, alpha_3 + alpha_4 <= 4 and
-    # sum(alpha) <= 6; its nodes make 62 distinct shapes, each evaluated
-    # once; the budget counts the degree set
-    _interpolate.cache_clear()
+    # sum(alpha) <= 6; the faces take 13 nodes at one block and 31 at two,
+    # each a distinct shape; the budget counts the degree set
+    _clear_caches()
     points = _counted_points(monkeypatch)
     f_mu_interpolate(2, (2, 2), max_nodes=160)
     assert len(_lower_set(2, 4, 6)) == 131
-    assert len(points) == 62 + 1  # and the guard point
-    assert len({_blocks(2, point) for point in points}) == len(points)
+    assert len(points) == 13 + 31 + 1  # and the guard point
+    assert len({_stack(len(point) // 2, point) for point in points}) == len(points)
     with pytest.raises(ValueError, match="^grid has 160 nodes, above the limit 159;"):
         f_mu_interpolate(2, (2, 2), max_nodes=159)
 
 
 def test_kernel_runs_once_per_shape_of_at_least_k_cells(monkeypatch):
-    # of F_(2,2)'s 62 shapes at m = 2, the 6 below 4 cells take no kernel call
-    _interpolate.cache_clear()
+    # of F_(2,2)'s 44 face nodes at m = 2, the 5 below 4 cells take no
+    # kernel call
+    _clear_caches()
     kernel = interpolation._normalized_character
     shapes = []
 
@@ -280,18 +288,19 @@ def test_kernel_runs_once_per_shape_of_at_least_k_cells(monkeypatch):
 
     monkeypatch.setattr(interpolation, "_normalized_character", counted)
     f_mu_interpolate(2, (2, 2))
-    assert len(shapes) == 56 + 1  # and the guard point
+    assert len(shapes) == 39 + 1  # and the guard point
+    assert len(set(shapes)) == len(shapes)
     assert all(sum(lam) >= 4 for lam in shapes)
 
 
 def test_trailing_fixed_points_take_no_nodes(monkeypatch):
-    _interpolate.cache_clear()
+    _clear_caches()
     points = _counted_points(monkeypatch)
-    # mu = (2,1,1) at m = 2 takes nu = (2)'s 18 nodes, which make 10 shapes,
-    # then the guard point
+    # mu = (2,1,1) at m = 2 takes nu = (2)'s faces, 3 nodes at one block and
+    # 1 at two, of its colour set's 18, then the guard point
     f_mu_interpolate(2, (2, 1, 1))
     assert len(_lower_set(2, 2, 3)) == 18
-    assert len(points) == 10 + 1
+    assert len(points) == 3 + 1 + 1
     points.clear()
     # mu = 1^k is the falling factorial (N)_k: only the guard point
     f_mu_interpolate(2, (1, 1, 1))
@@ -299,6 +308,111 @@ def test_trailing_fixed_points_take_no_nodes(monkeypatch):
     # the budget still counts mu's own set
     with pytest.raises(ValueError, match="^grid has 200 nodes, above the limit 199;"):
         f_mu_interpolate(2, (2, 1, 1), max_nodes=199)
+
+
+def test_faces_are_shared_across_m(monkeypatch):
+    # F_(2) has no face above two blocks, so at m = 3 it takes no node
+    _clear_caches()
+    f_mu_interpolate(2, (2,))
+    points = _counted_points(monkeypatch)
+    f_mu_interpolate(3, (2,))
+    assert points == [_guard_point(3, 2)]
+
+
+def _full_support(terms: dict, s: int) -> dict:
+    return {exps: c for exps, c in terms.items() if all(exps[:s])}
+
+
+# (s, nu) for nu without trailing 1s, |nu| capped where the oracle's
+# |nu|! s^|nu| terms stay cheap
+FACE_CASES = [
+    (s, nu)
+    for s, k_cap in ((1, 6), (2, 6), (3, 5), (4, 4))
+    for k in range(2, k_cap + 1)
+    for nu in partitions_of(k)
+    if nu[-1] > 1
+]
+
+
+@pytest.mark.parametrize("s, nu", FACE_CASES)
+def test_face_is_the_full_support_part(s, nu):
+    oracle = _full_support(stanley_feray_f_mu(s, nu), s)
+    if s > sum(nu):
+        assert oracle == {}  # no such face: each block takes a cycle of s
+        return
+    face = _face(s, nu)
+    assert dict(face.terms) == oracle
+    # p_1..p_s q_s divides every term
+    assert all(all(exps[:s]) and exps[2 * s - 1] for exps in face.terms)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_empty_block_drops_out(m):
+    # F_mu at p_j = 0 is F_mu at the other m - 1 blocks, with no q_j left
+    for k in range(1, 5):
+        for mu in partitions_of(k):
+            poly = f_mu_interpolate(m, mu)
+            smaller = dict(f_mu_interpolate(m - 1, mu).terms)
+            for j in range(m):
+                kept = {e: c for e, c in poly.terms.items() if not e[j]}
+                assert all(not e[m + j] for e in kept), (m, mu, j)
+                assert {
+                    e[:j] + e[j + 1 : m + j] + e[m + j + 1 :]: c for e, c in kept.items()
+                } == smaller, (m, mu, j)
+
+
+@pytest.fixture
+def fresh_caches():
+    _clear_caches()
+    yield
+    _clear_caches()
+
+
+def test_rational_data_gives_rational_coefficients(monkeypatch, fresh_caches):
+    # integer node values whose interpolant has half-integer coefficients:
+    # C(p_j, 2) q_j added for each block j
+    shape_value = interpolation._shape_value
+
+    def skewed(m, swept, k, point):
+        extra = sum(math.comb(p, 2) * q for p, q in zip(point[:m], point[m:]))
+        return shape_value(m, swept, k, point) + extra
+
+    monkeypatch.setattr(interpolation, "_shape_value", skewed)
+    p, q = (MultivarPoly(2, {e: 1}) for e in ((1, 0), (0, 1)))
+    poly = _interpolate(1, (2,))
+    assert poly == f_k_polynomial(1, 2) + p * (p - 1) * q / 2
+    assert {abs(c) for c in poly.terms.values() if type(c) is Fraction} == {Fraction(1, 2)}
+    # rational node values at the top face, over a rational face below
+    _clear_caches()
+
+    def halved(m, swept, k, point):
+        extra = Fraction(math.prod(point[:m]) * point[-1], 2) if m == 2 else 0
+        return skewed(m, swept, k, point) + extra
+
+    monkeypatch.setattr(interpolation, "_shape_value", halved)
+    a, p, b, q = (MultivarPoly(4, {tuple(int(i == v) for i in range(4)): 1}) for v in range(4))
+    expected = (
+        f_k_polynomial(2, 2)
+        + a * (a - 1) * b / 2
+        + p * (p - 1) * q / 2
+        + a * p * q / 2
+    )
+    assert _interpolate(2, (2,)) == expected
+
+
+def test_many_blocks_take_no_recursion():
+    # 1100 blocks, above the default recursion limit: F_(1) = N is one
+    # trailing 1, with no face and one term per block
+    m = 1100
+    start = time.perf_counter()
+    poly = f_mu_interpolate(m, (1,), max_nodes=10**7)
+    assert time.perf_counter() - start < 1.0
+    expected = {}
+    for j in range(m):
+        exps = [0] * (2 * m)
+        exps[j] = exps[m + j] = 1
+        expected[tuple(exps)] = 1
+    assert dict(poly.terms) == expected
 
 
 def test_warm_call_evaluates_only_the_guard_point(monkeypatch):
@@ -322,6 +436,18 @@ def test_interpolation_cache_is_bounded():
     for k in range(2, maxsize + 4):
         f_mu_interpolate(1, (k,))
     assert _interpolate.cache_info().currsize == maxsize
+
+
+def test_face_cache_is_bounded():
+    maxsize = _face.cache_info().maxsize
+    assert maxsize is not None and 1 <= maxsize <= 64
+    _face.cache_clear()
+    # each nu without trailing 1s adds its one face at m = 1
+    swept = [nu for k in range(2, 13) for nu in partitions_of(k) if nu[-1] > 1]
+    assert len(swept) > maxsize
+    for nu in swept:
+        f_mu_interpolate(1, nu)
+    assert _face.cache_info().currsize == maxsize
 
 
 # the (m, mu) of the stack-interpolate benchmark workload
