@@ -117,7 +117,13 @@ def f_k_polynomial(m: int, k: int) -> MultivarPoly:
 
 def flipped_polynomial(poly: MultivarPoly, m: int, k: int) -> MultivarPoly:
     """(-1)^k times poly with every q_i negated; the sign convention under
-    which the character data is displayed with nonnegative coefficients."""
+    which the character data is displayed with nonnegative coefficients.
+    poly must be in the 2m variables p_1..p_m, q_1..q_m."""
+    if m < 1 or poly.nvars != 2 * m:
+        raise ValueError(
+            f"need m >= 1 and a polynomial in 2m variables, got m={m} and "
+            f"{poly.nvars} variables"
+        )
     flipped = poly.negate_vars(range(m, 2 * m))
     return -flipped if k % 2 else flipped
 

@@ -11,16 +11,15 @@ a factorization s*t = w_mu in S_k and a colouring of the cycles of s by
 q_j, j the largest colour among the cycles of s it meets.  So a monomial
 with p-exponents a and q-exponents b has |a| = cyc(s) <= k,
 |b| = cyc(t) <= k and |a| + |b| <= k + len(mu), its q-colours are p-colours,
-and its largest p-colour is a q-colour.  Its values on the colour set, the
-multi-indices alpha = (a, b) that divide such a monomial, pin it down
+and its largest p-colour is a q-colour.  Its values on a lower set of
+multi-indices alpha = (a, b) that holds every such monomial pin it down
 (Dyn & Floater, "Multivariate polynomial interpolation on lower sets",
-J. Approx. Theory 177, 2014).  The colour set is a lower set inside the
-degree set
+J. Approx. Theory 177, 2014).  The degree set
 
     {alpha : alpha_1 + .. + alpha_m <= k, alpha_(m+1) + .. + alpha_2m <= k,
-     sum(alpha) <= k + len(mu)},
+     sum(alpha) <= k + len(mu)}
 
-and equal to it at m = 1.
+is one.
 
 Setting p_j = 0 drops block j, every q-colour being a p-colour, so the
 terms of F_mu whose p-colours are a set S of s blocks are H^(s)(p_S, q_S),
@@ -28,11 +27,13 @@ where the face H^(s) is the part of the s-block polynomial that holds every
 p_1..p_s; H^(s) is 0 for s > k, each colour taking a cycle of s.  F_mu is
 filled from its faces, each solved once per process and shared by every m.
 A face term holds p_1..p_s and, s being its top colour, q_s, so
-H^(s) = p_1..p_s q_s G, and G is interpolated on the colour-set nodes with
-those coordinates at least 1, each moved down by one: again a lower set.
-Node alpha sits at coordinate alpha_i of each axis.  The p-axes start at 0
-and the q-axes are disjoint descending bands, the last starting at 0, so a
-face node is a stack of s nonempty blocks with strictly decreasing widths.
+H^(s) = p_1..p_s q_s G, and G is interpolated on the face nodes: the
+degree-set exponents with those coordinates at least 1, each moved down by
+one, again a lower set.  Both colour rules hold at each of them, so the
+degree bounds are the only test.  Shifted back, node alpha sits at
+coordinate alpha_i of each axis.  The p-axes start at 0 and the q-axes are
+disjoint descending bands, the last starting at 0, so a face node is a
+stack of s nonempty blocks with strictly decreasing widths.
 Its value is the character there, less the faces below s at each proper
 subset of its blocks, over p_1..p_s q_s.  The character is taken from the
 trusted kernel as an exact integer, or is 0 with no kernel call below |mu|
@@ -44,8 +45,8 @@ Only mu's swept prefix nu (mu without its trailing 1s) is interpolated:
 Ch_(mu, 1) = (n - |mu|) Ch_mu (Kerov & Olshanski) gives
 F_mu = (N - |nu|)_(|mu| - |nu|) F_nu, N = sum p_i q_i, and that factor is
 expanded term by term.
-The node budget counts mu's own degree set, which holds nu's colour set and
-every monomial of F_mu, in closed form.
+The node budget counts mu's own degree set, which holds every face node of
+nu, shifted back, and every monomial of F_mu, in closed form.
 """
 
 from __future__ import annotations
@@ -79,9 +80,8 @@ def interpolation_grid(m: int, k: int) -> list[list[int]]:
     q_m's starts at 0: a node is a stack of strictly decreasing widths once
     its empty blocks are dropped, and may hold fewer than k cells.  Each
     axis is a run of consecutive integers, which the Newton solve relies on;
-    the colour-set nodes use its first k+1 entries, and the guard point sits
-    one past the last, a stack with every block nonempty and at least k
-    cells.
+    the face nodes use its first k+1 entries, and the guard point sits one
+    past the last, a stack with every block nonempty and at least k cells.
     """
     if m < 1 or k < 1:
         raise ValueError(f"need m >= 1 and k >= 1, got m={m}, k={k}")
@@ -100,38 +100,32 @@ def _simplex(m: int, k: int) -> list[tuple[tuple[int, ...], int]]:
     return rows
 
 
-def _lower_set(m: int, k: int, total: int) -> list[tuple[int, ...]]:
-    """Multi-indices alpha = (a, b) in N^m x N^m, in lexicographic order,
-    that divide a monomial the Stanley-Feray formula allows at these degree
-    bounds: p-degree at most k, q-degree at most k, total degree at most
-    total, every q-colour also a p-colour, and the top colour a q-colour.
+def _face_nodes(s: int, k: int, ell: int) -> list[tuple[int, ...]]:
+    """The nodes of the face at s <= k blocks for nu of size k and length
+    ell, shifted down by p_1..p_s q_s and in lexicographic order: every
+    beta = (a, b) in N^s x N^s with |a| <= k - s, |b| <= k - 1 and
+    |a| + |b| <= k + ell - s - 1.
 
-    The cheapest such monomial above (a, b) adds p_j for each colour j with
-    b_j > 0 = a_j, and q_j for the top colour j of a and b when b_j = 0, so
-    alpha is kept when need_p = |a| + #{j : b_j > 0 = a_j} and
-    need_q = |b| + [b_top = 0] satisfy the three bounds.  Lowering any
-    coordinate raises neither need, so the set is lower.
+    Shifted back, these are the exponents with every a_j and b_s at least 1
+    inside the three degree bounds; both colour rules hold there, every
+    q-colour being a p-colour and the top colour s a q-colour, so each
+    divides a monomial the Stanley-Feray formula allows.  The set is lower.
     """
-    parts = []
-    for beta, used in _simplex(m, k):
-        support = sum(1 << j for j, e in enumerate(beta) if e)
-        parts.append((beta, used, support, support.bit_length()))
-    out = []
-    for a, size_a, support_a, top_a in parts:
-        outside_a = ~support_a
-        for b, size_b, support_b, top_b in parts:
-            need_p = size_a + (support_b & outside_a).bit_count()
-            need_q = size_b + (top_a > top_b)
-            if need_p <= k and need_q <= k and need_p + need_q <= total:
-                out.append(a + b)
-    return out
+    total = k + ell - s - 1
+    qs = _simplex(s, k - 1)
+    return [
+        a + b
+        for a, size_a in _simplex(s, k - s)
+        for b, size_b in qs
+        if size_a + size_b <= total
+    ]
 
 
 def _degree_set_size(m: int, k: int, total: int) -> int:
     """The number of alpha in N^(2m) with sum(alpha[:m]) <= k,
     sum(alpha[m:]) <= k and sum(alpha) <= total, in closed form: the size of
-    the degree set, which holds _lower_set(m, k, total), so an upper bound
-    on the nodes.
+    the degree set, which holds every monomial of F_mu and, shifted back,
+    every face node, so an upper bound on the nodes.
 
     From 2k on it is every pair of a p-part and a q-part, C(k + m, m)^2.
     Below, take the C(total + 2m, 2m) points of sum at most total and cut
@@ -276,26 +270,21 @@ def _face(s: int, nu: Partition) -> MultivarPoly:
     """H^(s)_nu, the terms of F_nu at s blocks that hold every p_1..p_s, for
     a nonempty nu without trailing 1s and 1 <= s <= |nu|.
 
-    Such a term's top colour s is a q-colour, so H = p_1..p_s q_s G; G is
-    interpolated on the colour-set nodes with every a_j >= 1 and b_s >= 1,
-    each moved down by one in those coordinates, which is again a lower set.
-    The node (p, q) is a stack with every block nonempty, and its value is
-    the character there, less the faces below s at each proper subset of
-    its blocks, over p_1..p_s q_s.  Each factor is at most |nu|, so with
-    integer coefficients below, (|nu|!)^(s+1) times the value is an
-    integer; a rational face below adds the lcm of the denominators it
-    leaves.  The solve then runs in integers, as for a whole colour set.
+    Such a term's top colour s is a q-colour, so H = p_1..p_s q_s G, and G
+    is interpolated on _face_nodes(s, |nu|, len(nu)), each node moved up by
+    one in those coordinates on the axes.  The node (p, q) is a stack with
+    every block nonempty, and its value is the character there, less the
+    faces below s at each proper subset of its blocks, over p_1..p_s q_s.
+    Each factor is at most |nu|, so with integer coefficients below,
+    (|nu|!)^(s+1) times the value is an integer; a rational face below adds
+    the lcm of the denominators it leaves.  The solve then runs in integers.
     """
     k = sum(nu)
     below = _fill(s, [_face(t, nu) for t in range(1, s)])
     top = 2 * s - 1  # the index of q_s
     shift = (1,) * s + (0,) * (s - 1) + (1,)
     axes = [axis[d:] for axis, d in zip(interpolation_grid(s, k), shift)]
-    nodes = [
-        tuple(map(operator.sub, alpha, shift))
-        for alpha in _lower_set(s, k, k + len(nu))
-        if all(alpha[:s]) and alpha[top]
-    ]
+    nodes = _face_nodes(s, k, len(nu))
     points = [tuple(map(list.__getitem__, axes, beta)) for beta in nodes]
     rests = [
         _shape_value(s, nu, k, point) - lower
@@ -322,16 +311,10 @@ def _face(s: int, nu: Partition) -> MultivarPoly:
     return MultivarPoly(2 * s, terms)
 
 
-# the largest F_nu the default node budget allows, F_(197) at m = 1, holds
-# 9801 terms in about 2 MB, so 8 of them stay near the size of the process
-@lru_cache(maxsize=8)
 def _interpolate(m: int, nu: Partition) -> MultivarPoly:
     """F_nu for a nonempty nu without trailing 1s: the sum over every set S
-    of at most |nu| of the m blocks of H^(|S|)_nu at the blocks of S.
-
-    Cached by (m, nu), so the F_nu shared by mu = nu, (nu, 1), (nu, 1, 1), ..
-    is filled once per process; the polynomial is read-only.
-    """
+    of at most |nu| of the m blocks of H^(|S|)_nu at the blocks of S, each
+    face read from _face's cache."""
     return _fill(m, [_face(s, nu) for s in range(1, min(m, sum(nu)) + 1)])
 
 

@@ -62,6 +62,8 @@ def gk_generating_check(m: int, kmax: int) -> bool:
     The reciprocal of the inverse of x*prod(1-B_i x)/prod(1-A_i x) is
     1/x + sum G_k x^k; the constant slot (k = 0) carries p_1 + ... + p_m.
     """
+    if kmax < 0:
+        raise ValueError(f"kmax must be nonnegative, got {kmax}")
     ps, qs = _dimension_vars(m)
     upper, lower = _stack_roots(ps, qs)
     u = _inverse_reciprocal(_kernel_ratio(lower, upper, kmax + 1))
@@ -81,6 +83,8 @@ def s_k_sequence(m: int, kmax: int) -> list[int]:
     """
     if m < 1:
         raise ValueError("m must be positive")
+    if kmax < 0:
+        raise ValueError(f"kmax must be nonnegative, got {kmax}")
     u = _inverse_reciprocal(_kernel_ratio([1], [1 - m], kmax + 1))
     out: list[int] = []
     for k in range(1, kmax + 1):
@@ -95,6 +99,10 @@ def s_k_sequence(m: int, kmax: int) -> list[int]:
 
 def s_k_from_coefficient_sums(m: int, kmax: int) -> list[int]:
     """S_1..S_kmax read off the polynomials: (-1)^k G_k at p_i = 1, q_i = -1."""
+    if m < 1:
+        raise ValueError("m must be positive")
+    if kmax < 0:
+        raise ValueError(f"kmax must be nonnegative, got {kmax}")
     out: list[int] = []
     for k in range(1, kmax + 1):
         value = g_k_leading(m, k).evaluate((1,) * m + (-1,) * m)

@@ -1,5 +1,6 @@
 """Property test of the Python API's argument contract, for the entry points
-of the character kernel and the interpolation.
+of the character kernel, the residue and leading-term routes and the
+interpolation.
 
 Each function gets arguments drawn from edge values: integers weighted to
 small values, with 0, -1..-3 and -2^63..-2^70 now and then, and shapes
@@ -19,11 +20,21 @@ from rectchar import (
     ConjectureReport,
     MultivarPoly,
     conjecture1_check,
+    elizalde_formula,
+    f_k_polynomial,
+    f_k_special_value,
     f_mu_interpolate,
+    flipped_polynomial,
+    g_k_leading,
+    g_k_via_lagrange,
+    gk_generating_check,
+    integrality_witness,
     interpolation_grid,
     mn_character,
     normalized_character,
     off_grid_fidelity,
+    s_k_from_coefficient_sums,
+    s_k_sequence,
 )
 from rectchar.interpolation import _degree_set_size
 
@@ -149,6 +160,39 @@ def mn_case(data):
         assert type(value) is int
 
 
+def stack_case(data, function, kind):
+    """function(m, k) for a stack of m rectangles at a k-cycle."""
+    m, k = data.draw(ints(3), label="m"), data.draw(ints(4), label="k")
+    ok, value = call(function, m, k)
+    assert ok == (m >= 1 and k >= 1), value
+    if ok:
+        assert type(value) is kind
+
+
+def kmax_case(data, function):
+    """function(m, kmax), for k = 1..kmax; kmax = 0 asks for nothing."""
+    m, kmax = data.draw(ints(3), label="m"), data.draw(ints(5), label="kmax")
+    ok, value = call(function, m, kmax)
+    assert ok == (m >= 1 and kmax >= 0), value
+    if ok and function is gk_generating_check:
+        assert value is True
+    elif ok:
+        assert type(value) is list and len(value) == kmax
+        assert all(type(x) is int for x in value)
+
+
+def flip_case(data):
+    blocks = data.draw(st.integers(1, 3), label="blocks")
+    poly = f_k_polynomial(blocks, data.draw(st.integers(1, 3), label="poly_k"))
+    m = data.draw(ints(4), label="m")
+    k = data.draw(st.integers(-3, 4), label="k")
+    ok, value = call(flipped_polynomial, poly, m, k)
+    assert ok == (m == blocks), value
+    if ok:
+        assert type(value) is MultivarPoly and value.nvars == 2 * m
+        assert flipped_polynomial(value, m, k) == poly
+
+
 CASES = {
     "interpolation_grid": grid_case,
     "f_mu_interpolate": lambda data: interpolate_case(data, f_mu_interpolate, MultivarPoly),
@@ -156,6 +200,16 @@ CASES = {
     "off_grid_fidelity": fidelity_case,
     "normalized_character": normalized_case,
     "mn_character": mn_case,
+    "f_k_polynomial": lambda data: stack_case(data, f_k_polynomial, MultivarPoly),
+    "f_k_special_value": lambda data: stack_case(data, f_k_special_value, int),
+    "integrality_witness": lambda data: stack_case(data, integrality_witness, bool),
+    "g_k_leading": lambda data: stack_case(data, g_k_leading, MultivarPoly),
+    "g_k_via_lagrange": lambda data: stack_case(data, g_k_via_lagrange, MultivarPoly),
+    "elizalde_formula": lambda data: stack_case(data, elizalde_formula, MultivarPoly),
+    "gk_generating_check": lambda data: kmax_case(data, gk_generating_check),
+    "s_k_sequence": lambda data: kmax_case(data, s_k_sequence),
+    "s_k_from_coefficient_sums": lambda data: kmax_case(data, s_k_from_coefficient_sums),
+    "flipped_polynomial": flip_case,
 }
 
 

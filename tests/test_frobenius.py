@@ -16,6 +16,7 @@ from rectchar.frobenius import (
     rational_x_inverse_coefficient,
 )
 from rectchar.partitions import partitions_of
+from rectchar.polynomials import MultivarPoly
 from rectchar.verify import REFERENCE_FLIPPED_TWO_RECT
 
 
@@ -55,6 +56,16 @@ def test_fk_reference_data():
         flipped = flipped_polynomial(f_k_polynomial(2, k), 2, k)
         assert flipped.terms == expected
     assert REFERENCE_FLIPPED_TWO_RECT[4][(1, 2, 0, 2)] == 14
+
+
+def test_flip_checks_its_block_count():
+    poly = MultivarPoly(4, {(1, 0, 1, 0): 1, (0, 1, 0, 1): 2})
+    assert flipped_polynomial(poly, 2, 1).terms == {(1, 0, 1, 0): 1, (0, 1, 0, 1): 2}
+    # m = 1 would negate x1 alone of four variables; m = 3 would index past them
+    for m in (1, 3, 0):
+        message = f"^need m >= 1 and a polynomial in 2m variables, got m={m} and 4 variables$"
+        with pytest.raises(ValueError, match=message):
+            flipped_polynomial(poly, m, 1)
 
 
 def test_fk_one_rectangle_matches_pair_sum():

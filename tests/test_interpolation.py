@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import time
 from fractions import Fraction
 
@@ -12,9 +13,9 @@ from rectchar.frobenius import f_k_polynomial
 from rectchar.interpolation import (
     ConjectureReport,
     _face,
+    _face_nodes,
     _guard_point,
     _interpolate,
-    _lower_set,
     _degree_set_size,
     _shape_value,
     conjecture1_check,
@@ -184,7 +185,29 @@ def _steps_down(alpha: tuple[int, ...]):
             yield alpha[:i] + (e - 1,) + alpha[i + 1 :]
 
 
-LOWER_SET_CASES = [
+def _full_support(terms: dict, s: int) -> dict:
+    return {exps: c for exps, c in terms.items() if all(exps[:s])}
+
+
+def _face_shift(s: int) -> tuple[int, ...]:
+    """The exponent of p_1..p_s q_s, by which face nodes are shifted down."""
+    return (1,) * s + (0,) * (s - 1) + (1,)
+
+
+def _degree_set(m: int, k: int, total: int) -> list[tuple[int, ...]]:
+    return [
+        alpha
+        for alpha in itertools.product(range(k + 1), repeat=2 * m)
+        if sum(alpha[:m]) <= k and sum(alpha[m:]) <= k and sum(alpha) <= total
+    ]
+
+
+# (s, |nu|, len(nu)) for a face at s <= |nu| blocks
+FACE_NODE_CASES = [
+    (s, k, ell) for s in range(1, 4) for k in range(s, 5) for ell in range(1, k + 1)
+]
+
+DEGREE_SET_CASES = [
     (m, k, total)
     for m in range(1, 4)
     for k in range(1, 5)
@@ -193,53 +216,50 @@ LOWER_SET_CASES = [
 
 
 def test_lower_set_and_its_size():
-    for m, k, total in LOWER_SET_CASES:
-        box = list(itertools.product(range(k + 1), repeat=2 * m))
-        expected = []
-        for alpha in box:
-            a, b = alpha[:m], alpha[m:]
-            used = [j for j in range(m) if a[j] or b[j]]
-            need_p = sum(a) + sum(1 for j in range(m) if b[j] and not a[j])
-            need_q = sum(b) + (1 if used and not b[used[-1]] else 0)
-            if need_p <= k and need_q <= k and need_p + need_q <= total:
-                expected.append(alpha)
-        nodes = _lower_set(m, k, total)
-        assert nodes == expected, (m, k, total)
-        # the rule keeps exactly the divisors of the allowed exponents
-        closure = {alpha for alpha in box if _allowed(alpha, m, k, total)}
+    for s, k, ell in FACE_NODE_CASES:
+        total = k + ell
+        # the divisors of the exponents the Stanley-Feray formula allows
+        closure = {
+            alpha
+            for alpha in itertools.product(range(k + 1), repeat=2 * s)
+            if _allowed(alpha, s, k, total)
+        }
         frontier = list(closure)
         while frontier:
             for below in _steps_down(frontier.pop()):
                 if below not in closure:
                     closure.add(below)
                     frontier.append(below)
-        assert set(nodes) == closure, (m, k, total)
-        # the budget counts the degree set, which holds the colour set
-        degree_set = [
-            alpha
-            for alpha in box
-            if sum(alpha[:m]) <= k and sum(alpha[m:]) <= k and sum(alpha) <= total
-        ]
-        assert _degree_set_size(m, k, total) == len(degree_set)
-        assert set(nodes) <= set(degree_set)
-        if m == 1 and total > k:  # as for every F_nu at m = 1
-            assert nodes == degree_set
+        # the face nodes, shifted back, are those that hold p_1..p_s q_s,
+        # in lexicographic order
+        nodes = _face_nodes(s, k, ell)
+        assert nodes == sorted(set(nodes)), (s, k, ell)
+        shifted_back = {tuple(map(operator.add, beta, _face_shift(s))) for beta in nodes}
+        full = {alpha for alpha in closure if all(alpha[:s]) and alpha[2 * s - 1]}
+        assert shifted_back == full, (s, k, ell)
+        # the budget counts the degree set, which holds them
+        assert shifted_back <= set(_degree_set(s, k, total))
+    for m, k, total in DEGREE_SET_CASES:
+        assert _degree_set_size(m, k, total) == len(_degree_set(m, k, total)), (m, k, total)
 
 
 def test_lower_set_is_lower():
-    for m, k, total in LOWER_SET_CASES:
-        nodes = set(_lower_set(m, k, total))
-        for alpha in nodes:
-            assert all(below in nodes for below in _steps_down(alpha)), alpha
+    for s, k, ell in FACE_NODE_CASES:
+        nodes = set(_face_nodes(s, k, ell))
+        for beta in nodes:
+            assert all(below in nodes for below in _steps_down(beta)), beta
 
 
-@pytest.mark.parametrize("m, k_cap", [(1, 5), (2, 4), (3, 3)])
-def test_lower_set_holds_the_stanley_feray_support(m, k_cap):
-    for k in range(1, k_cap + 1):
+@pytest.mark.parametrize("s, k_cap", [(1, 5), (2, 4), (3, 3)])
+def test_lower_set_holds_the_stanley_feray_support(s, k_cap):
+    # every term of F_nu that holds p_1..p_s, over p_1..p_s q_s, is a face node
+    for k in range(s, k_cap + 1):
         for nu in partitions_of(k):
-            nodes = set(_lower_set(m, k, k + len(nu)))
-            support = stanley_feray_f_mu(m, nu)
-            assert support and set(support) <= nodes, (m, nu)
+            nodes = set(_face_nodes(s, k, len(nu)))
+            full = _full_support(stanley_feray_f_mu(s, nu), s)
+            assert full and all(exps[2 * s - 1] for exps in full), (s, nu)
+            shifted = {tuple(map(operator.sub, exps, _face_shift(s))) for exps in full}
+            assert shifted <= nodes, (s, nu)
 
 
 def _counted_points(monkeypatch) -> list:
@@ -256,19 +276,17 @@ def _counted_points(monkeypatch) -> list:
 
 
 def _clear_caches() -> None:
-    _interpolate.cache_clear()
     _face.cache_clear()
 
 
 def test_node_count_is_the_lower_set(monkeypatch):
-    # mu = (2,2), m = 2: the colour set takes 131 of the degree set's 160
-    # alpha in N^4 with alpha_1 + alpha_2 <= 4, alpha_3 + alpha_4 <= 4 and
-    # sum(alpha) <= 6; the faces take 13 nodes at one block and 31 at two,
-    # each a distinct shape; the budget counts the degree set
+    # mu = (2,2), m = 2: the faces take 13 nodes at one block and 31 at two,
+    # each a distinct shape; the budget counts the degree set, the 160 alpha
+    # in N^4 with alpha_1 + alpha_2 <= 4, alpha_3 + alpha_4 <= 4 and
+    # sum(alpha) <= 6
     _clear_caches()
     points = _counted_points(monkeypatch)
     f_mu_interpolate(2, (2, 2), max_nodes=160)
-    assert len(_lower_set(2, 4, 6)) == 131
     assert len(points) == 13 + 31 + 1  # and the guard point
     assert len({_stack(len(point) // 2, point) for point in points}) == len(points)
     with pytest.raises(ValueError, match="^grid has 160 nodes, above the limit 159;"):
@@ -297,9 +315,8 @@ def test_trailing_fixed_points_take_no_nodes(monkeypatch):
     _clear_caches()
     points = _counted_points(monkeypatch)
     # mu = (2,1,1) at m = 2 takes nu = (2)'s faces, 3 nodes at one block and
-    # 1 at two, of its colour set's 18, then the guard point
+    # 1 at two, then the guard point
     f_mu_interpolate(2, (2, 1, 1))
-    assert len(_lower_set(2, 2, 3)) == 18
     assert len(points) == 3 + 1 + 1
     points.clear()
     # mu = 1^k is the falling factorial (N)_k: only the guard point
@@ -317,10 +334,6 @@ def test_faces_are_shared_across_m(monkeypatch):
     points = _counted_points(monkeypatch)
     f_mu_interpolate(3, (2,))
     assert points == [_guard_point(3, 2)]
-
-
-def _full_support(terms: dict, s: int) -> dict:
-    return {exps: c for exps, c in terms.items() if all(exps[:s])}
 
 
 # (s, nu) for nu without trailing 1s, |nu| capped where the oracle's
@@ -418,7 +431,8 @@ def test_many_blocks_take_no_recursion():
 def test_warm_call_evaluates_only_the_guard_point(monkeypatch):
     f_mu_interpolate(2, (2,))
     points = _counted_points(monkeypatch)
-    # F_(2) is cached, so F_(2,1,1) = (N - 2)(N - 3) F_(2) takes no node
+    # F_(2)'s faces are cached, so F_(2,1,1) = (N - 2)(N - 3) F_(2) takes no
+    # node
     poly = f_mu_interpolate(2, (2, 1, 1))
     assert points == [_guard_point(2, 4)]
     assert dict(poly.terms) == stanley_feray_f_mu(2, (2, 1, 1))
@@ -426,16 +440,6 @@ def test_warm_call_evaluates_only_the_guard_point(monkeypatch):
     with pytest.raises(ValueError, match="^grid has 200 nodes, above the limit 199;"):
         f_mu_interpolate(2, (2, 1, 1), max_nodes=199)
     assert points == [_guard_point(2, 4)]
-
-
-def test_interpolation_cache_is_bounded():
-    # each kept F_nu has at most DEFAULT_MAX_NODES terms
-    maxsize = _interpolate.cache_info().maxsize
-    assert maxsize is not None and 1 <= maxsize <= 8
-    _interpolate.cache_clear()
-    for k in range(2, maxsize + 4):
-        f_mu_interpolate(1, (k,))
-    assert _interpolate.cache_info().currsize == maxsize
 
 
 def test_face_cache_is_bounded():
@@ -456,23 +460,30 @@ WORKLOAD_CASES = [(2, mu) for k in range(1, 5) for mu in partitions_of(k)] + [
 ]
 
 
-@pytest.mark.parametrize("m, mu", WORKLOAD_CASES)
-def test_node_kernel_matches_the_validated_route(m, mu):
-    k = sum(mu)
-    axes = interpolation_grid(m, k)
+def _cold_points(points: list, m: int, mu) -> list:
+    """(point, shape) for each point a cold f_mu_interpolate(m, mu) evaluates,
+    read into points by _counted_points: a face node of s blocks, at the
+    character of mu's swept prefix, then the guard point, at mu's."""
+    _clear_caches()
+    points.clear()
+    f_mu_interpolate(m, mu)
+    assert points[-1] == _guard_point(m, sum(mu))
     swept = mu[: _sweep_depth(mu)]
-    points = [
-        tuple(axis[a] for axis, a in zip(axes, alpha))
-        for alpha in _lower_set(m, k, k + len(mu))
-    ]
-    for point in points + [_guard_point(m, k)]:
-        value = _shape_value(m, swept, k, point)
-        lam = _stack(m, point)
+    return [(point, swept) for point in points[:-1]] + [(points[-1], mu)]
+
+
+@pytest.mark.parametrize("m, mu", WORKLOAD_CASES)
+def test_node_kernel_matches_the_validated_route(m, mu, monkeypatch):
+    swept = mu[: _sweep_depth(mu)]
+    for point, shape in _cold_points(_counted_points(monkeypatch), m, mu):
+        blocks, k = len(point) // 2, sum(shape)
+        value = _shape_value(blocks, swept, k, point)
+        lam = _stack(blocks, point)
         assert type(value) is int
         if sum(lam) < k:
             assert value == 0
         else:
-            assert value == normalized_character(lam, mu)
+            assert value == normalized_character(lam, shape)
 
 
 def _evaluate(terms: dict[tuple[int, ...], int], point: tuple[int, ...]) -> int:
@@ -480,22 +491,25 @@ def _evaluate(terms: dict[tuple[int, ...], int], point: tuple[int, ...]) -> int:
 
 
 @pytest.mark.parametrize("m, k_cap", [(1, 5), (2, 4), (3, 3)])
-def test_degenerate_nodes_hold_the_character(m, k_cap):
+def test_degenerate_nodes_hold_the_character(m, k_cap, monkeypatch):
     # the Stanley-Feray oracle, which shares no code with the interpolation,
-    # takes at every colour-set node, degenerate stacks included, the value
-    # of the stack's character, 0 below k cells
+    # takes at every point a cold call evaluates, stacks below |mu| cells
+    # included, the value of the stack's character, 0 below |mu| cells
+    points = _counted_points(monkeypatch)
+    oracles = {}
+    below = 0
     for k in range(1, k_cap + 1):
-        axes = interpolation_grid(m, k)
         for mu in partitions_of(k):
-            oracle = stanley_feray_f_mu(m, mu)
-            points = [
-                tuple(axis[a] for axis, a in zip(axes, alpha))
-                for alpha in _lower_set(m, k, k + len(mu))
-            ]
-            for point in points + [_guard_point(m, k)]:
-                lam = _stack(m, point)
-                expected = normalized_character(lam, mu) if sum(lam) >= k else 0
-                assert _evaluate(oracle, point) == expected, (m, mu, point)
+            for point, shape in _cold_points(points, m, mu):
+                blocks = len(point) // 2
+                if (blocks, shape) not in oracles:
+                    oracles[blocks, shape] = stanley_feray_f_mu(blocks, shape)
+                lam = _stack(blocks, point)
+                small = sum(lam) < sum(shape)
+                below += small
+                expected = 0 if small else normalized_character(lam, shape)
+                assert _evaluate(oracles[blocks, shape], point) == expected, (m, mu, point)
+    assert below
 
 
 def test_budget_is_checked_before_anything_is_built():

@@ -43,6 +43,14 @@ def test_generating_function_route():
         assert gk_generating_check(m, 4)
 
 
+def test_generating_function_route_rejects_negative_kmax():
+    # kmax = 0 compares only the constant slot
+    assert gk_generating_check(1, 0)
+    for kmax in (-1, -5):
+        with pytest.raises(ValueError, match=f"^kmax must be nonnegative, got {kmax}$"):
+            gk_generating_check(1, kmax)
+
+
 @pytest.mark.parametrize("m", [0, -1])
 def test_symbolic_routes_reject_empty_stacks(m):
     for route in (f_k_polynomial, g_k_via_lagrange, gk_generating_check):
