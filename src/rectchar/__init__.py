@@ -13,7 +13,6 @@ from .factorization import (
     theorem1_check,
 )
 from .frobenius import (
-    f_k_polynomial,
     f_k_special_value,
     flipped_polynomial,
     frobenius_normalized,
@@ -23,6 +22,7 @@ from .frobenius import (
 from .interpolation import (
     ConjectureReport,
     conjecture1_check,
+    f_k_polynomial,
     f_mu_interpolate,
     interpolation_grid,
     off_grid_fidelity,

@@ -22,8 +22,13 @@ from .factorization import (
     factorization_poly,
     narayana_refinement,
 )
-from .frobenius import f_k_polynomial, flipped_polynomial
-from .interpolation import DEFAULT_MAX_NODES, conjecture1_check, off_grid_fidelity
+from .frobenius import flipped_polynomial
+from .interpolation import (
+    DEFAULT_MAX_NODES,
+    conjecture1_check,
+    f_k_polynomial,
+    off_grid_fidelity,
+)
 from .leading import elizalde_formula, g_k_leading, narayana_number, s_k_sequence
 from .partitions import (
     fits_in_box,

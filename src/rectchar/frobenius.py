@@ -8,12 +8,16 @@ dimensions, which makes the character a polynomial F_k in those dimensions;
 one root builder serves both the symbolic F_k and its integer special value.
 Both the numeric and the symbolic version read the residue off one power
 series in t = 1/x, at an order fixed in advance by the root counts.
+
+The symbolic expansion, f_k_residue, is a reference route: F_k is produced by
+interpolation.f_k_polynomial from the face fill, and verify and the tests
+check the two against each other.  Its raw extraction also serves the
+integrality witness.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .partitions import Partition, as_partition
 from .polynomials import MultivarPoly
@@ -101,14 +105,13 @@ def _stack_character(k: int, upper, lower):
     return rational_x_inverse_coefficient(num_roots, den_roots) * Fraction(-1, k)
 
 
-# verify --full asks for 32 keys and the stack-residue benchmark workload
-# for 23, so neither evicts one
-@lru_cache(maxsize=64)
-def f_k_polynomial(m: int, k: int) -> MultivarPoly:
-    """Normalized character of an m-rectangle stack at a k-cycle, as a
-    polynomial in p_1..p_m, q_1..q_m.
+def f_k_residue(m: int, k: int) -> MultivarPoly:
+    """Reference route for F_k, the normalized character of an m-rectangle
+    stack at a k-cycle, as a polynomial in p_1..p_m, q_1..q_m: the residue
+    formula expanded over the polynomial ring.
 
-    Cached by (m, k), the last 64 keys; the polynomial is read-only.
+    Used only by integrality_witness, verify and the tests; the production
+    route is interpolation.f_k_polynomial.  Nothing is cached.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
@@ -133,7 +136,7 @@ def f_k_special_value(m: int, k: int) -> int:
 
     Computed by specializing the rectangle dimensions before expanding (the
     coefficient ring map commutes with the series arithmetic), so large k
-    stays cheap; agreement with evaluating f_k_polynomial is tested, and the
+    stays cheap; agreement with evaluating the symbolic F_k is tested, and the
     value is the falling factorial (k+m-1)_k, so a remainder raises
     ArithmeticError.
     """
@@ -148,5 +151,7 @@ def integrality_witness(m: int, k: int) -> bool:
 
     F_k is the raw extraction times -1/k and the raw extraction has integer
     coefficients, so this holds exactly when F_k has integer coefficients.
+    The extraction is expanded afresh by the reference route f_k_residue on
+    every call; the face fill is never read.
     """
-    return f_k_polynomial(m, k).is_integral()
+    return f_k_residue(m, k).is_integral()

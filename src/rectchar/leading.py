@@ -14,12 +14,8 @@ import math
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .frobenius import (
-    _dimension_vars,
-    _stack_roots,
-    f_k_polynomial,
-    flipped_polynomial,
-)
+from .frobenius import _dimension_vars, _stack_roots, flipped_polynomial
+from .interpolation import f_k_polynomial
 from .polynomials import MultivarPoly
 from .series import PowerSeries
 

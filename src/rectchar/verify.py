@@ -16,18 +16,23 @@ from dataclasses import dataclass
 from .characters import normalized_character
 from .factorization import (
     catalan_pair_count,
+    factorization_poly,
     narayana_refinement,
     sss_identity_check,
     theorem1_check,
 )
 from .frobenius import (
-    f_k_polynomial,
+    f_k_residue,
     f_k_special_value,
     flipped_polynomial,
     frobenius_normalized,
-    integrality_witness,
 )
-from .interpolation import conjecture1_check, off_grid_fidelity
+from .interpolation import (
+    conjecture1_check,
+    f_k_polynomial,
+    f_mu_interpolate,
+    off_grid_fidelity,
+)
 from .leading import (
     elizalde_formula,
     g_k_leading,
@@ -183,9 +188,10 @@ def criterion_hooks(full: bool = False) -> tuple[bool, str]:
 
 
 def criterion_reference_data(full: bool = False) -> tuple[bool, str]:
-    """Two-rectangle single-cycle polynomials against the frozen reference."""
+    """Two-rectangle single-cycle polynomials of the residue route against the
+    frozen reference."""
     for k, expected in REFERENCE_FLIPPED_TWO_RECT.items():
-        flipped = flipped_polynomial(f_k_polynomial(2, k), 2, k)
+        flipped = flipped_polynomial(f_k_residue(2, k), 2, k)
         if flipped.terms != expected:
             return False, f"k={k} flipped polynomial differs from reference"
     if REFERENCE_FLIPPED_TWO_RECT[4][(1, 2, 0, 2)] != 14:
@@ -194,14 +200,16 @@ def criterion_reference_data(full: bool = False) -> tuple[bool, str]:
 
 
 # integrality is checked symbolically on a graded grid that keeps the
-# polynomial sizes sane; the all-ones special value uses the specialized
+# residue polynomials' sizes sane; each is also compared with the face fill,
+# the production route; the all-ones special value uses the specialized
 # (integer-root) expansion so the large-k cases stay cheap
 _WITNESS_GRID = {1: 8, 2: 6, 3: 5, 4: 4}
 _WITNESS_GRID_FULL = {1: 10, 2: 7, 3: 6, 4: 4}
 
 
 def criterion_special_value(full: bool = False) -> tuple[bool, str]:
-    """All-ones special value and mod-k integrality of the raw extraction."""
+    """All-ones special value, mod-k integrality of the raw extraction, and
+    the residue F_k against the face fill."""
     m_cap, k_cap = (5, 9) if full else (4, 8)
     for m in range(1, m_cap + 1):
         for k in range(1, k_cap + 1):
@@ -210,11 +218,15 @@ def criterion_special_value(full: bool = False) -> tuple[bool, str]:
     grid = _WITNESS_GRID_FULL if full else _WITNESS_GRID
     for m, kmax in grid.items():
         for k in range(1, kmax + 1):
-            if not integrality_witness(m, k):
+            residue = f_k_residue(m, k)
+            if not residue.is_integral():
                 return False, f"coefficient not divisible by k at m={m}, k={k}"
+            if residue != f_k_polynomial(m, k):
+                return False, f"face fill differs from the residue route at m={m}, k={k}"
     return True, (
         f"special values to m<={m_cap}, k<={k_cap}; "
-        f"divisibility on {sum(grid.values())} symbolic polynomials"
+        f"divisibility and face-fill agreement on {sum(grid.values())} "
+        "symbolic polynomials"
     )
 
 
@@ -298,7 +310,8 @@ def criterion_elizalde(full: bool = False) -> tuple[bool, str]:
 
 def criterion_conjecture_sweep(full: bool = False) -> tuple[bool, str]:
     """Interpolated F_mu checks for every mu up to the size cap, m=2, and
-    m=3 with k<=3 in full."""
+    m=3 with k<=3 in full; at m=1 every F_mu of size up to 6 (8 in full)
+    against the pair sum."""
     k_caps = [(2, 5), (3, 3)] if full else [(2, 4)]
     cases = [
         (m, mu) for m, k_cap in k_caps for k in range(1, k_cap + 1) for mu in partitions_of(k)
@@ -313,7 +326,15 @@ def criterion_conjecture_sweep(full: bool = False) -> tuple[bool, str]:
                 return False, f"interpolated F_({k}) differs from reference"
         if not off_grid_fidelity(m, mu, report.poly):
             return False, f"off-grid fidelity fails at m={m}, mu={mu}"
-    return True, f"{len(cases)} cycle types swept with 20 off-grid spot checks each"
+    pair_cap = 8 if full else 6
+    pair_sums = [mu for k in range(1, pair_cap + 1) for mu in partitions_of(k)]
+    for mu in pair_sums:
+        if f_mu_interpolate(1, mu) != factorization_poly(mu):
+            return False, f"interpolated F_mu at m=1 differs from the pair sum at mu={mu}"
+    return True, (
+        f"{len(cases)} cycle types swept with 20 off-grid spot checks each; "
+        f"F_mu at m=1 equals the pair sum for {len(pair_sums)} mu"
+    )
 
 
 def criterion_shape_sum(full: bool = False) -> tuple[bool, str]:

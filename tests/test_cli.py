@@ -95,9 +95,30 @@ def test_fk_flip_text(capsys):
 def test_fk_json_round_trip(capsys):
     code, out, _ = run_cli(capsys, "fk", "--m", "2", "--k", "3", "--json")
     assert code == 0
-    from rectchar.frobenius import f_k_polynomial
+    from rectchar.frobenius import f_k_residue
 
-    assert MultivarPoly.from_json_terms(4, json.loads(out)) == f_k_polynomial(2, 3)
+    assert MultivarPoly.from_json_terms(4, json.loads(out)) == f_k_residue(2, 3)
+
+
+def test_fk_and_gk_never_reach_the_residue_route(capsys, monkeypatch):
+    # F_k and G_k are filled from faces; the residue expansion is only the
+    # reference that verify and the tests compare them with
+    from rectchar import frobenius
+    from rectchar.interpolation import f_k_polynomial
+    from rectchar.leading import elizalde_formula, g_k_leading
+    from rectchar.verify import REFERENCE_FLIPPED_TWO_RECT
+
+    def refuse(k, upper, lower):
+        raise AssertionError("residue route reached")
+
+    monkeypatch.setattr(frobenius, "_stack_character", refuse)
+    with pytest.raises(AssertionError, match="residue route reached"):
+        frobenius.f_k_residue(1, 1)
+    flipped = frobenius.flipped_polynomial(f_k_polynomial(2, 3), 2, 3)
+    assert flipped.terms == REFERENCE_FLIPPED_TWO_RECT[3]
+    assert frobenius.flipped_polynomial(g_k_leading(2, 3), 2, 3) == elizalde_formula(2, 3)
+    assert run_cli(capsys, "fk", "--m", "2", "--k", "1", "--flip")[:2] == (0, "a*b + p*q")
+    assert run_cli(capsys, "gk", "--m", "1", "--k", "2", "--flip")[:2] == (0, "p^2*q + p*q^2")
 
 
 def test_gk(capsys):

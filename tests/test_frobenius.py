@@ -8,7 +8,7 @@ from rectchar.factorization import factorization_poly
 from rectchar.frobenius import (
     _dimension_vars,
     _stack_roots,
-    f_k_polynomial,
+    f_k_residue,
     f_k_special_value,
     flipped_polynomial,
     frobenius_normalized,
@@ -53,7 +53,7 @@ def test_frobenius_rejects_bad_k():
 
 def test_fk_reference_data():
     for k, expected in REFERENCE_FLIPPED_TWO_RECT.items():
-        flipped = flipped_polynomial(f_k_polynomial(2, k), 2, k)
+        flipped = flipped_polynomial(f_k_residue(2, k), 2, k)
         assert flipped.terms == expected
     assert REFERENCE_FLIPPED_TWO_RECT[4][(1, 2, 0, 2)] == 14
 
@@ -70,7 +70,7 @@ def test_flip_checks_its_block_count():
 
 def test_fk_one_rectangle_matches_pair_sum():
     for k in range(1, 7):
-        assert f_k_polynomial(1, k) == factorization_poly((k,))
+        assert f_k_residue(1, k) == factorization_poly((k,))
 
 
 # stacks of rectangles as (ps, qs): ps[i] rows of length qs[i]
@@ -87,14 +87,13 @@ def test_fk_specializes_to_shapes():
     for ps, qs in SHAPES:
         lam = tuple(q for p, q in zip(ps, qs) for _ in range(p))
         for k in range(1, min(5, sum(lam)) + 1):
-            poly = f_k_polynomial(len(ps), k)
+            poly = f_k_residue(len(ps), k)
             assert poly.evaluate(ps + qs) == frobenius_normalized(lam, k), (lam, k)
 
 
 def test_fk_integer_coefficients():
     for m in (1, 2, 3):
         for k in range(1, 5):
-            assert f_k_polynomial(m, k).is_integral()
             assert integrality_witness(m, k)
 
 
@@ -107,7 +106,7 @@ def test_special_value():
 def test_special_value_agrees_with_symbolic_evaluation():
     for m in range(1, 5):
         for k in range(1, 5):
-            poly = f_k_polynomial(m, k)
+            poly = f_k_residue(m, k)
             value = poly.evaluate((1,) * m + (-1,) * m) * (-1) ** k
             assert value == f_k_special_value(m, k)
 
@@ -123,28 +122,6 @@ def test_stack_roots_commute_with_evaluation():
             [a.evaluate(at) for a in upper],
             [b.evaluate(at) for b in lower],
         )
-
-
-def test_only_fk_polynomial_is_cached():
-    cached = [
-        name for name, value in vars(frobenius).items() if hasattr(value, "cache_info")
-    ]
-    assert cached == ["f_k_polynomial"]
-
-
-def test_fk_polynomial_cache_is_bounded(monkeypatch):
-    maxsize = f_k_polynomial.cache_info().maxsize
-    assert maxsize is not None and 64 <= maxsize <= 256
-    # the residue at large k is slow and beside the point here, so each key
-    # is filled by a stand-in; the cache is cleared again after the stand-ins
-    monkeypatch.setattr(frobenius, "_stack_character", lambda k, upper, lower: k)
-    f_k_polynomial.cache_clear()
-    try:
-        for k in range(1, maxsize + 4):
-            f_k_polynomial(1, k)
-        assert f_k_polynomial.cache_info().currsize == maxsize
-    finally:
-        f_k_polynomial.cache_clear()
 
 
 def test_character_values_are_ints():

@@ -9,7 +9,7 @@ import pytest
 from oracles import stanley_feray_f_mu
 from rectchar import interpolation
 from rectchar.factorization import factorization_poly
-from rectchar.frobenius import f_k_polynomial
+from rectchar.frobenius import f_k_residue
 from rectchar.interpolation import (
     ConjectureReport,
     _face,
@@ -19,6 +19,7 @@ from rectchar.interpolation import (
     _degree_set_size,
     _shape_value,
     conjecture1_check,
+    f_k_polynomial,
     f_mu_interpolate,
     interpolation_grid,
     off_grid_fidelity,
@@ -65,9 +66,9 @@ def test_grid_nodes_are_admissible():
 
 
 def test_single_cycle_matches_residue_route():
-    for m in (1, 2):
-        for k in (1, 2, 3):
-            assert f_mu_interpolate(m, (k,)) == f_k_polynomial(m, k)
+    cases = [(m, k) for m in (1, 2) for k in (1, 2, 3)] + [(3, 3), (4, 2)]
+    for m, k in cases:
+        assert f_k_polynomial(m, k) == f_k_residue(m, k), (m, k)
 
 
 def test_one_rectangle_matches_pair_sum():
@@ -393,7 +394,7 @@ def test_rational_data_gives_rational_coefficients(monkeypatch, fresh_caches):
     monkeypatch.setattr(interpolation, "_shape_value", skewed)
     p, q = (MultivarPoly(2, {e: 1}) for e in ((1, 0), (0, 1)))
     poly = _interpolate(1, (2,))
-    assert poly == f_k_polynomial(1, 2) + p * (p - 1) * q / 2
+    assert poly == f_k_residue(1, 2) + p * (p - 1) * q / 2
     assert {abs(c) for c in poly.terms.values() if type(c) is Fraction} == {Fraction(1, 2)}
     # rational node values at the top face, over a rational face below
     _clear_caches()
@@ -405,7 +406,7 @@ def test_rational_data_gives_rational_coefficients(monkeypatch, fresh_caches):
     monkeypatch.setattr(interpolation, "_shape_value", halved)
     a, p, b, q = (MultivarPoly(4, {tuple(int(i == v) for i in range(4)): 1}) for v in range(4))
     expected = (
-        f_k_polynomial(2, 2)
+        f_k_residue(2, 2)
         + a * (a - 1) * b / 2
         + p * (p - 1) * q / 2
         + a * p * q / 2

@@ -4,7 +4,8 @@ import pytest
 
 from oracles import CATALAN, NARAYANA_ROWS, SCHROEDER
 from rectchar.factorization import narayana_refinement
-from rectchar.frobenius import f_k_polynomial, flipped_polynomial
+from rectchar.frobenius import f_k_residue, flipped_polynomial
+from rectchar.interpolation import f_k_polynomial
 from rectchar.leading import (
     elizalde_formula,
     g_k_leading,
@@ -21,7 +22,7 @@ from rectchar.polynomials import MultivarPoly
 def test_gk_is_top_homogeneous_part():
     for m in (1, 2):
         for k in range(1, 5):
-            fk = f_k_polynomial(m, k)
+            fk = f_k_residue(m, k)
             gk = g_k_leading(m, k)
             assert gk == fk.homogeneous_part(k + 1)
             assert all(sum(e) == k + 1 for e in gk.terms)

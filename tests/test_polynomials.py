@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rectchar.factorization import factorization_poly
-from rectchar.frobenius import f_k_polynomial
-from rectchar.interpolation import f_mu_interpolate
+from rectchar.interpolation import f_k_polynomial, f_mu_interpolate
 from rectchar.polynomials import MultivarPoly, default_names
 
 NVARS = 3

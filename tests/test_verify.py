@@ -1,3 +1,5 @@
+import pytest
+
 from rectchar import verify
 from rectchar.verify import (
     CRITERIA,
@@ -62,10 +64,29 @@ def test_exception_becomes_failure(monkeypatch):
 
 
 def test_full_conjecture_sweep_adds_three_rectangles():
-    # m = 2 with k <= 5 (18 cycle types), then m = 3 with k <= 3 (6 more)
+    # m = 2 with k <= 5 (18 cycle types), then m = 3 with k <= 3 (6 more);
+    # at m = 1 every mu of size at most 8 (66 of them) against the pair sum
     assert criterion_conjecture_sweep(full=True) == (
         True,
-        "24 cycle types swept with 20 off-grid spot checks each",
+        "24 cycle types swept with 20 off-grid spot checks each; "
+        "F_mu at m=1 equals the pair sum for 66 mu",
+    )
+
+
+def test_residue_reference_never_reads_the_face_fill(monkeypatch):
+    from rectchar import interpolation
+    from rectchar.frobenius import integrality_witness
+
+    def refuse(s, nu):
+        raise AssertionError("face fill reached")
+
+    monkeypatch.setattr(interpolation, "_face", refuse)
+    with pytest.raises(AssertionError, match="face fill reached"):
+        interpolation.f_k_polynomial(1, 2)
+    assert integrality_witness(2, 3)
+    assert verify.criterion_reference_data() == (
+        True,
+        "k=1..4 two-rectangle polynomials reproduced verbatim",
     )
 
 
