@@ -21,13 +21,22 @@ bottom shape's hook product is computed:
 
     (n)_k chi / f^lam = (n - k')_(k - k') * sum c(nu) H_lam/H_nu.
 
-The last level is summed without being expanded into shapes where it need
-not be.  For a last part of 2 each parent's strips sum to its content
-sum: the signed H_nu / H_xi over the shapes xi left by nu's strips of size 2
-is Ch_(2)(nu) = 2 * (sum of the contents of nu), since the class sum of
-the transpositions acts on the irreducible module by it (Jucys 1974;
-Okounkov & Vershik, Selecta Math. 1996).  A single parent's strips leave
-distinct shapes, so each adds its own signed ratio with no merge.
+The last levels are summed without being expanded into shapes where they
+need not be.  When the swept parts end in (2), (3), (4) or (2, 2), the
+sweep stops above that tail tau and weights each shape nu it reached by
+Ch_tau(nu), the normalized character of nu at tau, which is a polynomial
+in n = |nu| and the power sums p_e of nu's contents: Ch_(2) = 2 p_1,
+Ch_(3) = 3 p_2 - 3 C(n, 2), Ch_(4) = 4 p_3 - 4 (2n - 3) p_1 (Corteel,
+Goupil & Schaeffer, Adv. Math. 2004, from the Jucys-Murphy elements), and
+Ch_(2,2) = Ch_(2)^2 - 4 Ch_(3) - 2n(n - 1) (Ivanov & Kerov's product
+Ch_(2) Ch_(2)).  Each row's contents are consecutive integers, so a bead
+adds a difference of two Faulhaber sums and an empty row adds 0.  From
+p_4 on the power sums bring in classes of several cycles, so a last part
+of 5 or more is swept; a single parent's strips leave distinct shapes, so
+each adds its own signed ratio with no merge.
+
+The kernel takes a bead tuple, so a stack of rectangles comes in as its
+blocks' runs of consecutive beads and is never expanded into rows.
 
 At k = n the left side is chi * H_lam, so the character itself is that value
 divided by H_lam.  Nothing is kept between calls and no recursion depth
@@ -49,6 +58,23 @@ Runs = list[tuple[int, int, int]]
 def _beads(lam: Partition) -> Beads:
     """The bead tuple of lam, ascending: lam_i + r - 1 - i over its r rows."""
     return tuple(part + i for i, part in enumerate(reversed(lam)))
+
+
+def _stack_beads(ps: Sequence[int], qs: Sequence[int]) -> Beads:
+    """The bead tuple of the stack of ps[i] rows of length qs[i], top block
+    first and widths strictly decreasing: each block with rows and columns
+    gives as many consecutive beads, from its width plus the rows below it."""
+    beads: list[int] = []
+    for p, q in zip(reversed(ps), reversed(qs)):
+        if p and q:
+            low = q + len(beads)
+            beads += range(low, low + p)
+    return tuple(beads)
+
+
+def _rows(beads: Beads) -> Partition:
+    """The shape of a bead tuple, its empty rows cut off."""
+    return tuple(b - i for i, b in reversed(list(enumerate(beads))) if b > i)
 
 
 def _runs(beads: Beads) -> Runs:
@@ -120,13 +146,49 @@ def _bead_move_ratio(runs: Runs, bead: int, size: int) -> tuple[int, int]:
     return num, den
 
 
-def _twice_content_sum(beads: Beads) -> int:
-    """Ch_(2)(nu) = 2 * (sum of the contents of nu's cells), for nu's bead
-    tuple of r beads: with b = nu_i + r - i, (b - r)(b - r + 1) sums to
-    Ch_(2)(nu) + sum of i(i - 1) over i = 1..r, the latter (r - 1)r(r + 1)/3.
-    Padding nu with empty rows leaves the value as it is."""
+def _tail(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """The longest tail of parts that _tail_character reads in closed form:
+    (2, 2), (2), (3) or (4), else ()."""
+    if parts[-2:] == (2, 2):
+        return (2, 2)
+    return parts[-1:] if parts[-1:] in ((2,), (3,), (4,)) else ()
+
+
+def _tail_character(beads: Beads, tail: tuple[int, ...]) -> int:
+    """Ch_tail(nu) = (n)_|tail| chi^nu(tail, 1^(n - |tail|)) / chi^nu(1), for
+    nu of size n given by its bead tuple and tail one of (2), (3), (4) and
+    (2, 2); 0 when n < |tail|.
+
+    With p_e = sum of c^e over the contents c of nu's cells (Corteel, Goupil
+    & Schaeffer, Adv. Math. 2004, from the Jucys-Murphy elements; Ivanov &
+    Kerov for the product Ch_(2) Ch_(2)):
+
+        Ch_(2)   = 2 p_1
+        Ch_(3)   = 3 p_2 - 3 C(n, 2)
+        Ch_(4)   = 4 p_3 - 4 (2n - 3) p_1
+        Ch_(2,2) = Ch_(2)^2 - 4 Ch_(3) - 2 n (n - 1)
+
+    The row of bead b at index j of r beads has the contents j + 1 - r ..
+    x = b - r, so with S_e(x) = 1^e + .. + x^e, extended as a polynomial to
+    x < 0, p_e is the sum of S_e(b - r) less the sum of S_e(j - r), which is
+    a polynomial in r.  Writing t = x(x + 1) = 2 S_1(x), 6 S_2(x) is
+    t(2x + 1) and 4 S_3(x) is t^2.
+    """
     r = len(beads)
-    return sum((b - r) * (b - r + 1) for b in beads) - (r - 1) * r * (r + 1) // 3
+    ts = [(b - r) * (b - r + 1) for b in beads]
+    twice_p1 = sum(ts) - (r - 1) * r * (r + 1) // 3
+    if tail == (2,):
+        return twice_p1
+    n = sum(beads) - r * (r - 1) // 2
+    if tail == (4,):
+        four_p3 = sum(t * t for t in ts) - (r - 1) * r * (r + 1) * (3 * r * r - 2) // 15
+        return four_p3 - 2 * (2 * n - 3) * twice_p1
+    six_p2 = sum(t * (2 * b - 2 * r + 1) for t, b in zip(ts, beads))
+    six_p2 += (r - 1) * r * r * (r + 1) // 2
+    ch3 = (six_p2 - 3 * n * (n - 1)) // 2
+    if tail == (3,):
+        return ch3
+    return twice_p1 * twice_p1 - 4 * ch3 - 2 * n * (n - 1)
 
 
 def _merged_level(level: dict[Beads, list[int]], part: int) -> dict[Beads, list[int]]:
@@ -150,19 +212,22 @@ def _merged_level(level: dict[Beads, list[int]], part: int) -> dict[Beads, list[
     return {beads: entry for beads, entry in below.items() if entry[0]}
 
 
-def _strip_sweep(lam: Partition, parts: Sequence[int]) -> list[list[int]]:
+def _strip_sweep(beads: Beads, parts: tuple[int, ...]) -> list[list[int]]:
     """Weighted entries [w, num, den] whose sum of w * num/den is the sum,
     over the shapes nu left after removing strips of the given sizes from
-    lam in order, of c(nu) H_lam / H_nu, c(nu) being the signed number of
-    removal paths lam -> nu.
+    the shape lam of the bead tuple in order, of c(nu) H_lam / H_nu, c(nu)
+    being the signed number of removal paths lam -> nu.
 
-    Every level but the last goes down in integers on bead tuples, merged
-    by shape (_merged_level).  The last level is not expanded into shapes
-    where it need not be:
+    The levels go down in integers on bead tuples, merged by shape
+    (_merged_level), but the last ones are not expanded into shapes where
+    they need not be:
 
-    - a last part of 2 weights each parent nu by Ch_(2)(nu), the signed sum
-      of H_nu / H_xi over the shapes xi that nu's strips of size 2 leave,
-      which is twice nu's content sum (Jucys; Okounkov & Vershik);
+    - when parts end in a tail tau of (2), (3), (4) or (2, 2), the sweep
+      stops above it and weights each shape nu by Ch_tau(nu), the signed
+      sum of H_nu / H_xi over the removal paths nu -> xi of tau, read off
+      nu's content power sums (_tail_character).  For a last part of 5 or
+      more those sums bring in classes of several cycles, so such parts are
+      swept;
     - a single parent gives one entry per strip, its signed move ratio,
       since the strips of one shape leave distinct shapes;
     - otherwise the last level is merged like the others, one entry per
@@ -170,15 +235,16 @@ def _strip_sweep(lam: Partition, parts: Sequence[int]) -> list[list[int]]:
     """
     if not parts:
         return [[1, 1, 1]]
-    level = {_beads(lam): [1, 1, 1]}
-    for part in parts[:-1]:
+    tail = _tail(parts)
+    level = {beads: [1, 1, 1]}
+    for part in parts[: len(parts) - (len(tail) or 1)]:
         level = _merged_level(level, part)
-    last = parts[-1]
-    if last == 2:
+    if tail:
         return [
-            [count * _twice_content_sum(beads), num, den]
+            [count * _tail_character(beads, tail), num, den]
             for beads, (count, num, den) in level.items()
         ]
+    last = parts[-1]
     if len(level) == 1:
         [(beads, (count, num, den))] = level.items()
         runs = _runs(beads)
@@ -216,7 +282,7 @@ def mn_character(lam: Partition, nu: Sequence[int]) -> int:
 def _mn_character(lam: Partition, nu: tuple[int, ...]) -> int:
     """mn_character for a trusted lam and positive parts nu of size |lam|: the
     normalized character at k = n, which is chi * H_lam, divided by H_lam."""
-    theta = _normalized_character(lam, nu[: _sweep_depth(nu)], sum(lam))
+    theta = _bead_character(_beads(lam), nu[: _sweep_depth(nu)], sum(lam))
     return theta // _hook_product(lam)
 
 
@@ -236,20 +302,23 @@ def normalized_character(lam: Partition, mu: Partition) -> int:
     k = sum(mu)
     if k > n:
         raise ValueError(f"|mu| = {k} exceeds |lam| = {n}")
-    return _normalized_character(lam, mu[: _sweep_depth(mu)], k)
+    return _bead_character(_beads(lam), mu[: _sweep_depth(mu)], k)
 
 
-def _normalized_character(lam: Partition, swept: Sequence[int], k: int) -> int:
-    """normalized_character for a trusted lam, the swept prefix of mu (mu
-    without its trailing 1s) and k = |mu| <= |lam|."""
-    n, k1 = sum(lam), sum(swept)
-    entries = _strip_sweep(lam, swept)
+def _bead_character(beads: Beads, swept: tuple[int, ...], k: int) -> int:
+    """normalized_character for the shape lam of a bead tuple (empty rows
+    allowed), the swept prefix of mu (mu without its trailing 1s) and
+    k = |mu| <= |lam|.  Stacked rectangles come here as their beads, a
+    block of p rows giving p consecutive beads, never as rows."""
+    r = len(beads)
+    n, k1 = sum(beads) - r * (r - 1) // 2, sum(swept)
+    entries = _strip_sweep(beads, swept)
     den = math.lcm(*(d for _, _, d in entries))
     num = sum(c * h * (den // d) for c, h, d in entries) * math.perm(n - k1, k - k1)
     value, rest = divmod(num, den)
     if rest:
         raise ArithmeticError(
-            f"normalized character of {lam} at {tuple(swept)}, k={k}, came out "
+            f"normalized character of {_rows(beads)} at {swept}, k={k}, came out "
             f"non-integral: {num}/{den}"
         )
     return value

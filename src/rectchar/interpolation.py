@@ -35,11 +35,14 @@ coordinate alpha_i of each axis.  The p-axes start at 0 and the q-axes are
 disjoint descending bands, the last starting at 0, so a face node is a
 stack of s nonempty blocks with strictly decreasing widths.
 Its value is the character there, less the faces below s at each proper
-subset of its blocks, over p_1..p_s q_s.  The character is taken from the
-trusted kernel as an exact integer, or is 0 with no kernel call below |mu|
-cells, where Ch_mu vanishes (Kerov & Olshanski, C. R. Acad. Sci. Paris 319,
-1994).  The Newton solve runs in integers on node indices, and F_mu is
-then audited at a point outside the grid before being returned.
+subset of its blocks, over p_1..p_s q_s; a face H^(t) below is read once
+per distinct projection of the nodes onto t of their s blocks.  The
+character is taken from the trusted kernel as an exact integer, the stack
+given as its bead tuple (a block of p rows is p consecutive beads), or is
+0 with no kernel call below |mu| cells, where Ch_mu vanishes (Kerov &
+Olshanski, C. R. Acad. Sci. Paris 319, 1994).  The Newton solve runs in
+integers on node indices, and F_mu is then audited at a point outside the
+grid before being returned.
 
 Only mu's swept prefix nu (mu without its trailing 1s) is interpolated:
 Ch_(mu, 1) = (n - |mu|) Ch_mu (Kerov & Olshanski) gives
@@ -63,7 +66,12 @@ from functools import lru_cache
 
 # normalized_character is unused here, but perfbench's tracer wraps it under
 # this module's name, so the name stays
-from .characters import _normalized_character, _sweep_depth, normalized_character
+from .characters import (
+    _bead_character,
+    _stack_beads,
+    _sweep_depth,
+    normalized_character,
+)
 from .frobenius import flipped_polynomial
 from .partitions import Partition, as_partition, format_partition
 from .polynomials import MultivarPoly, Scalar
@@ -150,10 +158,11 @@ def _degree_set_size(m: int, k: int, total: int) -> int:
     return everything - 2 * cut
 
 
-def _check_node_budget(m: int, k: int, total: int, max_nodes: int) -> None:
-    """Raise ValueError, before any node is built, if the degree set has more
-    than max_nodes points; a huge m or |mu| costs no more than a small one,
-    and the exact count at most len(mu) steps."""
+def _oversize(m: int, k: int, total: int, max_nodes: int) -> str | None:
+    """The size of the degree set, as text for an error message, if it has
+    more than max_nodes points, else None; checked before any node is
+    built, a huge m or |mu| costs no more than a small one, and the exact
+    count at most len(mu) steps."""
     # the set holds the simplex sum(alpha) <= k in N^n, n = 2m, whose
     # C(big + r, r) points, r = min(n, k), number over 2^r (n >= 2) and over
     # (big / r)^r; when that floor is short the exact count is short too
@@ -165,15 +174,12 @@ def _check_node_budget(m: int, k: int, total: int, max_nodes: int) -> None:
     else:
         count = _degree_set_size(m, k, total)
         if count <= max_nodes:
-            return
+            return None
         if count.bit_length() <= _SHOWN_BITS:
             size = str(count)
         else:
             size = f"over 2^{count.bit_length() - 1}"
-    raise ValueError(
-        f"grid has {size} nodes, above the limit {max_nodes}; "
-        "raise max_nodes to force the run"
-    )
+    return size
 
 
 def _fibres(nodes: list[tuple[int, ...]]) -> list[list[list[int]]]:
@@ -236,14 +242,11 @@ def _shape_value(m: int, swept: Partition, k: int, point: tuple[int, ...]) -> in
     its trailing 1s).  A block with no rows or no columns adds nothing; the
     widths of the other blocks must strictly decrease.  A stack of fewer than
     k cells gives 0, the falling factorial (n)_k being 0 there, without a
-    kernel call."""
-    lam: Partition = ()
-    for p, q in zip(point[:m], point[m:]):
-        if q:
-            lam += (q,) * p
-    if sum(lam) < k:
+    kernel call; the kernel is given the stack's bead tuple."""
+    ps, qs = point[:m], point[m:]
+    if sum(map(operator.mul, ps, qs)) < k:
         return 0
-    return _normalized_character(lam, swept, k)
+    return _bead_character(_stack_beads(ps, qs), swept, k)
 
 
 def _fill(m: int, faces: list[MultivarPoly]) -> MultivarPoly:
@@ -276,6 +279,9 @@ def _face(s: int, nu: Partition) -> MultivarPoly:
     one in those coordinates on the axes.  The node (p, q) is a stack with
     every block nonempty, and its value is the character there, less the
     faces below s at each proper subset of its blocks, over p_1..p_s q_s.
+    Each face H^(t) below is evaluated once per distinct projection of the
+    nodes onto t of their blocks, in one batch per t, not filled into an
+    s-block polynomial and read at every node.
     Each factor is at most |nu|, so with integer coefficients below,
     (|nu|!)^(s+1) times the value is an integer; a rational face below adds
     the lcm of the denominators it leaves.  The solve then runs in integers.
@@ -284,16 +290,22 @@ def _face(s: int, nu: Partition) -> MultivarPoly:
     verify --full run fills 41 of the 64 entries and evicts none.
     """
     k = sum(nu)
-    below = _fill(s, [_face(t, nu) for t in range(1, s)])
     top = 2 * s - 1  # the index of q_s
     shift = (1,) * s + (0,) * (s - 1) + (1,)
     axes = [axis[d:] for axis, d in zip(interpolation_grid(s, k), shift)]
     nodes = _face_nodes(s, k, len(nu))
     points = [tuple(map(list.__getitem__, axes, beta)) for beta in nodes]
-    rests = [
-        _shape_value(s, nu, k, point) - lower
-        for point, lower in zip(points, below.evaluate_many(points))
-    ]
+    rests = [_shape_value(s, nu, k, point) for point in points]
+    for t in range(1, s):
+        # the nodes' projections onto t of their blocks, each read once
+        reads: dict[tuple[int, ...], int] = {}
+        columns = []
+        for blocks in itertools.combinations(range(s), t):
+            project = operator.itemgetter(*blocks, *(s + j for j in blocks))
+            columns.append([reads.setdefault(project(p), len(reads)) for p in points])
+        values = _face(t, nu).evaluate_many(list(reads))
+        for column in columns:
+            rests = [r - values[i] for r, i in zip(rests, column)]
     spread = math.lcm(*(r.denominator for r in rests))
     room = math.factorial(k) ** (s + 1)
     # every fibre has at most k nodes, so the solve takes (k - 1)! per axis
@@ -362,7 +374,12 @@ def f_mu_interpolate(
         raise ValueError("need m >= 1 and a nonempty mu")
     if max_nodes < 1:
         raise ValueError(f"max_nodes must be a positive integer, got {max_nodes}")
-    _check_node_budget(m, k, k + len(mu), max_nodes)
+    size = _oversize(m, k, k + len(mu), max_nodes)
+    if size:
+        raise ValueError(
+            f"grid has {size} nodes, above the limit {max_nodes}; "
+            "raise max_nodes to force the run"
+        )
     swept = mu[: _sweep_depth(mu)]
     poly = _interpolate(m, swept) if swept else None
     if len(swept) < len(mu):
@@ -384,7 +401,9 @@ def f_k_polynomial(m: int, k: int) -> MultivarPoly:
 
     No (m, k) that can be answered is refused: the node budget is set past
     any degree set the fill can handle, since the default would turn down
-    (7, 5).  frobenius.f_k_residue expands the same polynomial from the
+    (7, 5).  A degree set of more than sys.maxsize points raises ValueError
+    with a message that names no budget, as F_k takes none.
+    frobenius.f_k_residue expands the same polynomial from the
     residue formula; it is the reference that verify and the tests compare
     this route against.
     """
@@ -392,6 +411,9 @@ def f_k_polynomial(m: int, k: int) -> MultivarPoly:
         raise ValueError(f"need k >= 1, got {k}")
     if m < 1:
         raise ValueError(f"need m >= 1 rectangles, got {m}")
+    size = _oversize(m, k, k + 1, sys.maxsize)
+    if size:
+        raise ValueError(f"grid has {size} nodes, above the limit {sys.maxsize}")
     return f_mu_interpolate(m, (k,), max_nodes=sys.maxsize)
 
 
@@ -411,9 +433,12 @@ def off_grid_fidelity(
     """Compare poly, the interpolated F_mu, against direct character values at
     random admissible shapes drawn outside the interpolation grid.
 
-    The draws are compared in chunks of up to _AUDIT_CHUNK, poly being
-    evaluated once per chunk (MultivarPoly.evaluate_many), so memory stays
-    bounded for any number of samples."""
+    A draw is on the grid of interpolation_grid, and drawn again, when
+    every p_i is at most k + 1 and every q_i lies in its band; each shape
+    goes to the kernel as its bead tuple.  The draws are compared in chunks
+    of up to _AUDIT_CHUNK, poly being evaluated once per chunk
+    (MultivarPoly.evaluate_many), so memory stays bounded for any number of
+    samples."""
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
     mu = as_partition(mu)
@@ -425,8 +450,8 @@ def off_grid_fidelity(
     rng = random.Random(seed)
     randint, sample = rng.randint, rng.sample
     swept = mu[: _sweep_depth(mu)]
-    grid_sets = [set(a) for a in interpolation_grid(m, k)]
     top_p, q_range = k + 4, range(1, m * (k + 3) + 7)
+    d, bands = k + 2, list(range(m - 1, -1, -1))  # q_i // d is m - i on the grid
     done = 0
     while done < samples:
         chunk = min(_AUDIT_CHUNK, samples - done)
@@ -436,12 +461,10 @@ def off_grid_fidelity(
             qs = tuple(sorted(sample(q_range, m), reverse=True))
             if sum(map(operator.mul, ps, qs)) < k:
                 continue
-            point = ps + qs
-            if all(map(operator.contains, grid_sets, point)):
+            if max(ps) < d and [q // d for q in qs] == bands:
                 continue  # landed on the grid; draw again
-            lam = tuple(q for p, q in zip(ps, qs) for _ in range(p))
-            points.append(point)
-            expected.append(_normalized_character(lam, swept, k))
+            points.append(ps + qs)
+            expected.append(_bead_character(_stack_beads(ps, qs), swept, k))
         if poly.evaluate_many(points) != expected:
             return False
         done += chunk

@@ -233,10 +233,10 @@ def criterion_special_value(full: bool = False) -> tuple[bool, str]:
 def criterion_frobenius_vs_strips(full: bool = False) -> tuple[bool, str]:
     """Residue route equals border-strip route for every shape up to the cap.
 
-    At k = 2 the strip side is the content sum, 2 * (sum of the contents of
-    lam), which normalized_character reads off the bead tuple for a last
-    part of 2 with no strip enumerated; that is still a route apart from
-    the residue one."""
+    At k = 2, 3 and 4 the strip side is read off the power sums of lam's
+    contents (Ch_(2) = 2 p_1, for one), which normalized_character takes
+    from the bead tuple with no strip enumerated; that is still a route
+    apart from the residue one."""
     n_cap = 15 if full else 14
     checked = 0
     for n in range(1, n_cap + 1):

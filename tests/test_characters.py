@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -21,6 +22,8 @@ from rectchar.characters import (
     _beads,
     _free_moves,
     _runs,
+    _stack_beads,
+    _tail_character,
     mn_character,
     normalized_character,
 )
@@ -137,6 +140,14 @@ def test_strip_removal_fields():
     assert _bead_moves((0, 3), 2) == [((0, 1), 0, 3)]
 
 
+def test_stack_beads_are_the_beads_of_its_rows():
+    # blocks with no rows or no columns add nothing
+    for ps in itertools.product(range(3), repeat=3):
+        for qs in ((5, 3, 1), (4, 2, 0), (3, 2, 1), (0, 0, 0)):
+            rows = tuple(q for p, q in zip(ps, qs) if q for _ in range(p))
+            assert _stack_beads(ps, qs) == _beads(rows), (ps, qs)
+
+
 def test_bead_move_ratio_is_the_hook_product_ratio():
     for n in range(1, 13):
         for lam in partitions_of(n):
@@ -203,18 +214,45 @@ def test_last_level_is_not_expanded(monkeypatch):
     ratios = _count_calls(monkeypatch, "_bead_move_ratio")
     merges = _count_calls(monkeypatch, "_merged_level")
     lam = (5, 4, 4, 2, 1)
-    # a lone 2 is the content sum of lam: no strip is enumerated
-    assert normalized_character(lam, (2,)) == reference_normalized_character(lam, (2,))
-    assert ratios == [] and merges == []
-    # a single parent adds each strip's ratio with no child bead tuple built
-    assert normalized_character(lam, (3,)) == reference_normalized_character(lam, (3,))
-    assert len(ratios) > 0 and merges == []
-    # two levels: the first is merged, the last (a 2) is summed in place,
-    # so the only ratios are those of the first level's strips
+    # a tail of (2), (3), (4) or (2, 2) is read off lam's content power sums:
+    # no strip is enumerated
+    for tau in ((2,), (3,), (4,), (2, 2)):
+        assert normalized_character(lam, tau) == reference_normalized_character(lam, tau)
+        assert ratios == [] and merges == [], tau
+    # a last part of 5 is swept: the single parent adds each strip's ratio
+    # with no child bead tuple built
+    assert normalized_character(lam, (5,)) == reference_normalized_character(lam, (5,))
+    assert len(ratios) == len(_bead_moves(_beads(lam), 5)) > 0 and merges == []
+    # two levels: the first is merged, the tail (2) is summed in place, so
+    # the only ratios are those of the first level's strips
     del ratios[:]
     assert normalized_character(lam, (3, 2)) == reference_normalized_character(lam, (3, 2))
     assert len(merges) == 1
     assert len(ratios) == len(_bead_moves(_beads(lam), 3))
+
+
+def _expanded_tail(beads, tau):
+    """Ch_tau of the shape of beads by the strips removed level by level,
+    each path carrying its bead-move ratios."""
+    level = {beads: [1, 1, 1]}
+    for part in tau:
+        level = characters._merged_level(level, part)
+    return sum(Fraction(count * num, den) for count, num, den in level.values())
+
+
+def test_tails_match_the_expanded_sweep():
+    # every shape of up to 12 cells, padded with up to two empty rows; below
+    # |tau| cells the value is 0
+    for n in range(13):
+        for lam in partitions_of(n):
+            for pad in (0, 1, 2) if lam else (1, 2):
+                beads = _beads(lam + (0,) * pad)
+                for tau in ((2,), (3,), (4,), (2, 2)):
+                    value = _tail_character(beads, tau)
+                    assert type(value) is int
+                    assert value == _expanded_tail(beads, tau), (lam, pad, tau)
+                    if n < sum(tau):
+                        assert value == 0, (lam, pad, tau)
 
 
 def test_tall_shape_sweep_stays_fast():
@@ -248,10 +286,17 @@ def test_normalized_character_is_an_int():
 
 def test_non_integral_normalized_character_raises(monkeypatch):
     # a sweep whose sum 1/2 does not divide: the value is an error, never a
-    # Fraction
-    monkeypatch.setattr(characters, "_strip_sweep", lambda lam, parts: [[1, 1, 2]])
+    # Fraction; the kernel hands the sweep lam's bead tuple
+    sweeps = []
+
+    def half(beads, parts):
+        sweeps.append((beads, parts))
+        return [[1, 1, 2]]
+
+    monkeypatch.setattr(characters, "_strip_sweep", half)
     with pytest.raises(ArithmeticError, match="non-integral: 1/2$"):
         normalized_character((2,), (2,))
+    assert sweeps == [((2,), (2,))]
 
 
 def test_rect_character_sum_matches_direct_evaluation():

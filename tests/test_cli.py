@@ -327,6 +327,16 @@ def test_argument_too_large_for_the_machine_is_a_usage_error(capsys, argv, err):
     assert run_cli(capsys, *argv) == (2, "", err)
 
 
+def test_fk_refusal_names_no_option(capsys):
+    # fk has no node budget to raise, so its refusal names none
+    assert run_cli(capsys, "fk", "--m", "1000000", "--k", "5") == (
+        2,
+        "",
+        "error: grid has 86112002781430563097230483337900001 nodes, above the "
+        "limit 9223372036854775807\n",
+    )
+
+
 @pytest.mark.parametrize(
     "exc, code, err",
     [

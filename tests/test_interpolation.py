@@ -1,6 +1,7 @@
 import itertools
 import math
 import operator
+import random
 import time
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from rectchar.interpolation import (
     interpolation_grid,
     off_grid_fidelity,
 )
-from rectchar.characters import _sweep_depth, normalized_character
+from rectchar.characters import _rows, _sweep_depth, normalized_character
 from rectchar.partitions import partitions_of
 from rectchar.polynomials import MultivarPoly
 
@@ -132,6 +133,39 @@ def test_off_grid_fidelity_reads_every_chunk(monkeypatch):
     # one sample at a time, as an unbatched loop would draw and compare
     monkeypatch.setattr(interpolation, "_AUDIT_CHUNK", 1)
     assert [off_grid_fidelity(m, mu, wrong, samples=n, seed=4) for n in counts] == chunked
+
+
+def test_audit_draws_the_shapes_a_grid_lookup_draws(monkeypatch):
+    # the band test makes the RNG calls of a lookup in the grid's axes, in
+    # the same order, so each seed audits the same shapes; each of these
+    # seeds draws points on the grid, which are drawn again
+    for m, mu, seed in ((1, (2,), 5), (2, (2, 2), 7), (3, (3, 1), 10)):
+        k = sum(mu)
+        rng = random.Random(seed)
+        axes = [set(axis) for axis in interpolation_grid(m, k)]
+        expected, on_grid = [], 0
+        while len(expected) < 40:
+            ps = tuple([rng.randint(1, k + 4) for _ in range(m)])
+            qs = tuple(sorted(rng.sample(range(1, m * (k + 3) + 7), m), reverse=True))
+            if sum(map(operator.mul, ps, qs)) < k:
+                continue
+            if all(map(operator.contains, axes, ps + qs)):
+                on_grid += 1
+                continue
+            expected.append(_stack(m, ps + qs))
+        assert on_grid > 0
+        poly = f_mu_interpolate(m, mu)
+        kernel = interpolation._bead_character
+        shapes = []
+
+        def counted(beads, swept, k):
+            shapes.append(_rows(beads))
+            return kernel(beads, swept, k)
+
+        monkeypatch.setattr(interpolation, "_bead_character", counted)
+        assert off_grid_fidelity(m, mu, poly, samples=40, seed=seed)
+        monkeypatch.setattr(interpolation, "_bead_character", kernel)
+        assert shapes == expected, (m, mu)
 
 
 def test_negative_samples_rejected():
@@ -298,14 +332,14 @@ def test_kernel_runs_once_per_shape_of_at_least_k_cells(monkeypatch):
     # of F_(2,2)'s 44 face nodes at m = 2, the 5 below 4 cells take no
     # kernel call
     _clear_caches()
-    kernel = interpolation._normalized_character
+    kernel = interpolation._bead_character
     shapes = []
 
-    def counted(lam, swept, k):
-        shapes.append(lam)
-        return kernel(lam, swept, k)
+    def counted(beads, swept, k):
+        shapes.append(_rows(beads))
+        return kernel(beads, swept, k)
 
-    monkeypatch.setattr(interpolation, "_normalized_character", counted)
+    monkeypatch.setattr(interpolation, "_bead_character", counted)
     f_mu_interpolate(2, (2, 2))
     assert len(shapes) == 39 + 1  # and the guard point
     assert len(set(shapes)) == len(shapes)
