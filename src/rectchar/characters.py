@@ -35,6 +35,11 @@ p_4 on the power sums bring in classes of several cycles, so a last part
 of 5 or more is swept; a single parent's strips leave distinct shapes, so
 each adds its own signed ratio with no merge.
 
+A swept prefix that is empty or is itself such a tail, as every prefix of
+a mu of size at most 4 is, needs no sweep: the kernel returns Ch_tau(lam)
+(1 for the empty prefix) times (n - k')_(k - k') at once, with no entry
+list, lcm or division.
+
 The kernel takes a bead tuple, so a stack of rectangles comes in as its
 blocks' runs of consecutive beads and is never expanded into rows.
 
@@ -232,9 +237,9 @@ def _strip_sweep(beads: Beads, parts: tuple[int, ...]) -> list[list[int]]:
       since the strips of one shape leave distinct shapes;
     - otherwise the last level is merged like the others, one entry per
       shape with w = c(nu).
+    parts must not be empty or a tail itself: _bead_character reads those
+    in closed form without a sweep.
     """
-    if not parts:
-        return [[1, 1, 1]]
     tail = _tail(parts)
     level = {beads: [1, 1, 1]}
     for part in parts[: len(parts) - (len(tail) or 1)]:
@@ -309,9 +314,17 @@ def _bead_character(beads: Beads, swept: tuple[int, ...], k: int) -> int:
     """normalized_character for the shape lam of a bead tuple (empty rows
     allowed), the swept prefix of mu (mu without its trailing 1s) and
     k = |mu| <= |lam|.  Stacked rectangles come here as their beads, a
-    block of p rows giving p consecutive beads, never as rows."""
+    block of p rows giving p consecutive beads, never as rows.
+
+    An empty prefix or one that is itself a closed-form tail, (2), (3), (4)
+    or (2, 2), is Ch_swept(lam) (1 for the empty one) times
+    (n - |swept|)_(k - |swept|), with no sweep, lcm or division; any other
+    prefix goes through _strip_sweep's entries."""
     r = len(beads)
     n, k1 = sum(beads) - r * (r - 1) // 2, sum(swept)
+    if swept == _tail(swept):
+        value = _tail_character(beads, swept) if swept else 1
+        return value * math.perm(n - k1, k - k1)
     entries = _strip_sweep(beads, swept)
     den = math.lcm(*(d for _, _, d in entries))
     num = sum(c * h * (den // d) for c, h, d in entries) * math.perm(n - k1, k - k1)

@@ -39,7 +39,7 @@ from .partitions import (
 )
 from .polynomials import MultivarPoly, default_names
 from .schur import lemma_check
-from .verify import CRITERIA, hook_identities, run_criteria
+from .verify import CRITERIA, _check_criterion_number, hook_identities, run_criteria
 
 
 # sk --kmax 250 takes about 10 s at m = sys.maxsize and 1.3 s at m = 2 on a
@@ -297,8 +297,8 @@ def cmd_verify(args) -> int:
                 raise ValueError(
                     f"--only takes comma-separated criterion numbers, got {args.only!r}"
                 ) from None
-            if not 1 <= idx <= len(CRITERIA):
-                raise ValueError(f"criterion number out of range: {idx}")
+            # checked chunk by chunk, so the first bad chunk is the one named
+            _check_criterion_number(idx)
             numbers.append(idx)
     reports = run_criteria(numbers=numbers, full=args.full)
     if args.json:

@@ -127,8 +127,11 @@ def flipped_polynomial(poly: MultivarPoly, m: int, k: int) -> MultivarPoly:
             f"need m >= 1 and a polynomial in 2m variables, got m={m} and "
             f"{poly.nvars} variables"
         )
-    flipped = poly.negate_vars(range(m, 2 * m))
-    return -flipped if k % 2 else flipped
+    # each term's sign is (-1)^(k + its q-degree), set in one pass
+    return MultivarPoly._from_clean(
+        poly.nvars,
+        {e: -c if (k + sum(e[m:])) % 2 else c for e, c in poly.terms.items()},
+    )
 
 
 def f_k_special_value(m: int, k: int) -> int:

@@ -47,7 +47,7 @@ grid before being returned.
 Only mu's swept prefix nu (mu without its trailing 1s) is interpolated:
 Ch_(mu, 1) = (n - |mu|) Ch_mu (Kerov & Olshanski) gives
 F_mu = (N - |nu|)_(|mu| - |nu|) F_nu, N = sum p_i q_i, and that factor is
-expanded term by term.
+expanded term by term and multiplied into F_nu in one term loop.
 The node budget counts mu's own degree set, which holds every face node of
 nu, shifted back, and every monomial of F_mu, in closed form.
 """
@@ -262,7 +262,7 @@ def _fill(m: int, faces: list[MultivarPoly]) -> MultivarPoly:
                 for slot, e in zip(slots, exps):
                     out[slot] = e
                 terms[tuple(out)] = c
-    return MultivarPoly(2 * m, terms)
+    return MultivarPoly._from_clean(2 * m, terms)
 
 
 # _interpolate asks for faces 1, 2, .. in turn, so the faces below s are the
@@ -321,10 +321,11 @@ def _face(s: int, nu: Partition) -> MultivarPoly:
     terms: dict[tuple[int, ...], Scalar] = {}
     for beta, c in zip(nodes, values):
         quotient, rest = divmod(c, denominator)
-        terms[tuple(map(operator.add, beta, shift))] = (
-            Fraction(c, denominator) if rest else quotient
-        )
-    return MultivarPoly(2 * s, terms)
+        if rest or quotient:
+            terms[tuple(map(operator.add, beta, shift))] = (
+                Fraction(c, denominator) if rest else quotient
+            )
+    return MultivarPoly._from_clean(2 * s, terms)
 
 
 def _interpolate(m: int, nu: Partition) -> MultivarPoly:
@@ -344,6 +345,8 @@ def _falling_size(m: int, start: int, r: int) -> MultivarPoly:
         cs = [below - j * c for below, c in zip([0] + cs, cs + [0])]
     terms: dict[tuple[int, ...], Scalar] = {}
     for d, c in enumerate(cs):
+        if not c:  # the constant term, 0 when start = 0
+            continue
         scaled = c * math.factorial(d)
         for colours in itertools.combinations_with_replacement(range(m), d):
             exps = [0] * (2 * m)
@@ -352,7 +355,7 @@ def _falling_size(m: int, start: int, r: int) -> MultivarPoly:
                 exps[m + j] += 1
             split = Counter(colours).values()
             terms[tuple(exps)] = scaled // math.prod(map(math.factorial, split))
-    return MultivarPoly(2 * m, terms)
+    return MultivarPoly._from_clean(2 * m, terms)
 
 
 def f_mu_interpolate(
@@ -384,7 +387,22 @@ def f_mu_interpolate(
     poly = _interpolate(m, swept) if swept else None
     if len(swept) < len(mu):
         factor = _falling_size(m, sum(swept), len(mu) - len(swept))
-        poly = factor if poly is None else poly * factor
+        if poly is None:
+            poly = factor
+        else:
+            terms: dict[tuple[int, ...], Scalar] = {}
+            get = terms.get
+            for e1, c1 in poly.terms.items():
+                for e2, c2 in factor.terms.items():
+                    key = tuple(map(operator.add, e1, e2))
+                    terms[key] = get(key, 0) + c1 * c2
+            # integer terms only drop what cancelled; a rational F_nu (from
+            # patched node values) may leave integral Fractions to clean
+            poly = (
+                MultivarPoly._from_clean(2 * m, {e: c for e, c in terms.items() if c})
+                if poly.is_integral()
+                else MultivarPoly(2 * m, terms)
+            )
     guard = _guard_point(m, k)
     expected = _shape_value(m, swept, k, guard)
     if poly.evaluate(guard) != expected:

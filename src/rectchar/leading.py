@@ -118,7 +118,10 @@ def narayana_number(k: int, i: int) -> int:
 
 
 def narayana_check(kmax: int) -> bool:
-    """Flipped one-rectangle G_k coefficients against the closed form."""
+    """Flipped one-rectangle G_k coefficients against the closed form, for
+    k = 1..kmax."""
+    if kmax < 0:
+        raise ValueError(f"kmax must be nonnegative, got {kmax}")
     for k in range(1, kmax + 1):
         flipped = flipped_polynomial(g_k_leading(1, k), 1, k)
         expected = MultivarPoly(

@@ -7,6 +7,15 @@ changed by its caller.
 Rational coefficients that are actually integers are normalized to int, so a
 polynomial is integral exactly when every stored coefficient is an int.
 
+The public constructor and the ring operations validate every term: each
+exponent tuple is checked, zero coefficients are dropped and integral
+Fractions become ints.  MultivarPoly._from_clean takes a term dict already
+in that form as it is.  Only the interpolation's faces, its fill and its
+trailing-1 product, and the sign flip, use it; each builds its dict in one
+pass from clean terms.  The ring operations keep validating.  Trusting them
+too would speed up the polynomial-heavy residue route, and the benchmark's
+peak memory would then read more passes of its own runner (ROADMAP item 1).
+
 Canonical term order (used for display and serialization): total degree
 descending, ties broken lexicographically descending on the exponent tuple,
 so with variables (p, q) the term p^2*q precedes p*q^2.
@@ -16,8 +25,9 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
+from itertools import repeat
 from types import MappingProxyType
 
 Scalar = int | Fraction
@@ -63,6 +73,18 @@ class MultivarPoly:
         return self
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _from_clean(
+        cls, nvars: int, terms: dict[tuple[int, ...], Scalar]
+    ) -> "MultivarPoly":
+        """A polynomial holding terms itself, unchecked: every key must be a
+        tuple of nvars nonnegative ints and every coefficient nonzero, a
+        Fraction only where it is not an integer.  The caller gives up terms."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "nvars", nvars)
+        object.__setattr__(poly, "terms", MappingProxyType(terms))
+        return poly
 
     @classmethod
     def zero(cls, nvars: int) -> "MultivarPoly":
@@ -179,23 +201,13 @@ class MultivarPoly:
                 rows.append(list(map(operator.mul, rows[-1], column)))
             powers.append(rows)
         for exps, c in self.terms.items():
-            values = [c] * len(points)
+            # each term's column products stay lazy; only the totals are built
+            values = repeat(c, len(points))
             for rows, e in zip(powers, exps):
                 if e:
-                    values = list(map(operator.mul, values, rows[e]))
+                    values = map(operator.mul, values, rows[e])
             totals = list(map(operator.add, totals, values))
         return [_clean_coef(t) if isinstance(t, Fraction) else t for t in totals]
-
-    def negate_vars(self, indices: Iterable[int]) -> "MultivarPoly":
-        """Substitute x_i -> -x_i for each index in indices."""
-        idx = set(indices)
-        return MultivarPoly(
-            self.nvars,
-            {
-                e: (-c if sum(e[i] for i in idx) % 2 else c)
-                for e, c in self.terms.items()
-            },
-        )
 
     def coefficient_sum(self) -> Scalar:
         total: Scalar = sum(self.terms.values())

@@ -387,10 +387,20 @@ class VerifyReport:
         }
 
 
+def _check_criterion_number(idx: int) -> None:
+    if not 1 <= idx <= len(CRITERIA):
+        raise ValueError(f"criterion number out of range: {idx}")
+
+
 def run_criteria(
     numbers: list[int] | None = None, full: bool = False
 ) -> list[VerifyReport]:
-    """Run the selected criteria (1-based numbers; default all), in order."""
+    """Run the selected criteria (1-based numbers; default all), in order.
+
+    A number that names no criterion raises ValueError before any runs, so
+    a wrong selection never reads as an empty pass."""
+    for idx in numbers or ():
+        _check_criterion_number(idx)
     reports = []
     for idx, (name, fn) in enumerate(CRITERIA, start=1):
         if numbers is not None and idx not in numbers:

@@ -1,6 +1,6 @@
 """Property test of the Python API's argument contract, for the entry points
-of the character kernel, the residue and leading-term routes and the
-interpolation.
+of the character kernel, the residue and leading-term routes, the
+interpolation and the verify runner.
 
 Each function gets arguments drawn from edge values: integers weighted to
 small values, with 0, -1..-3 and -2^63..-2^70 now and then, and shapes
@@ -31,12 +31,16 @@ from rectchar import (
     integrality_witness,
     interpolation_grid,
     mn_character,
+    narayana_check,
     normalized_character,
     off_grid_fidelity,
+    VerifyReport,
+    run_criteria,
     s_k_from_coefficient_sums,
     s_k_sequence,
 )
 from rectchar.interpolation import _degree_set_size
+from rectchar.verify import CRITERIA
 
 HUGE = st.integers(2**63, 2**70)
 
@@ -181,6 +185,28 @@ def kmax_case(data, function):
         assert all(type(x) is int for x in value)
 
 
+def narayana_case(data):
+    kmax = data.draw(ints(6), label="kmax")
+    ok, value = call(narayana_check, kmax)
+    assert ok == (kmax >= 0), value
+    if ok:
+        assert value is True
+
+
+def criteria_case(data):
+    # the criteria that take a hundredth of a second, or numbers naming none;
+    # numbers=None would run every criterion, which takes seconds
+    rare = st.integers(-3, 0) | st.integers(len(CRITERIA) + 1, 20)
+    rare = rare | HUGE | HUGE.map(lambda x: -x)
+    chunk = mostly(st.sampled_from([9, 10]), rare)
+    numbers = data.draw(st.lists(chunk, max_size=3), label="numbers")
+    ok, value = call(run_criteria, numbers)
+    assert ok == all(1 <= x <= len(CRITERIA) for x in numbers), value
+    if ok:
+        assert type(value) is list and all(type(r) is VerifyReport for r in value)
+        assert [r.number for r in value] == sorted(set(numbers))
+
+
 def flip_case(data):
     blocks = data.draw(st.integers(1, 3), label="blocks")
     poly = f_k_polynomial(blocks, data.draw(st.integers(1, 3), label="poly_k"))
@@ -200,6 +226,8 @@ CASES = {
     "off_grid_fidelity": fidelity_case,
     "normalized_character": normalized_case,
     "mn_character": mn_case,
+    "narayana_check": narayana_case,
+    "run_criteria": criteria_case,
     "f_k_polynomial": lambda data: stack_case(data, f_k_polynomial, MultivarPoly),
     "f_k_special_value": lambda data: stack_case(data, f_k_special_value, int),
     "integrality_witness": lambda data: stack_case(data, integrality_witness, bool),

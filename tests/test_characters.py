@@ -18,11 +18,13 @@ from oracles import (
 )
 from rectchar import characters
 from rectchar.characters import (
+    _bead_character,
     _bead_move_ratio,
     _beads,
     _free_moves,
     _runs,
     _stack_beads,
+    _strip_sweep,
     _tail_character,
     mn_character,
     normalized_character,
@@ -286,7 +288,8 @@ def test_normalized_character_is_an_int():
 
 def test_non_integral_normalized_character_raises(monkeypatch):
     # a sweep whose sum 1/2 does not divide: the value is an error, never a
-    # Fraction; the kernel hands the sweep lam's bead tuple
+    # Fraction; the kernel hands the sweep lam's bead tuple.  (3, 2) still
+    # expands its first level, so it reaches the sweep and the remainder check
     sweeps = []
 
     def half(beads, parts):
@@ -295,8 +298,26 @@ def test_non_integral_normalized_character_raises(monkeypatch):
 
     monkeypatch.setattr(characters, "_strip_sweep", half)
     with pytest.raises(ArithmeticError, match="non-integral: 1/2$"):
-        normalized_character((2,), (2,))
-    assert sweeps == [((2,), (2,))]
+        normalized_character((3, 2), (3, 2))
+    assert sweeps == [((2, 4), (3, 2))]
+
+
+def test_closed_form_prefixes_skip_the_sweep():
+    # an empty prefix or a closed-form tail is read at once; it must equal
+    # the value summed from the sweep's entries, for every k it allows
+    for n in range(13):
+        for lam in partitions_of(n):
+            for pad in (0, 1, 2) if lam else (1, 2):
+                beads = _beads(lam + (0,) * pad)
+                for swept in ((), (2,), (3,), (4,), (2, 2)):
+                    # the empty prefix sums to 1: (n)_k is the character at 1^k
+                    entries = _strip_sweep(beads, swept) if swept else [[1, 1, 1]]
+                    total = sum(Fraction(c * h, d) for c, h, d in entries)
+                    for k in range(sum(swept), n + 1):
+                        value = _bead_character(beads, swept, k)
+                        assert type(value) is int
+                        expected = total * math.perm(n - sum(swept), k - sum(swept))
+                        assert value == expected, (lam, pad, swept, k)
 
 
 def test_rect_character_sum_matches_direct_evaluation():

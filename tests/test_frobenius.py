@@ -68,6 +68,18 @@ def test_flip_checks_its_block_count():
             flipped_polynomial(poly, m, 1)
 
 
+def test_flip_negates_the_q_variables():
+    # q -> -q, times (-1)^k; flipping twice gives the polynomial back
+    p = MultivarPoly(2, {(1, 0): 1})
+    q = MultivarPoly(2, {(0, 1): 1})
+    poly = p * p * q + q * q
+    for k in (0, 1, 2, 3):
+        flipped = flipped_polynomial(poly, 1, k)
+        negated = -(p * p) * q + q * q
+        assert flipped == (-negated if k % 2 else negated)
+        assert flipped_polynomial(flipped, 1, k) == poly
+
+
 def test_fk_one_rectangle_matches_pair_sum():
     for k in range(1, 7):
         assert f_k_residue(1, k) == factorization_poly((k,))

@@ -10,7 +10,7 @@ import pytest
 from oracles import stanley_feray_f_mu
 from rectchar import interpolation
 from rectchar.factorization import factorization_poly
-from rectchar.frobenius import f_k_residue
+from rectchar.frobenius import f_k_residue, flipped_polynomial
 from rectchar.interpolation import (
     ConjectureReport,
     _face,
@@ -430,6 +430,7 @@ def test_rational_data_gives_rational_coefficients(monkeypatch, fresh_caches):
     poly = _interpolate(1, (2,))
     assert poly == f_k_residue(1, 2) + p * (p - 1) * q / 2
     assert {abs(c) for c in poly.terms.values() if type(c) is Fraction} == {Fraction(1, 2)}
+    _assert_clean(poly)
     # rational node values at the top face, over a rational face below
     _clear_caches()
 
@@ -445,7 +446,44 @@ def test_rational_data_gives_rational_coefficients(monkeypatch, fresh_caches):
         + p * (p - 1) * q / 2
         + a * p * q / 2
     )
-    assert _interpolate(2, (2,)) == expected
+    poly = _interpolate(2, (2,))
+    assert poly == expected
+    _assert_clean(poly)
+
+
+def _assert_clean(poly: MultivarPoly) -> None:
+    """poly's terms equal those of its re-validated copy, term for term and
+    coefficient type for type, with exponent tuples of ints."""
+    copy = MultivarPoly(poly.nvars, dict(poly.terms))
+    typed = {e: (type(c), c) for e, c in poly.terms.items()}
+    assert typed == {e: (type(c), c) for e, c in copy.terms.items()}
+    assert all(type(e) is tuple and all(type(x) is int for x in e) for e in typed)
+
+
+def test_unvalidated_terms_are_clean():
+    # the faces, the fill, the trailing-1 product and the flip build their
+    # polynomials without the constructor's checks
+    for m in range(1, 5):
+        for k in range(1, 6):
+            for mu in partitions_of(k):
+                poly = f_mu_interpolate(m, mu)
+                _assert_clean(poly)
+                _assert_clean(flipped_polynomial(poly, m, k))
+
+
+def test_rational_product_is_cleaned(monkeypatch):
+    # a rational F_nu whose product with (N - 2) has integral Fraction
+    # coefficients: they come out as ints, by the validating constructor
+    p, q = (MultivarPoly(2, {e: 1}) for e in ((1, 0), (0, 1)))
+    half = p * q / 2
+    product = half * (p * q - 2)
+    monkeypatch.setattr(interpolation, "_interpolate", lambda m, nu: half)
+    monkeypatch.setattr(
+        interpolation, "_shape_value", lambda m, swept, k, point: product.evaluate(point)
+    )
+    poly = f_mu_interpolate(1, (2, 1))
+    assert poly == product and poly.coefficient((1, 1)) == -1
+    _assert_clean(poly)
 
 
 def test_many_blocks_take_no_recursion():

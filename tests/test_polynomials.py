@@ -121,15 +121,6 @@ def test_json_rejects_nonintegral():
         poly.to_json_terms()
 
 
-def test_negate_vars():
-    p = MultivarPoly(2, {(1, 0): 1})
-    q = MultivarPoly(2, {(0, 1): 1})
-    poly = p * p * q + q * q
-    flipped = poly.negate_vars([1])
-    assert flipped == -(p * p) * q + q * q
-    assert flipped.negate_vars([1]) == poly
-
-
 def test_coefficient_queries():
     p = MultivarPoly(2, {(1, 0): 1})
     poly = 5 * p * p + 3

@@ -49,6 +49,16 @@ def test_run_criteria_subset_orders_and_reports():
         assert d["number"] == r.number and d["passed"] is True
 
 
+@pytest.mark.parametrize("numbers", [[99], [-1], [0], [2, 13]])
+def test_unknown_criterion_numbers_raise_before_any_run(monkeypatch, numbers):
+    ran = []
+    monkeypatch.setattr(verify, "CRITERIA", [(name, ran.append) for name, _ in CRITERIA])
+    bad = next(x for x in numbers if not 1 <= x <= 12)
+    with pytest.raises(ValueError, match=f"^criterion number out of range: {bad}$"):
+        run_criteria(numbers)
+    assert ran == []
+
+
 def test_exception_becomes_failure(monkeypatch):
     import rectchar.verify as verify_mod
 
