@@ -32,13 +32,12 @@ Ch_(2,2) = Ch_(2)^2 - 4 Ch_(3) - 2n(n - 1) (Ivanov & Kerov's product
 Ch_(2) Ch_(2)).  Each row's contents are consecutive integers, so a bead
 adds a difference of two Faulhaber sums and an empty row adds 0.  From
 p_4 on the power sums bring in classes of several cycles, so a last part
-of 5 or more is swept; a single parent's strips leave distinct shapes, so
-each adds its own signed ratio with no merge.
+of 5 or more is swept and merged like every other level.
 
-A swept prefix that is empty or is itself such a tail, as every prefix of
-a mu of size at most 4 is, needs no sweep: the kernel returns Ch_tau(lam)
-(1 for the empty prefix) times (n - k')_(k - k') at once, with no entry
-list, lcm or division.
+The sweep takes any parts, but a swept prefix that is empty or is itself
+such a tail, as every prefix of a mu of size at most 4 is, has a fast
+path: the kernel returns Ch_tau(lam) (1 for the empty prefix) times
+(n - k')_(k - k') at once, with no entry list, lcm or division.
 
 The kernel takes a bead tuple, so a stack of rectangles comes in as its
 blocks' runs of consecutive beads and is never expanded into rows.
@@ -223,42 +222,25 @@ def _strip_sweep(beads: Beads, parts: tuple[int, ...]) -> list[list[int]]:
     the shape lam of the bead tuple in order, of c(nu) H_lam / H_nu, c(nu)
     being the signed number of removal paths lam -> nu.
 
-    The levels go down in integers on bead tuples, merged by shape
-    (_merged_level), but the last ones are not expanded into shapes where
-    they need not be:
-
-    - when parts end in a tail tau of (2), (3), (4) or (2, 2), the sweep
-      stops above it and weights each shape nu by Ch_tau(nu), the signed
-      sum of H_nu / H_xi over the removal paths nu -> xi of tau, read off
-      nu's content power sums (_tail_character).  For a last part of 5 or
-      more those sums bring in classes of several cycles, so such parts are
-      swept;
-    - a single parent gives one entry per strip, its signed move ratio,
-      since the strips of one shape leave distinct shapes;
-    - otherwise the last level is merged like the others, one entry per
-      shape with w = c(nu).
-    parts must not be empty or a tail itself: _bead_character reads those
-    in closed form without a sweep.
+    Every level goes down in integers on bead tuples, merged by shape
+    (_merged_level), one entry per shape with w = c(nu), except a tail tau
+    of (2), (3), (4) or (2, 2) at the end of parts: the sweep stops above
+    it and weights each shape nu by Ch_tau(nu), the signed sum of
+    H_nu / H_xi over the removal paths nu -> xi of tau, read off nu's
+    content power sums (_tail_character).  For a last part of 5 or more
+    those sums bring in classes of several cycles, so such parts are swept.
+    No parts leave lam itself, the entry [1, 1, 1].
     """
     tail = _tail(parts)
     level = {beads: [1, 1, 1]}
-    for part in parts[: len(parts) - (len(tail) or 1)]:
+    for part in parts[: len(parts) - len(tail)]:
         level = _merged_level(level, part)
-    if tail:
-        return [
-            [count * _tail_character(beads, tail), num, den]
-            for beads, (count, num, den) in level.items()
-        ]
-    last = parts[-1]
-    if len(level) == 1:
-        [(beads, (count, num, den))] = level.items()
-        runs = _runs(beads)
-        out = []
-        for pos, i, bead in _free_moves(beads, runs, last):
-            up, down = _bead_move_ratio(runs, bead, last)
-            out.append([-count if (i - pos) % 2 else count, num * up, den * down])
-        return out
-    return list(_merged_level(level, last).values())
+    if not tail:
+        return list(level.values())
+    return [
+        [count * _tail_character(beads, tail), num, den]
+        for beads, (count, num, den) in level.items()
+    ]
 
 
 def _sweep_depth(nu: Sequence[int]) -> int:
@@ -316,10 +298,11 @@ def _bead_character(beads: Beads, swept: tuple[int, ...], k: int) -> int:
     k = |mu| <= |lam|.  Stacked rectangles come here as their beads, a
     block of p rows giving p consecutive beads, never as rows.
 
-    An empty prefix or one that is itself a closed-form tail, (2), (3), (4)
-    or (2, 2), is Ch_swept(lam) (1 for the empty one) times
-    (n - |swept|)_(k - |swept|), with no sweep, lcm or division; any other
-    prefix goes through _strip_sweep's entries."""
+    Every prefix goes through _strip_sweep's entries, except as a fast
+    path an empty prefix or one that is itself a closed-form tail, (2),
+    (3), (4) or (2, 2): that is Ch_swept(lam) (1 for the empty one) times
+    (n - |swept|)_(k - |swept|), the same value with no entry list, lcm or
+    division."""
     r = len(beads)
     n, k1 = sum(beads) - r * (r - 1) // 2, sum(swept)
     if swept == _tail(swept):

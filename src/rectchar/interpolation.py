@@ -47,7 +47,8 @@ grid before being returned.
 Only mu's swept prefix nu (mu without its trailing 1s) is interpolated:
 Ch_(mu, 1) = (n - |mu|) Ch_mu (Kerov & Olshanski) gives
 F_mu = (N - |nu|)_(|mu| - |nu|) F_nu, N = sum p_i q_i, and that factor is
-expanded term by term and multiplied into F_nu in one term loop.
+expanded term by term and multiplied into F_nu (1 for an empty nu) in
+one term loop.
 The node budget counts mu's own degree set, which holds every face node of
 nu, shifted back, and every monomial of F_mu, in closed form.
 """
@@ -74,7 +75,7 @@ from .characters import (
 )
 from .frobenius import flipped_polynomial
 from .partitions import Partition, as_partition, format_partition
-from .polynomials import MultivarPoly, Scalar
+from .polynomials import MultivarPoly, Scalar, _clean_coef
 
 DEFAULT_MAX_NODES = 20_000
 _SHOWN_BITS = 4096  # node counts longer than this are reported by size
@@ -384,25 +385,20 @@ def f_mu_interpolate(
             "raise max_nodes to force the run"
         )
     swept = mu[: _sweep_depth(mu)]
-    poly = _interpolate(m, swept) if swept else None
+    poly = _interpolate(m, swept) if swept else MultivarPoly.const(2 * m, 1)
     if len(swept) < len(mu):
         factor = _falling_size(m, sum(swept), len(mu) - len(swept))
-        if poly is None:
-            poly = factor
-        else:
-            terms: dict[tuple[int, ...], Scalar] = {}
-            get = terms.get
-            for e1, c1 in poly.terms.items():
-                for e2, c2 in factor.terms.items():
-                    key = tuple(map(operator.add, e1, e2))
-                    terms[key] = get(key, 0) + c1 * c2
-            # integer terms only drop what cancelled; a rational F_nu (from
-            # patched node values) may leave integral Fractions to clean
-            poly = (
-                MultivarPoly._from_clean(2 * m, {e: c for e, c in terms.items() if c})
-                if poly.is_integral()
-                else MultivarPoly(2 * m, terms)
-            )
+        terms: dict[tuple[int, ...], Scalar] = {}
+        get = terms.get
+        for e1, c1 in poly.terms.items():
+            for e2, c2 in factor.terms.items():
+                key = tuple(map(operator.add, e1, e2))
+                terms[key] = get(key, 0) + c1 * c2
+        # drop what cancelled; a rational F_nu (from patched node values)
+        # may leave integral Fractions, which become ints
+        poly = MultivarPoly._from_clean(
+            2 * m, {e: _clean_coef(c) for e, c in terms.items() if c}
+        )
     guard = _guard_point(m, k)
     expected = _shape_value(m, swept, k, guard)
     if poly.evaluate(guard) != expected:

@@ -30,6 +30,15 @@ def _integers(parts: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _size(x: int) -> int:
+    """A size as an int; a size that is not an integer is rejected, never
+    truncated or used as it is."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"sizes must be integers: {x!r}") from None
+
+
 def as_partition(parts: Iterable[int]) -> Partition:
     """Normalize a part sequence to a partition tuple, dropping trailing zeros.
 
@@ -66,6 +75,7 @@ def format_partition(lam: Partition) -> str:
 
 def rectangle(p: int, q: int) -> Partition:
     """The p-by-q rectangular partition (p rows of length q)."""
+    p, q = _size(p), _size(q)
     if p < 0 or q < 0:
         raise ValueError("rectangle sides must be nonnegative")
     return (q,) * p if q else ()
@@ -137,6 +147,7 @@ def complement(lam: Partition, p: int, q: int) -> Partition:
     180-degree rotated copy of lam removed from its lower right corner.
     """
     lam = as_partition(lam)
+    p, q = _size(p), _size(q)
     if not fits_in_box(lam, p, q):
         raise ValueError(f"{lam} does not fit in a {p}x{q} box")
     return _complement(lam, p, q)
@@ -161,6 +172,7 @@ def sq_shape(lam: Partition, p: int, q: int) -> CellSet:
     hook multisets of the box and of lam (tested exhaustively for p, q <= 5).
     """
     lam = as_partition(lam)
+    p, q = _size(p), _size(q)
     if not fits_in_box(lam, p, q):
         raise ValueError(f"{lam} does not fit in a {p}x{q} box")
     ell = len(lam)
@@ -209,42 +221,31 @@ def cellset_hooks(diagram: CellSet) -> Counter[int]:
     return hooks
 
 
-def partitions_of(
-    n: int, max_part: int | None = None, max_parts: int | None = None
-) -> Iterator[Partition]:
+def partitions_of(n: int) -> Iterator[Partition]:
     """All partitions of n, largest part first, in reverse lexicographic order.
 
-    Negative caps admit no parts.  Each partition is reached from the one
-    before in place, so no recursion depth grows with the number of parts.
+    Each partition is reached from the one before in place, so no recursion
+    depth grows with the number of parts.  Raises ValueError at the call
+    when n is negative or not an integer.
     """
+    n = _size(n)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    cap = n if max_part is None else max(min(max_part, n), 0)
-    rows = n if max_parts is None else max(max_parts, 0)
-    return _partitions_of(n, cap, rows)
+    return _partitions_of(n)
 
 
-def _greedy_parts(total: int, cap: int) -> list[int]:
-    """total as cap + cap + ... + remainder: the largest fill, fewest parts."""
-    whole, rest = divmod(total, cap)
-    return [cap] * whole + ([rest] if rest else [])
-
-
-def _partitions_of(n: int, cap: int, rows: int) -> Iterator[Partition]:
-    if n and not cap:
-        return
-    lam = _greedy_parts(n, cap) if n else []
-    if len(lam) > rows:
-        return
+def _partitions_of(n: int) -> Iterator[Partition]:
+    lam = [n] if n else []
     while True:
         yield tuple(lam)
-        # next in reverse lexicographic order: lower the rightmost part that
-        # can drop by one with the cells after it still fitting below it
+        # next in reverse lexicographic order: lower the rightmost part above
+        # 1 by one and refill the cells after it greedily, none above it
         tail = 0
         for i in range(len(lam) - 1, -1, -1):
             part = lam[i] - 1
-            if part and tail + 1 <= part * (rows - i - 1):
-                lam[i:] = [part] + _greedy_parts(tail + 1, part)
+            if part:
+                whole, rest = divmod(tail + 1, part)
+                lam[i:] = [part] * (whole + 1) + ([rest] if rest else [])
                 break
             tail += lam[i]
         else:
@@ -256,8 +257,10 @@ def partitions_in_box(p: int, q: int) -> Iterator[Partition]:
 
     Every shape comes before its extensions, with larger parts first: the
     order of a depth-first walk that adds one row at a time.  Raises
-    ValueError at the call, as rectangle does, when a side is negative.
+    ValueError at the call, as rectangle does, when a side is negative or
+    not an integer.
     """
+    p, q = _size(p), _size(q)
     if p < 0 or q < 0:
         raise ValueError("box sides must be nonnegative")
     return _partitions_in_box(p, q)

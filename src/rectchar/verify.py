@@ -397,8 +397,11 @@ def run_criteria(
 ) -> list[VerifyReport]:
     """Run the selected criteria (1-based numbers; default all), in order.
 
-    A number that names no criterion raises ValueError before any runs, so
-    a wrong selection never reads as an empty pass."""
+    An empty selection, or a number that names no criterion, raises
+    ValueError before any runs, so a wrong selection never reads as an
+    empty pass."""
+    if numbers is not None and not numbers:
+        raise ValueError("no criterion selected: numbers is empty")
     for idx in numbers or ():
         _check_criterion_number(idx)
     reports = []

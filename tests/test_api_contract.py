@@ -1,11 +1,13 @@
 """Property test of the Python API's argument contract, for the entry points
 of the character kernel, the residue and leading-term routes, the
-interpolation and the verify runner.
+interpolation, the verify runner and the partition helpers that take sizes.
 
 Each function gets arguments drawn from edge values: integers weighted to
 small values, with 0, -1..-3 and -2^63..-2^70 now and then, and shapes
 given as lists or tuples, empty or with zeros, negatives, parts out of
-order and, where they must be rejected at once or stay cheap, huge parts.
+order and, where they must be rejected at once or stay cheap, huge parts;
+sizes are now and then not integers at all (2.5, 2.0, Fraction(4, 2), "2",
+None), which must be rejected, never truncated.
 A valid argument list must return a value of the documented type, and an
 invalid one must raise ValueError and nothing else.  Sizes are capped where
 a large valid value is merely slow (interpolation_grid(2^63, 1) builds 2^64
@@ -13,12 +15,16 @@ lists); huge positive values are drawn only where they must be rejected at
 once (a node budget the degree set exceeds) or are cheap (long rows).
 """
 
+from fractions import Fraction
+from itertools import islice
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rectchar import (
     ConjectureReport,
     MultivarPoly,
+    complement,
     conjecture1_check,
     elizalde_formula,
     f_k_polynomial,
@@ -34,15 +40,20 @@ from rectchar import (
     narayana_check,
     normalized_character,
     off_grid_fidelity,
+    partitions_in_box,
+    partitions_of,
+    rectangle,
     VerifyReport,
     run_criteria,
     s_k_from_coefficient_sums,
     s_k_sequence,
+    sq_shape,
 )
 from rectchar.interpolation import _degree_set_size
 from rectchar.verify import CRITERIA
 
 HUGE = st.integers(2**63, 2**70)
+NOT_INTEGERS = st.sampled_from([2.5, 2.0, Fraction(4, 2), "2", None])
 
 
 def mostly(common, rare):
@@ -86,6 +97,21 @@ def within_budget(m: int, mu, max_nodes: int) -> bool:
     if max(m, k) >= 2**63:
         return False
     return max_nodes >= 1 and _degree_set_size(m, k, k + len(parts)) <= max_nodes
+
+
+def sizes(cap: int, huge: bool = False):
+    """ints(cap, huge), or now and then a value that is not an integer."""
+    return mostly(ints(cap, huge), NOT_INTEGERS)
+
+
+def is_size(x) -> bool:
+    return type(x) is int and x >= 0
+
+
+def fits(parts, p, q) -> bool:
+    """The parts, zeros dropped, fit in a p-by-q box."""
+    parts = [x for x in parts if x]
+    return len(parts) <= p and all(x <= q for x in parts)
 
 
 def call(function, *args):
@@ -201,10 +227,60 @@ def criteria_case(data):
     chunk = mostly(st.sampled_from([9, 10]), rare)
     numbers = data.draw(st.lists(chunk, max_size=3), label="numbers")
     ok, value = call(run_criteria, numbers)
-    assert ok == all(1 <= x <= len(CRITERIA) for x in numbers), value
+    # an empty list selects nothing and is refused; only None means all
+    valid = bool(numbers) and all(1 <= x <= len(CRITERIA) for x in numbers)
+    assert ok == valid, value
     if ok:
         assert type(value) is list and all(type(r) is VerifyReport for r in value)
         assert [r.number for r in value] == sorted(set(numbers))
+
+
+def partitions_of_case(data):
+    # a huge n is cheap: its partitions are generated one at a time
+    n = data.draw(sizes(10, huge=True), label="n")
+    ok, value = call(partitions_of, n)
+    assert ok == is_size(n), value
+    if ok:
+        assert iter(value) is value
+        for lam in islice(value, 30):
+            assert type(lam) is tuple and all(type(x) is int for x in lam)
+            assert is_partition(lam) and sum(lam) == n
+
+
+def partitions_in_box_case(data):
+    p = data.draw(sizes(4, huge=True), label="p")
+    q = data.draw(sizes(4, huge=True), label="q")
+    ok, value = call(partitions_in_box, p, q)
+    assert ok == (is_size(p) and is_size(q)), value
+    if ok:
+        assert iter(value) is value
+        for lam in islice(value, 30):
+            assert type(lam) is tuple and all(type(x) is int for x in lam)
+            assert is_partition(lam) and fits(lam, p, q)
+
+
+def rectangle_case(data):
+    # a huge p asks for a tuple of 2^63 parts, so only q is drawn huge
+    p, q = data.draw(sizes(5), label="p"), data.draw(sizes(5, huge=True), label="q")
+    ok, value = call(rectangle, p, q)
+    assert ok == (is_size(p) and is_size(q)), value
+    if ok:
+        assert type(value) is tuple and value == ((q,) * p if q else ())
+
+
+def complement_case(data, function):
+    """function(lam, p, q) for lam in the p-by-q box; a huge p or q would
+    build that many rows or cells, so neither is drawn huge."""
+    lam = data.draw(shapes(4, 3), label="lam")
+    p, q = data.draw(sizes(5), label="p"), data.draw(sizes(5), label="q")
+    ok, value = call(function, lam, p, q)
+    valid = is_partition(lam) and is_size(p) and is_size(q) and fits(lam, p, q)
+    assert ok == valid, value
+    if ok and function is complement:
+        assert type(value) is tuple and is_partition(value)
+        assert sum(value) == p * q - sum(lam)
+    elif ok:
+        assert type(value) is frozenset and len(value) == p * q + sum(lam)
 
 
 def flip_case(data):
@@ -238,6 +314,11 @@ CASES = {
     "s_k_sequence": lambda data: kmax_case(data, s_k_sequence),
     "s_k_from_coefficient_sums": lambda data: kmax_case(data, s_k_from_coefficient_sums),
     "flipped_polynomial": flip_case,
+    "partitions_of": partitions_of_case,
+    "partitions_in_box": partitions_in_box_case,
+    "rectangle": rectangle_case,
+    "complement": lambda data: complement_case(data, complement),
+    "sq_shape": lambda data: complement_case(data, sq_shape),
 }
 
 

@@ -221,16 +221,28 @@ def test_last_level_is_not_expanded(monkeypatch):
     for tau in ((2,), (3,), (4,), (2, 2)):
         assert normalized_character(lam, tau) == reference_normalized_character(lam, tau)
         assert ratios == [] and merges == [], tau
-    # a last part of 5 is swept: the single parent adds each strip's ratio
-    # with no child bead tuple built
+    # a last part of 5 is swept and merged like every other level: the
+    # strips of one parent leave distinct shapes, so each takes one ratio
     assert normalized_character(lam, (5,)) == reference_normalized_character(lam, (5,))
-    assert len(ratios) == len(_bead_moves(_beads(lam), 5)) > 0 and merges == []
+    assert len(merges) == 1
+    assert len(ratios) == len(_bead_moves(_beads(lam), 5)) > 0
     # two levels: the first is merged, the tail (2) is summed in place, so
     # the only ratios are those of the first level's strips
-    del ratios[:]
+    del ratios[:], merges[:]
     assert normalized_character(lam, (3, 2)) == reference_normalized_character(lam, (3, 2))
     assert len(merges) == 1
     assert len(ratios) == len(_bead_moves(_beads(lam), 3))
+
+
+def test_last_parts_of_five_or_more_match_the_oracle():
+    # a last part of 5 or more is swept and merged; with two such parts the
+    # last level merges the strips of several parents
+    for mu in ((5,), (6,), (5, 5), (6, 5), (5, 5, 1)):
+        for n in range(max(10, sum(mu)), 15):
+            for lam in partitions_of(n):
+                assert normalized_character(lam, mu) == reference_normalized_character(
+                    lam, mu
+                ), (lam, mu)
 
 
 def _expanded_tail(beads, tau):
@@ -311,7 +323,7 @@ def test_closed_form_prefixes_skip_the_sweep():
                 beads = _beads(lam + (0,) * pad)
                 for swept in ((), (2,), (3,), (4,), (2, 2)):
                     # the empty prefix sums to 1: (n)_k is the character at 1^k
-                    entries = _strip_sweep(beads, swept) if swept else [[1, 1, 1]]
+                    entries = _strip_sweep(beads, swept)
                     total = sum(Fraction(c * h, d) for c, h, d in entries)
                     for k in range(sum(swept), n + 1):
                         value = _bead_character(beads, swept, k)

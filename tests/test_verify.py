@@ -59,6 +59,17 @@ def test_unknown_criterion_numbers_raise_before_any_run(monkeypatch, numbers):
     assert ran == []
 
 
+@pytest.mark.parametrize("numbers", [[], ()])
+def test_empty_selection_raises_before_any_run(monkeypatch, numbers):
+    # None selects every criterion; an empty list selects none, which would
+    # otherwise return [] and read as a pass
+    ran = []
+    monkeypatch.setattr(verify, "CRITERIA", [(name, ran.append) for name, _ in CRITERIA])
+    with pytest.raises(ValueError, match="^no criterion selected: numbers is empty$"):
+        run_criteria(numbers)
+    assert ran == []
+
+
 def test_exception_becomes_failure(monkeypatch):
     import rectchar.verify as verify_mod
 
