@@ -8,7 +8,10 @@ The pairs are counted by enumerating every u in S_k in Heap's order, where
 consecutive permutations differ by one transposition.  Right-multiplying a
 permutation by a transposition (i j) splits a cycle (+1) when i and j lie on
 the same cycle and merges two (-1) otherwise, so both cycle counts follow
-along with one short walk each instead of a rebuild per permutation.
+along with one short walk each instead of a rebuild per permutation.  Which
+positions each step swaps, and whether the swap splits or merges a cycle of
+u, are the same for every mu of k: they are built once per k, as the Heap
+schedule, and each mu replays it, walking only x = w^-1 u.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .characters import _mn_character, normalized_character
 from .partitions import (
     Partition,
     _hook_product,
+    _size,
     as_partition,
     partitions_of,
     rectangle,
@@ -33,21 +37,54 @@ from .schur import _content_product
 _ENUMERATION_CAP = 10
 
 
+@lru_cache(maxsize=None)
+def _heap_schedule(k: int) -> tuple[bytes, bytes, bytes]:
+    """Heap's order on S_k as three byte strings of k! - 1 steps each: the
+    positions i and j that each step swaps, and 1 where the swap splits a
+    cycle of u (0 where it merges two), u starting at the identity.
+
+    Heap's recursion, on positions 0..n-1, is P(n) = P(n-1), (n-1, j_0),
+    P(n-1), ..., (n-1, j_(n-2)), P(n-1), with j_c = c when n - 1 is odd and 0
+    otherwise, so the positions are byte joins; only the bits walk u.  Called
+    with k up to the enumeration cap, so the cache holds at most one schedule
+    per k, 3 bytes a step (about 11 MB at k = 10).
+    """
+    first = second = b""
+    for i in range(1, k):
+        # P(i + 1): i + 1 copies of P(i), split by the swaps (i, j_c)
+        first = bytes([i]).join([first] * (i + 1))
+        if i & 1:
+            second = b"".join([second + bytes([c]) for c in range(i)]) + second
+        else:
+            second = b"\0".join([second] * (i + 1))
+    u = list(range(k))
+    bits = bytearray()
+    add = bits.append
+    for i, j in zip(first, second):
+        t = u[i]
+        while t != j and t != i:
+            t = u[t]
+        add(t == j)
+        u[i], u[j] = u[j], u[i]
+    return first, second, bytes(bits)
+
+
 def _pair_cycle_counts(w: Permutation) -> list[list[int]]:
     """counts[a][b] = number of u with u v = w, cycles(u) = a, cycles(v) = b.
 
-    Visits all k! permutations u in Heap's order, keeping u and
-    x = w^-1 u (which has the cycle count of v = u^-1 w) as 0-based lists.
-    Each Heap step swaps positions i and j of both, i.e. right-multiplies
-    them by the transposition (i j); that changes a cycle count by +1 when
-    i and j share a cycle (a split) and by -1 when they do not (a merge),
-    decided by walking from i until the walk meets j or returns to i.
+    Visits all k! permutations u in Heap's order by replaying the cached
+    schedule of k, which gives each step's swap (i j) and whether it splits
+    or merges a cycle of u.  Alongside, x = w^-1 u (which has the cycle
+    count of v = u^-1 w) is kept as a 0-based list: each step swaps its
+    positions i and j, i.e. right-multiplies it by (i j), which changes its
+    cycle count by +1 when i and j share a cycle (a split) and by -1 when
+    they do not (a merge), decided by walking from i until the walk meets j
+    or returns to i.
     """
     k = len(w)
     if k > _ENUMERATION_CAP:
         raise ValueError(f"k={k} exceeds enumeration cap {_ENUMERATION_CAP}")
     stride = k + 1
-    u = list(range(k))
     x = [0] * k
     for i, image in enumerate(w):
         x[image - 1] = i
@@ -59,51 +96,38 @@ def _pair_cycle_counts(w: Permutation) -> list[list[int]]:
             while not seen[i]:
                 seen[i] = True
                 i = x[i]
-    # flat tally: cell a * stride + b counts pairs with cycles (a, b)
+    # flat tally: cell a * stride + b counts pairs with cycles (a, b); a step
+    # moves the cell by +-1 for x (the walk picks split or merge) and by
+    # +-stride for u (its bit picks the entry of either)
     tally = [0] * (stride * stride)
     idx = k * stride + b
     tally[idx] = 1
-    level = [0] * k
-    i = 1
-    while i < k:
-        c = level[i]
-        if c < i:
-            j = c if i & 1 else 0
-            t = u[i]
-            while t != j and t != i:
-                t = u[t]
-            idx += stride if t == j else -stride
-            t = x[i]
-            while t != j and t != i:
-                t = x[t]
-            idx += 1 if t == j else -1
-            u[i], u[j] = u[j], u[i]
-            x[i], x[j] = x[j], x[i]
-            tally[idx] += 1
-            level[i] = c + 1
-            i = 1
-        else:
-            level[i] = 0
-            i += 1
+    merge = (-stride - 1, stride - 1)
+    split = (-stride + 1, stride + 1)
+    for i, j, u_splits in zip(*_heap_schedule(k)):
+        t = x[i]
+        while t != j and t != i:
+            t = x[t]
+        idx += split[u_splits] if t == j else merge[u_splits]
+        x[i], x[j] = x[j], x[i]
+        tally[idx] += 1
     return [tally[a * stride : (a + 1) * stride] for a in range(stride)]
 
 
 def _partition_cache(fn):
     """lru_cache for factorization_poly, whose partition may be any iterable.
 
-    A tuple without trailing zeros goes to the cache as given, the fast path
-    for hot loops; anything else is normalized by as_partition first, so a
-    list or a generator can be passed without being hashed, and padding with
-    zeros adds no key.  The cache stays reachable as cache_info()
-    and cache_clear() on the returned function.
+    The argument is normalized by as_partition before the lookup, so a list
+    or a generator can be passed without being hashed, padding with zeros
+    adds no key, and a part that only equals an integer (2.0) is refused
+    rather than found under that integer's key.  The cache stays reachable
+    as cache_info() and cache_clear() on the returned function.
     """
     cached = lru_cache(maxsize=None)(fn)
 
     @wraps(fn)
     def wrapper(lam):
-        if type(lam) is not tuple or (lam and lam[-1] == 0):
-            lam = as_partition(lam)
-        return cached(lam)
+        return cached(as_partition(lam))
 
     wrapper.cache_info = cached.cache_info
     wrapper.cache_clear = cached.cache_clear
@@ -113,7 +137,6 @@ def _partition_cache(fn):
 @_partition_cache
 def factorization_poly(mu: Partition) -> MultivarPoly:
     """Sum of (-1)^k p^cycles(u) (-q)^cycles(v) over pairs u v = w_mu."""
-    mu = as_partition(mu)
     k = sum(mu)
     if k > _ENUMERATION_CAP:  # before w_mu is built: k may be huge
         raise ValueError(f"k={k} exceeds enumeration cap {_ENUMERATION_CAP}")
@@ -130,12 +153,12 @@ def factorization_poly(mu: Partition) -> MultivarPoly:
 
 def theorem1_check(p: int, q: int, mu: Partition) -> bool:
     """Normalized box character equals the pair-sum polynomial at (p, q)."""
+    p, q = _size(p), _size(q)
     mu = as_partition(mu)
     if sum(mu) > p * q:
         raise ValueError(f"|mu| = {sum(mu)} exceeds box size {p * q}")
-    lhs = normalized_character(rectangle(p, q), mu)
     rhs = factorization_poly(mu).evaluate((p, q))
-    return lhs == rhs
+    return normalized_character(rectangle(p, q), mu) == rhs
 
 
 @lru_cache(maxsize=64)
@@ -154,17 +177,21 @@ def sss_identity_check(k: int, p: int, q: int, mu: Partition) -> bool:
     s_lam(1^a) = content_product(lam, a) / H_lam (H the hook product).  Each
     term is summed as content_product(lam, p) * content_product(lam, -q)
     * chi^lam(mu) / H_lam, over mu's cached character table.
-    Right side: factorization_poly(mu) at (p, q).
+    Right side: factorization_poly(mu) at (p, q).  Both sides are
+    polynomials in p and q, so any integers may be given; the right side
+    goes first, so a mu above the enumeration cap is refused before its
+    character table is built.
     """
+    k, p, q = _size(k), _size(p), _size(q)
     mu = as_partition(mu)
     if sum(mu) != k:
         raise ValueError(f"mu = {mu} is not a partition of {k}")
+    rhs = factorization_poly(mu).evaluate((p, q))
     sign = -1 if k % 2 else 1
     lhs = sign * sum(
         Fraction(_content_product(lam, p) * _content_product(lam, -q) * chi, hooks)
         for lam, chi, hooks in _character_table(mu)
     )
-    rhs = factorization_poly(mu).evaluate((p, q))
     return lhs == rhs
 
 
@@ -179,6 +206,7 @@ def narayana_refinement(k: int) -> dict[int, int]:
     Read off the cached pair-sum polynomial of the k-cycle: each count is the
     absolute value of its p^i q^(k+1-i) coefficient, whose sign is (-1)^(i+1).
     """
+    k = _size(k)
     poly = factorization_poly((k,))
     out: dict[int, int] = {}
     for i in range(1, k + 1):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator
 
@@ -78,10 +79,17 @@ def rectangle(p: int, q: int) -> Partition:
     p, q = _size(p), _size(q)
     if p < 0 or q < 0:
         raise ValueError("rectangle sides must be nonnegative")
+    if q and p > sys.maxsize:
+        raise ValueError(f"rectangle side p = {p} is more rows than a tuple holds")
     return (q,) * p if q else ()
 
 
 def fits_in_box(lam: Partition, p: int, q: int) -> bool:
+    """lam has at most p parts, each at most q."""
+    lam = as_partition(lam)
+    p, q = _size(p), _size(q)
+    if p < 0 or q < 0:
+        raise ValueError("box sides must be nonnegative")
     return len(lam) <= p and (not lam or lam[0] <= q)
 
 

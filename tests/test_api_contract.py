@@ -1,6 +1,7 @@
 """Property test of the Python API's argument contract, for the entry points
-of the character kernel, the residue and leading-term routes, the
-interpolation, the verify runner and the partition helpers that take sizes.
+of the character kernel, the pair-sum routes, the residue and leading-term
+routes, the interpolation, the verify runner and the partition helpers that
+take sizes.
 
 Each function gets arguments drawn from edge values: integers weighted to
 small values, with 0, -1..-3 and -2^63..-2^70 now and then, and shapes
@@ -12,9 +13,11 @@ A valid argument list must return a value of the documented type, and an
 invalid one must raise ValueError and nothing else.  Sizes are capped where
 a large valid value is merely slow (interpolation_grid(2^63, 1) builds 2^64
 lists); huge positive values are drawn only where they must be rejected at
-once (a node budget the degree set exceeds) or are cheap (long rows).
+once (a node budget the degree set exceeds, a rectangle of more rows than a
+tuple holds, a k above the enumeration cap) or are cheap (long rows).
 """
 
+import sys
 from fractions import Fraction
 from itertools import islice
 
@@ -24,12 +27,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from rectchar import (
     ConjectureReport,
     MultivarPoly,
+    catalan_pair_count,
     complement,
     conjecture1_check,
     elizalde_formula,
     f_k_polynomial,
     f_k_special_value,
     f_mu_interpolate,
+    factorization_poly,
+    fits_in_box,
     flipped_polynomial,
     g_k_leading,
     g_k_via_lagrange,
@@ -38,6 +44,7 @@ from rectchar import (
     interpolation_grid,
     mn_character,
     narayana_check,
+    narayana_refinement,
     normalized_character,
     off_grid_fidelity,
     partitions_in_box,
@@ -48,7 +55,10 @@ from rectchar import (
     s_k_from_coefficient_sums,
     s_k_sequence,
     sq_shape,
+    sss_identity_check,
+    theorem1_check,
 )
+from rectchar.factorization import _ENUMERATION_CAP
 from rectchar.interpolation import _degree_set_size
 from rectchar.verify import CRITERIA
 
@@ -81,8 +91,11 @@ def shapes(cap: int, length: int, huge: bool = False, min_size: int = 0):
 
 
 def is_partition(parts) -> bool:
-    """The parts, trailing zeros dropped, are positive and weakly decreasing."""
+    """The parts are integers and, trailing zeros dropped, positive and
+    weakly decreasing."""
     parts = list(parts)
+    if any(type(x) is not int for x in parts):
+        return False
     while parts and parts[-1] == 0:
         parts.pop()
     return all(x > 0 for x in parts) and all(a >= b for a, b in zip(parts, parts[1:]))
@@ -260,12 +273,80 @@ def partitions_in_box_case(data):
 
 
 def rectangle_case(data):
-    # a huge p asks for a tuple of 2^63 parts, so only q is drawn huge
-    p, q = data.draw(sizes(5), label="p"), data.draw(sizes(5, huge=True), label="q")
+    # a huge p is past the longest tuple, so refused unless q = 0 leaves no
+    # rows to build
+    p = data.draw(sizes(5, huge=True), label="p")
+    q = data.draw(sizes(5, huge=True), label="q")
     ok, value = call(rectangle, p, q)
-    assert ok == (is_size(p) and is_size(q)), value
+    assert ok == (is_size(p) and is_size(q) and (q == 0 or p <= sys.maxsize)), value
     if ok:
         assert type(value) is tuple and value == ((q,) * p if q else ())
+
+
+def fits_in_box_case(data):
+    lam = data.draw(shapes(4, 3, huge=True), label="lam")
+    p = data.draw(sizes(4, huge=True), label="p")
+    q = data.draw(sizes(4, huge=True), label="q")
+    ok, value = call(fits_in_box, lam, p, q)
+    assert ok == (is_partition(lam) and is_size(p) and is_size(q)), value
+    if ok:
+        assert value is fits(lam, p, q)
+
+
+def pair_shapes():
+    """Cycle types whose valid draws have |mu| <= 9 (9! pairs take a tenth of
+    a second), or now and then one of small parts above the cap, or one with
+    a part that only equals an integer."""
+    rare = st.sampled_from([(11,), [6, 5], (4, 4, 3), (2.0,), [2, Fraction(2, 2)]])
+    return mostly(shapes(3, 3, huge=True), rare)
+
+
+def within_cap(mu) -> bool:
+    return sum(mu) <= _ENUMERATION_CAP
+
+
+def factorization_case(data):
+    mu = data.draw(pair_shapes(), label="mu")
+    ok, value = call(factorization_poly, mu)
+    assert ok == (is_partition(mu) and within_cap(mu)), value
+    if ok:
+        assert type(value) is MultivarPoly and value.nvars == 2
+
+
+def theorem1_case(data):
+    # a box of up to 4 x 4 holds some of the shapes above the cap
+    p, q = data.draw(sizes(4), label="p"), data.draw(sizes(4), label="q")
+    mu = data.draw(pair_shapes(), label="mu")
+    ok, value = call(theorem1_check, p, q, mu)
+    valid = is_size(p) and is_size(q) and is_partition(mu)
+    assert ok == (valid and sum(mu) <= p * q and within_cap(mu)), value
+    if ok:
+        assert value is True
+
+
+def sss_case(data):
+    # both sides are polynomials in p and q, so any integers are valid there
+    mu = data.draw(pair_shapes(), label="mu")
+    k = data.draw(mostly(st.just(sum(mu)), sizes(9, huge=True)), label="k")
+    p = data.draw(sizes(3, huge=True), label="p")
+    q = data.draw(sizes(3, huge=True), label="q")
+    ok, value = call(sss_identity_check, k, p, q, mu)
+    valid = type(k) is int and type(p) is int and type(q) is int
+    assert ok == (valid and is_partition(mu) and sum(mu) == k and within_cap(mu)), value
+    if ok:
+        assert value is True
+
+
+def k_cycle_case(data, function, kind):
+    """function(k), read off the pair-sum polynomial of the k-cycle."""
+    k = data.draw(sizes(9, huge=True), label="k")
+    ok, value = call(function, k)
+    assert ok == (is_size(k) and k <= _ENUMERATION_CAP), value
+    if ok and function is narayana_refinement:
+        assert type(value) is dict
+        assert all(type(i) is int and type(c) is int for i, c in value.items())
+    elif ok:
+        assert type(value) is int
 
 
 def complement_case(data, function):
@@ -317,6 +398,12 @@ CASES = {
     "partitions_of": partitions_of_case,
     "partitions_in_box": partitions_in_box_case,
     "rectangle": rectangle_case,
+    "fits_in_box": fits_in_box_case,
+    "factorization_poly": factorization_case,
+    "theorem1_check": theorem1_case,
+    "sss_identity_check": sss_case,
+    "catalan_pair_count": lambda data: k_cycle_case(data, catalan_pair_count, int),
+    "narayana_refinement": lambda data: k_cycle_case(data, narayana_refinement, dict),
     "complement": lambda data: complement_case(data, complement),
     "sq_shape": lambda data: complement_case(data, sq_shape),
 }

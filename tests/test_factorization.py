@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,10 +9,13 @@ from oracles import (
     NARAYANA_ROWS,
     brute_pair_sum,
     compose,
+    cycle_type,
     inverse,
     itertools_pair_counts,
 )
 from rectchar.factorization import (
+    _ENUMERATION_CAP,
+    _heap_schedule,
     _pair_cycle_counts,
     catalan_pair_count,
     factorization_poly,
@@ -57,6 +61,66 @@ def test_pair_counts_against_itertools_oracle():
         g = tuple(rng.sample(range(1, 9), 8))
         w = compose(compose(g, canonical_permutation(mu)), inverse(g))
         assert _pair_cycle_counts(w) == itertools_pair_counts(w), (mu, w)
+
+
+def replay(k):
+    """u after each step of the Heap schedule of k, from the identity, with
+    the schedule's split bit and the cycle counts before and after the step
+    recounted from scratch."""
+    u = list(range(1, k + 1))
+    for i, j, bit in zip(*_heap_schedule(k)):
+        before = len(cycle_type(tuple(u)))
+        u[i], u[j] = u[j], u[i]
+        yield tuple(u), bit, len(cycle_type(tuple(u))) - before
+
+
+def test_heap_schedule_visits_every_permutation_once():
+    for k in range(8):
+        seen = {tuple(range(1, k + 1))}
+        steps = 0
+        for u, _, _ in replay(k):
+            seen.add(u)
+            steps += 1
+        assert steps == math.factorial(k) - 1, k
+        assert len(seen) == math.factorial(k), k
+
+
+def test_heap_schedule_bits_are_the_cycle_count_changes():
+    for k in range(8):
+        for step, (_, bit, change) in enumerate(replay(k)):
+            assert change == (1 if bit else -1), (k, step)
+
+
+def test_cold_schedules_in_any_order_match_the_oracle():
+    # each mu of every k <= 7 in one shuffle, so a schedule reused for the
+    # wrong k would show; the cache starts empty
+    _heap_schedule.cache_clear()
+    mus = [mu for k in range(8) for mu in partitions_of(k)]
+    random.Random(25).shuffle(mus)
+    for mu in mus:
+        w = canonical_permutation(mu)
+        assert _pair_cycle_counts(w) == itertools_pair_counts(w), mu
+
+
+def test_heap_schedule_cache_is_bytes_and_one_key_per_k():
+    _heap_schedule.cache_clear()
+    for k in (3, 5, 3, 7, 5):
+        for mu in partitions_of(k):
+            _pair_cycle_counts(canonical_permutation(mu))
+    assert _heap_schedule.cache_info().currsize == 3
+    for k in (3, 5, 7):
+        parts = _heap_schedule(k)
+        assert [type(part) for part in parts] == [bytes] * 3
+        assert {len(part) for part in parts} == {math.factorial(k) - 1}
+    # a k above the cap is refused before any schedule is built
+    with pytest.raises(ValueError, match="exceeds enumeration cap"):
+        _pair_cycle_counts(tuple(range(1, _ENUMERATION_CAP + 2)))
+    assert _heap_schedule.cache_info().currsize == 3
+    # one key for each k = 0..8, however often each is asked for (k = 9
+    # and 10 are left out for time)
+    for k in list(range(_ENUMERATION_CAP - 1)) * 2:
+        _pair_cycle_counts(tuple(range(1, k + 1)))
+    assert _heap_schedule.cache_info().currsize == _ENUMERATION_CAP - 1
 
 
 def test_pair_count_invariants():
@@ -114,6 +178,26 @@ def test_oversized_mu_rejected():
         theorem1_check(2, 2, (5,))
     with pytest.raises(ValueError):
         sss_identity_check(3, 2, 2, (2,))  # mu does not sum to k
+
+
+def test_sizes_must_be_integers():
+    # a side of 2.5 reached Fraction, which raised TypeError
+    with pytest.raises(ValueError, match="^sizes must be integers"):
+        sss_identity_check(2, 2.5, 2, (2,))
+    with pytest.raises(ValueError, match="^sizes must be integers"):
+        sss_identity_check(2.0, 2, 2, (2,))
+    # p * q with a string side repeated the string
+    with pytest.raises(ValueError, match="^sizes must be integers"):
+        theorem1_check(2, "2", (1,))
+    # both sides are polynomials in p and q, so any integers are evaluated
+    assert sss_identity_check(3, -2, 2**70, [2, 1])
+    # a part equal to a cached integer key was once found under that key
+    factorization_poly((2,))
+    for mu in [(2.0,), (2, 1.0), [Fraction(2, 1)]]:
+        with pytest.raises(ValueError, match="^parts must be integers"):
+            factorization_poly(mu)
+    with pytest.raises(ValueError, match="^sizes must be integers"):
+        narayana_refinement(2.0)
 
 
 def test_enumeration_cap():

@@ -221,6 +221,27 @@ def test_rectangle():
     assert not fits_in_box((3,), 2, 2)
 
 
+def test_box_sides_must_be_integers():
+    # a side of 2.5 once passed as it was: len((1,)) <= 2.5 holds
+    for p, q in [(2.5, 2), (2, 2.5), (2.0, 2), (2, "2"), (None, 2)]:
+        with pytest.raises(ValueError, match="^sizes must be integers"):
+            fits_in_box((1,), p, q)
+    with pytest.raises(ValueError, match="^box sides must be nonnegative$"):
+        fits_in_box((), -1, 2)
+    with pytest.raises(ValueError, match="^parts must be positive"):
+        fits_in_box((-1,), 2, 2)
+    assert fits_in_box([1, 1, 0], 2, 1)
+
+
+def test_rectangle_past_the_tuple_length_names_the_side():
+    # (q,) * p raised OverflowError for p above sys.maxsize
+    for p in (2**63, 2**70):
+        with pytest.raises(ValueError, match="^rectangle side p = "):
+            rectangle(p, 1)
+    # no row holds a cell, so there is nothing to build
+    assert rectangle(2**63, 0) == ()
+
+
 def test_sq_shape_size_and_hooks():
     for p in range(1, 5):
         for q in range(1, 5):
