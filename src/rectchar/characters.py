@@ -30,17 +30,22 @@ Ch_(3) = 3 p_2 - 3 C(n, 2), Ch_(4) = 4 p_3 - 4 (2n - 3) p_1 (Corteel,
 Goupil & Schaeffer, Adv. Math. 2004, from the Jucys-Murphy elements), and
 Ch_(2,2) = Ch_(2)^2 - 4 Ch_(3) - 2n(n - 1) (Ivanov & Kerov's product
 Ch_(2) Ch_(2)).  Each row's contents are consecutive integers, so a bead
-adds a difference of two Faulhaber sums and an empty row adds 0.  From
-p_4 on the power sums bring in classes of several cycles, so a last part
-of 5 or more is swept and merged like every other level.
+adds a difference of two Faulhaber sums and an empty row adds 0.  These
+closed forms are written once (_tail_character) and take the shape's
+content sums, whichever way they were summed.  From p_4 on the power sums
+bring in classes of several cycles, so a last part of 5 or more is swept
+and merged like every other level.
 
 The sweep takes any parts, but a swept prefix that is empty or is itself
 such a tail, as every prefix of a mu of size at most 4 is, has a fast
 path: the kernel returns Ch_tau(lam) (1 for the empty prefix) times
 (n - k')_(k - k') at once, with no entry list, lcm or division.
 
-The kernel takes a bead tuple, so a stack of rectangles comes in as its
-blocks' runs of consecutive beads and is never expanded into rows.
+A stack of rectangles is never expanded into rows.  Its tail is read from
+its blocks (_stack_character): a block's run of consecutive beads adds a
+difference of two Faulhaber sums of its bead range to each content sum,
+so the read takes O(m) for m blocks.  Any other prefix sweeps the stack's
+bead tuple, each block giving a run of consecutive beads.
 
 At k = n the left side is chi * H_lam, so the character itself is that value
 divided by H_lam.  Nothing is kept between calls and no recursion depth
@@ -50,6 +55,7 @@ grows with the input.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from collections.abc import Sequence
 
@@ -57,6 +63,7 @@ from .partitions import Partition, _hook_product, _integers, as_partition
 
 Beads = tuple[int, ...]
 Runs = list[tuple[int, int, int]]
+Sums = tuple[int, int, int, int, int]
 
 
 def _beads(lam: Partition) -> Beads:
@@ -158,15 +165,64 @@ def _tail(parts: tuple[int, ...]) -> tuple[int, ...]:
     return parts[-1:] if parts[-1:] in ((2,), (3,), (4,)) else ()
 
 
-def _tail_character(beads: Beads, tail: tuple[int, ...]) -> int:
+def _bead_sums(beads: Beads, tail: tuple[int, ...]) -> Sums:
+    """The content sums (r, n, sum t, sum t(2x + 1), sum t^2) of the shape of
+    a bead tuple of r beads and n cells, t = x(x + 1) over x = b - r for each
+    bead b: the row of bead b has the contents up to x.  Only the sums that
+    Ch_tail reads are summed, the others given as 0: sum t for every
+    nonempty tail, sum t(2x + 1) for (3) and (2, 2), sum t^2 for (4)."""
+    r = len(beads)
+    n = sum(beads) - r * (r - 1) // 2
+    if not tail:
+        return r, n, 0, 0, 0
+    ts = [(b - r) * (b - r + 1) for b in beads]
+    s1, s2, s3 = sum(ts), 0, 0
+    if tail == (4,):
+        s3 = sum(map(operator.mul, ts, ts))
+    elif tail != (2,):  # t(2x + 1) = 2tx + t
+        s2 = 2 * sum(map(operator.mul, ts, [b - r for b in beads])) + s1
+    return r, n, s1, s2, s3
+
+
+def _block_sums(ps: Sequence[int], qs: Sequence[int]) -> Sums:
+    """_bead_sums(_stack_beads(ps, qs), tail) for every tail at once, read
+    off the blocks in O(m).
+
+    Below the rows of the blocks above it, a block of p rows and width q
+    gives the beads whose x = b - r run over u..v = q - above - p ..
+    q - above - 1, so its share of each sum is G(v) - G(u - 1), G being the
+    sum of the summand over 0..v:
+
+        G1(v) = v(v + 1)(v + 2)/3
+        G2(v) = v(v + 1)^2 (v + 2)/2
+        G3(v) = v(v + 1)(v + 2)(3v^2 + 6v + 1)/15
+
+    These are polynomial identities, so negative v need no case of their
+    own."""
+    above = n = s1 = s2 = s3 = 0
+    for p, q in zip(ps, qs):
+        if q:
+            v = q - above - 1
+            lo = v - p  # u - 1
+            w, z = v * (v + 1) * (v + 2), lo * (lo + 1) * (lo + 2)
+            s1 += (w - z) // 3
+            s2 += (w * (v + 1) - z * (lo + 1)) // 2
+            s3 += (w * (3 * v * (v + 2) + 1) - z * (3 * lo * (lo + 2) + 1)) // 15
+            above += p
+            n += p * q
+    return above, n, s1, s2, s3
+
+
+def _tail_character(sums: Sums, tail: tuple[int, ...]) -> int:
     """Ch_tail(nu) = (n)_|tail| chi^nu(tail, 1^(n - |tail|)) / chi^nu(1), for
-    nu of size n given by its bead tuple and tail one of (2), (3), (4) and
-    (2, 2); 0 when n < |tail|.
+    nu of size n given by its content sums (_bead_sums, _block_sums) and tail
+    one of (), (2), (3), (4) and (2, 2); 0 when n < |tail|.
 
     With p_e = sum of c^e over the contents c of nu's cells (Corteel, Goupil
     & Schaeffer, Adv. Math. 2004, from the Jucys-Murphy elements; Ivanov &
     Kerov for the product Ch_(2) Ch_(2)):
 
+        Ch_()    = 1
         Ch_(2)   = 2 p_1
         Ch_(3)   = 3 p_2 - 3 C(n, 2)
         Ch_(4)   = 4 p_3 - 4 (2n - 3) p_1
@@ -176,23 +232,30 @@ def _tail_character(beads: Beads, tail: tuple[int, ...]) -> int:
     x = b - r, so with S_e(x) = 1^e + .. + x^e, extended as a polynomial to
     x < 0, p_e is the sum of S_e(b - r) less the sum of S_e(j - r), which is
     a polynomial in r.  Writing t = x(x + 1) = 2 S_1(x), 6 S_2(x) is
-    t(2x + 1) and 4 S_3(x) is t^2.
+    t(2x + 1) and 4 S_3(x) is t^2, whose sums over the beads are given.
     """
-    r = len(beads)
-    ts = [(b - r) * (b - r + 1) for b in beads]
-    twice_p1 = sum(ts) - (r - 1) * r * (r + 1) // 3
+    if not tail:
+        return 1
+    r, n, s1, six_s2, s3 = sums
+    twice_p1 = s1 - (r - 1) * r * (r + 1) // 3
     if tail == (2,):
         return twice_p1
-    n = sum(beads) - r * (r - 1) // 2
     if tail == (4,):
-        four_p3 = sum(t * t for t in ts) - (r - 1) * r * (r + 1) * (3 * r * r - 2) // 15
+        four_p3 = s3 - (r - 1) * r * (r + 1) * (3 * r * r - 2) // 15
         return four_p3 - 2 * (2 * n - 3) * twice_p1
-    six_p2 = sum(t * (2 * b - 2 * r + 1) for t, b in zip(ts, beads))
-    six_p2 += (r - 1) * r * r * (r + 1) // 2
+    six_p2 = six_s2 + (r - 1) * r * r * (r + 1) // 2
     ch3 = (six_p2 - 3 * n * (n - 1)) // 2
     if tail == (3,):
         return ch3
     return twice_p1 * twice_p1 - 4 * ch3 - 2 * n * (n - 1)
+
+
+def _closed_character(sums: Sums, swept: tuple[int, ...], k: int) -> int:
+    """normalized_character for a shape of n >= k cells given by its content
+    sums and a swept prefix that is empty or a closed-form tail:
+    Ch_swept times (n - |swept|)_(k - |swept|)."""
+    k1 = sum(swept)
+    return _tail_character(sums, swept) * math.perm(sums[1] - k1, k - k1)
 
 
 def _merged_level(level: dict[Beads, list[int]], part: int) -> dict[Beads, list[int]]:
@@ -238,7 +301,7 @@ def _strip_sweep(beads: Beads, parts: tuple[int, ...]) -> list[list[int]]:
     if not tail:
         return list(level.values())
     return [
-        [count * _tail_character(beads, tail), num, den]
+        [count * _tail_character(_bead_sums(beads, tail), tail), num, den]
         for beads, (count, num, den) in level.items()
     ]
 
@@ -295,19 +358,19 @@ def normalized_character(lam: Partition, mu: Partition) -> int:
 def _bead_character(beads: Beads, swept: tuple[int, ...], k: int) -> int:
     """normalized_character for the shape lam of a bead tuple (empty rows
     allowed), the swept prefix of mu (mu without its trailing 1s) and
-    k = |mu| <= |lam|.  Stacked rectangles come here as their beads, a
-    block of p rows giving p consecutive beads, never as rows.
+    k = |mu| <= |lam|.  A stack of rectangles comes here from
+    _stack_character as its beads, a block of p rows giving p consecutive
+    beads, never as rows, when its swept prefix is not a closed-form tail.
 
     Every prefix goes through _strip_sweep's entries, except as a fast
     path an empty prefix or one that is itself a closed-form tail, (2),
     (3), (4) or (2, 2): that is Ch_swept(lam) (1 for the empty one) times
     (n - |swept|)_(k - |swept|), the same value with no entry list, lcm or
     division."""
+    if swept == _tail(swept):
+        return _closed_character(_bead_sums(beads, swept), swept, k)
     r = len(beads)
     n, k1 = sum(beads) - r * (r - 1) // 2, sum(swept)
-    if swept == _tail(swept):
-        value = _tail_character(beads, swept) if swept else 1
-        return value * math.perm(n - k1, k - k1)
     entries = _strip_sweep(beads, swept)
     den = math.lcm(*(d for _, _, d in entries))
     num = sum(c * h * (den // d) for c, h, d in entries) * math.perm(n - k1, k - k1)
@@ -318,3 +381,16 @@ def _bead_character(beads: Beads, swept: tuple[int, ...], k: int) -> int:
             f"non-integral: {num}/{den}"
         )
     return value
+
+
+def _stack_character(
+    ps: Sequence[int], qs: Sequence[int], swept: tuple[int, ...], k: int
+) -> int:
+    """_bead_character for the stack of ps[i] rows of length qs[i], top block
+    first and widths strictly decreasing, of at least k cells.  A swept
+    prefix that is empty or a closed-form tail is read off the blocks'
+    content sums (_block_sums) in O(m); any other goes to _bead_character
+    with the stack's bead tuple."""
+    if swept == _tail(swept):
+        return _closed_character(_block_sums(ps, qs), swept, k)
+    return _bead_character(_stack_beads(ps, qs), swept, k)

@@ -38,9 +38,9 @@ Its value is the character there, less the faces below s at each proper
 subset of its blocks, over p_1..p_s q_s; a face H^(t) below is read once
 per distinct projection of the nodes onto t of their s blocks.  The
 character is taken from the trusted kernel as an exact integer, the stack
-given as its bead tuple (a block of p rows is p consecutive beads), or is
-0 with no kernel call below |mu| cells, where Ch_mu vanishes (Kerov &
-Olshanski, C. R. Acad. Sci. Paris 319, 1994).  The Newton solve runs in
+given as its blocks (characters._stack_character), or is 0 with no kernel
+call below |mu| cells, where Ch_mu vanishes (Kerov & Olshanski, C. R.
+Acad. Sci. Paris 319, 1994).  The Newton solve runs in
 integers on node indices, and F_mu is then audited at a point outside the
 grid before being returned.
 
@@ -67,12 +67,7 @@ from functools import lru_cache
 
 # normalized_character is unused here, but perfbench's tracer wraps it under
 # this module's name, so the name stays
-from .characters import (
-    _bead_character,
-    _stack_beads,
-    _sweep_depth,
-    normalized_character,
-)
+from .characters import _stack_character, _sweep_depth, normalized_character
 from .frobenius import flipped_polynomial
 from .partitions import Partition, as_partition, format_partition
 from .polynomials import MultivarPoly, Scalar, _clean_coef
@@ -243,11 +238,11 @@ def _shape_value(m: int, swept: Partition, k: int, point: tuple[int, ...]) -> in
     its trailing 1s).  A block with no rows or no columns adds nothing; the
     widths of the other blocks must strictly decrease.  A stack of fewer than
     k cells gives 0, the falling factorial (n)_k being 0 there, without a
-    kernel call; the kernel is given the stack's bead tuple."""
+    kernel call; the kernel is given the stack's blocks."""
     ps, qs = point[:m], point[m:]
     if sum(map(operator.mul, ps, qs)) < k:
         return 0
-    return _bead_character(_stack_beads(ps, qs), swept, k)
+    return _stack_character(ps, qs, swept, k)
 
 
 def _fill(m: int, faces: list[MultivarPoly]) -> MultivarPoly:
@@ -447,9 +442,14 @@ def off_grid_fidelity(
     """Compare poly, the interpolated F_mu, against direct character values at
     random admissible shapes drawn outside the interpolation grid.
 
-    A draw is on the grid of interpolation_grid, and drawn again, when
-    every p_i is at most k + 1 and every q_i lies in its band; each shape
-    goes to the kernel as its bead tuple.  The draws are compared in chunks
+    Each block's (p, q) is drawn as one integer below top_p * top_q, p up
+    to top_p = k + 4 and q up to top_q = m(k + 3) + 6, and a draw whose
+    widths repeat is drawn again; with the widths sorted descending, the
+    p's are uniform and the widths a uniform m-set.  A draw of fewer than
+    k cells is drawn again, and so is one on the grid of
+    interpolation_grid, where every p_i is at most k + 1 and every q_i lies
+    in its band; each shape goes to the kernel as its blocks
+    (characters._stack_character).  The draws are compared in chunks
     of up to _AUDIT_CHUNK, poly being evaluated once per chunk
     (MultivarPoly.evaluate_many), so memory stays bounded for any number of
     samples."""
@@ -462,23 +462,28 @@ def off_grid_fidelity(
     if seed is None:
         seed = hash((m, mu)) & 0xFFFFFFFF
     rng = random.Random(seed)
-    randint, sample = rng.randint, rng.sample
+    randrange = rng.randrange
     swept = mu[: _sweep_depth(mu)]
-    top_p, q_range = k + 4, range(1, m * (k + 3) + 7)
+    top_p, top_q = k + 4, m * (k + 3) + 6
+    choices = top_p * top_q  # a block (p, q) is drawn as (p - 1) top_q + q - 1
     d, bands = k + 2, list(range(m - 1, -1, -1))  # q_i // d is m - i on the grid
     done = 0
     while done < samples:
         chunk = min(_AUDIT_CHUNK, samples - done)
         points, expected = [], []
         while len(points) < chunk:
-            ps = tuple([randint(1, top_p) for _ in range(m)])
-            qs = tuple(sorted(sample(q_range, m), reverse=True))
+            draws = [randrange(choices) for _ in range(m)]
+            qs = {c % top_q + 1 for c in draws}
+            if len(qs) < m:
+                continue  # a repeated width; draw again
+            ps = tuple([c // top_q + 1 for c in draws])
+            qs = tuple(sorted(qs, reverse=True))
             if sum(map(operator.mul, ps, qs)) < k:
                 continue
             if max(ps) < d and [q // d for q in qs] == bands:
                 continue  # landed on the grid; draw again
             points.append(ps + qs)
-            expected.append(_bead_character(_stack_beads(ps, qs), swept, k))
+            expected.append(_stack_character(ps, qs, swept, k))
         if poly.evaluate_many(points) != expected:
             return False
         done += chunk

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .frobenius import _dimension_vars, _stack_roots, flipped_polynomial
 from .interpolation import f_k_polynomial
+from .partitions import _size
 from .polynomials import MultivarPoly
 from .series import PowerSeries
 
@@ -110,6 +111,7 @@ def s_k_from_coefficient_sums(m: int, kmax: int) -> list[int]:
 
 def narayana_number(k: int, i: int) -> int:
     """C(k,i) * C(k,i-1) / k, the count refining the Catalan number by i."""
+    k, i = _size(k), _size(i)
     if k < 1:
         raise ValueError("k must be positive")
     if not 1 <= i <= k:

@@ -22,6 +22,10 @@ CellSet = frozenset[Cell]
 def _integers(parts: Iterable[int]) -> tuple[int, ...]:
     """The parts as a tuple of ints; a part that is not an integer is rejected,
     never truncated."""
+    try:
+        parts = iter(parts)
+    except TypeError:
+        raise ValueError(f"parts must be a sequence of integers: {parts!r}") from None
     out = []
     for x in parts:
         try:
@@ -60,6 +64,8 @@ def as_partition(parts: Iterable[int]) -> Partition:
 
 def parse_partition(text: str) -> Partition:
     """Parse the serialized form: "4,3,1" or "-" for the empty partition."""
+    if not isinstance(text, str):
+        raise ValueError(f"not a partition string: {text!r}")
     text = text.strip()
     if text in ("-", ""):
         return ()
@@ -71,6 +77,8 @@ def parse_partition(text: str) -> Partition:
 
 
 def format_partition(lam: Partition) -> str:
+    """The serialized form of a partition, which parse_partition reads back."""
+    lam = as_partition(lam)
     return ",".join(str(x) for x in lam) if lam else "-"
 
 
@@ -113,9 +121,18 @@ def _conjugate(lam: Partition) -> Partition:
     return tuple(conj)
 
 
+def _cell(cell: Cell) -> Cell:
+    """A cell, checked: a tuple of two ints, each at least 1."""
+    if isinstance(cell, tuple) and len(cell) == 2:
+        i, j = cell
+        if isinstance(i, int) and isinstance(j, int) and i >= 1 and j >= 1:
+            return cell
+    raise ValueError(f"malformed cell: {cell!r}")
+
+
 def content(cell: Cell) -> int:
     """Column index minus row index."""
-    i, j = cell
+    i, j = _cell(cell)
     return j - i
 
 
@@ -209,14 +226,13 @@ def cellset_hooks(diagram: CellSet) -> Counter[int]:
 
     Rows of the cell set must be contiguous column intervals.
     """
-    cells_set = set(diagram)
+    try:
+        cells_set = set(diagram)
+    except TypeError:  # not iterable, or a cell that is not hashable
+        raise ValueError(f"not a set of cells: {diagram!r}") from None
     rows: dict[int, list[int]] = {}
     for cell in cells_set:
-        if not (isinstance(cell, tuple) and len(cell) == 2):
-            raise ValueError(f"malformed cell: {cell!r}")
-        i, j = cell
-        if not (isinstance(i, int) and isinstance(j, int) and i >= 1 and j >= 1):
-            raise ValueError(f"malformed cell: {cell!r}")
+        i, j = _cell(cell)
         rows.setdefault(i, []).append(j)
     for i, cols in rows.items():
         if max(cols) - min(cols) + 1 != len(cols):

@@ -1,14 +1,16 @@
 """Property test of the Python API's argument contract, for the entry points
 of the character kernel, the pair-sum routes, the residue and leading-term
-routes, the interpolation, the verify runner and the partition helpers that
-take sizes.
+routes, the interpolation, the verify runner, the partition helpers and
+narayana_number.
 
 Each function gets arguments drawn from edge values: integers weighted to
 small values, with 0, -1..-3 and -2^63..-2^70 now and then, and shapes
 given as lists or tuples, empty or with zeros, negatives, parts out of
 order and, where they must be rejected at once or stay cheap, huge parts;
 sizes are now and then not integers at all (2.5, 2.0, Fraction(4, 2), "2",
-None), which must be rejected, never truncated.
+None), which must be rejected, never truncated.  The helpers that take one
+shape, a cell, a cell set or a partition string also get arguments of the
+wrong kind (None, 5, lists where tuples are hashed, bytes).
 A valid argument list must return a value of the documented type, and an
 invalid one must raise ValueError and nothing else.  Sizes are capped where
 a large valid value is merely slow (interpolation_grid(2^63, 1) builds 2^64
@@ -17,7 +19,10 @@ once (a node budget the degree set exceeds, a rectangle of more rows than a
 tuple holds, a k above the enumeration cap) or are cheap (long rows).
 """
 
+import math
+import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 
@@ -28,8 +33,11 @@ from rectchar import (
     ConjectureReport,
     MultivarPoly,
     catalan_pair_count,
+    cellset_hooks,
     complement,
     conjecture1_check,
+    conjugate,
+    content,
     elizalde_formula,
     f_k_polynomial,
     f_k_special_value,
@@ -37,16 +45,21 @@ from rectchar import (
     factorization_poly,
     fits_in_box,
     flipped_polynomial,
+    format_partition,
     g_k_leading,
     g_k_via_lagrange,
     gk_generating_check,
+    hook_lengths,
+    hook_product,
     integrality_witness,
     interpolation_grid,
     mn_character,
     narayana_check,
+    narayana_number,
     narayana_refinement,
     normalized_character,
     off_grid_fidelity,
+    parse_partition,
     partitions_in_box,
     partitions_of,
     rectangle,
@@ -56,6 +69,7 @@ from rectchar import (
     s_k_sequence,
     sq_shape,
     sss_identity_check,
+    syt_count,
     theorem1_check,
 )
 from rectchar.factorization import _ENUMERATION_CAP
@@ -376,6 +390,119 @@ def flip_case(data):
         assert flipped_polynomial(value, m, k) == poly
 
 
+def is_shape(parts) -> bool:
+    return isinstance(parts, (list, tuple)) and is_partition(parts)
+
+
+NOT_SHAPES = st.sampled_from([None, 5, 2.5, "21", [2, None], (2, 1.5)])
+
+
+def shape_case(data, function):
+    """function(lam) for a shape of up to 4 parts up to 5, or now and then
+    something that is not a sequence of integers; huge parts would build
+    huge columns or hook lists, so only format_partition draws them."""
+    huge = function is format_partition
+    lam = data.draw(mostly(shapes(5, 4, huge=huge), NOT_SHAPES), label="lam")
+    ok, value = call(function, lam)
+    assert ok == is_shape(lam), value
+    if not ok:
+        return
+    parts = tuple(x for x in lam if x)
+    if function is conjugate:
+        assert type(value) is tuple and is_partition(value) and sum(value) == sum(parts)
+        assert conjugate(value) == parts
+    elif function is hook_lengths:
+        assert type(value) is list and all(type(h) is int for h in value)
+        assert len(value) == sum(parts) and math.prod(value) == hook_product(parts)
+    elif function is hook_product:
+        assert type(value) is int and value >= 1
+    elif function is syt_count:
+        assert type(value) is int and value * hook_product(parts) == math.factorial(sum(parts))
+    else:
+        assert type(value) is str and parse_partition(value) == parts
+
+
+def reads_as_partition(text) -> bool:
+    """text is "-", blank, or comma-separated decimal integers, each maybe
+    signed and padded with spaces, that form a partition."""
+    if not isinstance(text, str):
+        return False
+    if text.strip() in ("-", ""):
+        return True
+    pieces = text.split(",")
+    if not all(re.fullmatch(r" *-?[0-9]+ *", piece) for piece in pieces):
+        return False
+    return is_partition([int(piece) for piece in pieces])
+
+
+def parse_case(data):
+    serialized = shapes(12, 4).map(lambda parts: ",".join(map(str, parts)))
+    junk = st.text(alphabet="0123456789,- x", max_size=10)
+    wrong_kind = st.sampled_from([None, 5, b"2,1", ["2"]])
+    text = data.draw(mostly(serialized, junk | wrong_kind), label="text")
+    ok, value = call(parse_partition, text)
+    assert ok == reads_as_partition(text), value
+    if ok:
+        assert type(value) is tuple and all(type(x) is int for x in value)
+        assert is_partition(value) and parse_partition(format_partition(value)) == value
+
+
+def is_cell(cell) -> bool:
+    return (
+        type(cell) is tuple
+        and len(cell) == 2
+        and all(type(x) is int and x >= 1 for x in cell)
+    )
+
+
+BAD_CELLS = st.sampled_from([(1,), (1, 2, 3), (1.5, 1), ("1", 1), (None, 2)])
+
+
+def content_case(data):
+    cell = data.draw(
+        mostly(st.tuples(ints(5), ints(5)), BAD_CELLS | st.sampled_from([None, 5, [1, 2]])),
+        label="cell",
+    )
+    ok, value = call(content, cell)
+    assert ok == is_cell(cell), value
+    if ok:
+        assert type(value) is int and value == cell[1] - cell[0]
+
+
+def is_cell_set(diagram) -> bool:
+    """Valid cells whose rows are contiguous column intervals."""
+    if not isinstance(diagram, (frozenset, list)) or not all(map(is_cell, diagram)):
+        return False
+    rows: dict[int, set[int]] = {}
+    for i, j in diagram:
+        rows.setdefault(i, set()).add(j)
+    return all(max(js) - min(js) + 1 == len(js) for js in rows.values())
+
+
+def cellset_case(data):
+    cell = st.tuples(st.integers(-1, 4), st.integers(-1, 4))
+    rare = st.lists(cell | BAD_CELLS, max_size=4) | st.sampled_from([None, 5, [[1, 1]]])
+    diagram = data.draw(mostly(st.frozensets(cell, max_size=8), rare), label="diagram")
+    ok, value = call(cellset_hooks, diagram)
+    assert ok == is_cell_set(diagram), value
+    if ok:
+        assert type(value) is Counter
+        assert all(type(h) is int and h >= 1 for h in value)
+        assert sum(value.values()) == len(set(diagram))
+
+
+def narayana_number_case(data):
+    # a huge i is cheap, the count being 0 above k; a huge k is not drawn,
+    # as C(k, i) for i near k/2 is slow
+    k = data.draw(sizes(8), label="k")
+    i = data.draw(sizes(10, huge=True), label="i")
+    ok, value = call(narayana_number, k, i)
+    assert ok == (type(k) is int and k >= 1 and type(i) is int), value
+    if ok:
+        assert type(value) is int
+        assert value == (math.comb(k, i) * math.comb(k, i - 1) // k if 1 <= i <= k else 0)
+
+
 CASES = {
     "interpolation_grid": grid_case,
     "f_mu_interpolate": lambda data: interpolate_case(data, f_mu_interpolate, MultivarPoly),
@@ -406,6 +533,15 @@ CASES = {
     "narayana_refinement": lambda data: k_cycle_case(data, narayana_refinement, dict),
     "complement": lambda data: complement_case(data, complement),
     "sq_shape": lambda data: complement_case(data, sq_shape),
+    "conjugate": lambda data: shape_case(data, conjugate),
+    "hook_lengths": lambda data: shape_case(data, hook_lengths),
+    "hook_product": lambda data: shape_case(data, hook_product),
+    "syt_count": lambda data: shape_case(data, syt_count),
+    "format_partition": lambda data: shape_case(data, format_partition),
+    "parse_partition": parse_case,
+    "content": content_case,
+    "cellset_hooks": cellset_case,
+    "narayana_number": narayana_number_case,
 }
 
 

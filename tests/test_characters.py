@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -20,10 +21,13 @@ from rectchar import characters
 from rectchar.characters import (
     _bead_character,
     _bead_move_ratio,
+    _bead_sums,
     _beads,
+    _block_sums,
     _free_moves,
     _runs,
     _stack_beads,
+    _stack_character,
     _strip_sweep,
     _tail_character,
     mn_character,
@@ -262,7 +266,7 @@ def test_tails_match_the_expanded_sweep():
             for pad in (0, 1, 2) if lam else (1, 2):
                 beads = _beads(lam + (0,) * pad)
                 for tau in ((2,), (3,), (4,), (2, 2)):
-                    value = _tail_character(beads, tau)
+                    value = _tail_character(_bead_sums(beads, tau), tau)
                     assert type(value) is int
                     assert value == _expanded_tail(beads, tau), (lam, pad, tau)
                     if n < sum(tau):
@@ -330,6 +334,89 @@ def test_closed_form_prefixes_skip_the_sweep():
                         assert type(value) is int
                         expected = total * math.perm(n - sum(swept), k - sum(swept))
                         assert value == expected, (lam, pad, swept, k)
+
+
+def _stacks(m, p_max, q_max):
+    """Every stack of m blocks of 0..p_max rows, widths strictly decreasing
+    from at most q_max down to at least 0, as (ps, qs)."""
+    for ps in itertools.product(range(p_max + 1), repeat=m):
+        for qs in itertools.combinations(range(q_max, -1, -1), m):
+            yield ps, qs
+
+
+def test_block_sums_are_the_bead_sums():
+    # empty blocks included; the Faulhaber differences are polynomial
+    # identities, so the widths below the rows above them need no case.
+    # Four blocks of up to 5 rows and widths up to 12 are 926,640 stacks, so
+    # past 3 rows and width 8 they are sampled
+    rng = random.Random(5)
+    sampled = [
+        (
+            tuple(rng.randint(0, 5) for _ in range(4)),
+            tuple(sorted(rng.sample(range(13), 4), reverse=True)),
+        )
+        for _ in range(4000)
+    ]
+    every = ((1, 5, 12), (2, 5, 12), (3, 5, 12), (4, 3, 8))
+    for ps, qs in itertools.chain(*itertools.starmap(_stacks, every), sampled):
+        # (3) reads every sum but sum t^2, which (4) reads
+        beads = _stack_beads(ps, qs)
+        expected = _bead_sums(beads, (3,))[:4] + _bead_sums(beads, (4,))[4:]
+        assert _block_sums(ps, qs) == expected, (ps, qs)
+
+
+def test_block_reads_match_the_bead_route():
+    for m, p_max, q_max in ((1, 5, 12), (2, 5, 12), (3, 2, 6), (4, 2, 6)):
+        for ps, qs in _stacks(m, p_max, q_max):
+            beads = _stack_beads(ps, qs)
+            n = sum(map(operator.mul, ps, qs))
+            for swept in ((), (2,), (3,), (4,), (2, 2)):
+                k1 = sum(swept)
+                for k in {k1, k1 + 1, n}:
+                    if k1 <= k <= n:
+                        value = _stack_character(ps, qs, swept, k)
+                        assert type(value) is int
+                        assert value == _bead_character(beads, swept, k), (ps, qs, swept, k)
+
+
+def test_block_reads_match_the_reference():
+    # random stacks of up to 10 cells, at every k the prefix allows
+    rng = random.Random(3)
+    tried = 0
+    while tried < 40:
+        m = rng.randint(1, 4)
+        ps = tuple(rng.randint(0, 3) for _ in range(m))
+        qs = tuple(sorted(rng.sample(range(7), m), reverse=True))
+        rows = tuple(q for p, q in zip(ps, qs) for _ in range(p) if q)
+        if sum(rows) > 10:
+            continue
+        tried += 1
+        for swept in ((), (2,), (3,), (4,), (2, 2)):
+            for k in range(sum(swept), sum(rows) + 1):
+                mu = swept + (1,) * (k - sum(swept))
+                expected = reference_normalized_character(rows, mu)
+                assert _stack_character(ps, qs, swept, k) == expected, (ps, qs, mu)
+
+
+def test_other_prefixes_read_the_stack_beads(monkeypatch):
+    # a prefix that is not a closed-form tail, such as (3, 2), goes to the
+    # bead route with the stack's beads; a tail does not
+    kernel = characters._bead_character
+    calls = []
+
+    def counted(beads, swept, k):
+        calls.append((beads, swept, k))
+        return kernel(beads, swept, k)
+
+    monkeypatch.setattr(characters, "_bead_character", counted)
+    ps, qs = (2, 0, 3), (6, 4, 2)
+    value = characters._stack_character(ps, qs, (3, 2), 7)
+    assert calls == [(_stack_beads(ps, qs), (3, 2), 7)]
+    assert value == normalized_character((6, 6, 2, 2, 2), (3, 2, 1, 1))
+    calls.clear()
+    for swept in ((), (2,), (3,), (4,), (2, 2)):
+        characters._stack_character(ps, qs, swept, 7)
+    assert calls == []
 
 
 def test_rect_character_sum_matches_direct_evaluation():

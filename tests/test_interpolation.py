@@ -25,7 +25,7 @@ from rectchar.interpolation import (
     interpolation_grid,
     off_grid_fidelity,
 )
-from rectchar.characters import _rows, _sweep_depth, normalized_character
+from rectchar.characters import _sweep_depth, normalized_character
 from rectchar.partitions import partitions_of
 from rectchar.polynomials import MultivarPoly
 
@@ -119,8 +119,10 @@ def test_off_grid_fidelity_rejects_a_wrong_coefficient():
 
 def test_off_grid_fidelity_reads_every_chunk(monkeypatch):
     # an error that shows only at p_1 = p_2 = k + 4, the top of the p draw:
-    # with seed 4 the first such sample is the 50th, in the second chunk
+    # with seed 11 the first such sample is the 50th, in the second chunk
     m, mu, k = 2, (2, 2), 4
+    first = [ps for ps, _ in _audit_draws(m, k, 11, 70)].index((k + 4,) * m) + 1
+    assert first == 50
     error = MultivarPoly.const(2 * m, 1)
     for v in range(m):
         x = MultivarPoly(2 * m, {tuple(int(i == v) for i in range(2 * m)): 1})
@@ -128,44 +130,83 @@ def test_off_grid_fidelity_reads_every_chunk(monkeypatch):
             error = error * (x - j)
     wrong = f_mu_interpolate(m, mu) + error
     counts = (1, 31, 32, 33, 49, 50, 64, 65, 70)
-    chunked = [off_grid_fidelity(m, mu, wrong, samples=n, seed=4) for n in counts]
+    chunked = [off_grid_fidelity(m, mu, wrong, samples=n, seed=11) for n in counts]
     assert chunked == [n < 50 for n in counts]
     # one sample at a time, as an unbatched loop would draw and compare
     monkeypatch.setattr(interpolation, "_AUDIT_CHUNK", 1)
-    assert [off_grid_fidelity(m, mu, wrong, samples=n, seed=4) for n in counts] == chunked
+    assert [off_grid_fidelity(m, mu, wrong, samples=n, seed=11) for n in counts] == chunked
+
+
+def _audit_draws(m, k, seed, count, on_grid=None):
+    """The first count (ps, qs) the audit keeps for this seed, drawn block by
+    block as written out here: one integer below top_p * top_q per block,
+    p - 1 and q - 1 its quotient and remainder by top_q, again when the
+    widths repeat; the widths sorted descending; again below k cells or on
+    the grid, looked up in the grid's axes.  Each draw on the grid is
+    appended to on_grid."""
+    rng = random.Random(seed)
+    top_p, top_q = k + 4, m * (k + 3) + 6
+    axes = [set(axis) for axis in interpolation_grid(m, k)]
+    kept = []
+    while len(kept) < count:
+        draws = [rng.randrange(top_p * top_q) for _ in range(m)]
+        if len({c % top_q for c in draws}) < m:
+            continue
+        ps = tuple(c // top_q + 1 for c in draws)
+        qs = tuple(sorted((c % top_q + 1 for c in draws), reverse=True))
+        if sum(map(operator.mul, ps, qs)) < k:
+            continue
+        if all(map(operator.contains, axes, ps + qs)):
+            if on_grid is not None:
+                on_grid.append(ps + qs)
+            continue
+        kept.append((ps, qs))
+    return kept
+
+
+def _audited_stacks(monkeypatch, m, mu, samples, seed):
+    """The (ps, qs) of every stack off_grid_fidelity reads, in order."""
+    kernel = interpolation._stack_character
+    stacks = []
+
+    def counted(ps, qs, swept, k):
+        stacks.append((ps, qs))
+        return kernel(ps, qs, swept, k)
+
+    poly = f_mu_interpolate(m, mu)
+    monkeypatch.setattr(interpolation, "_stack_character", counted)
+    assert off_grid_fidelity(m, mu, poly, samples=samples, seed=seed)
+    monkeypatch.setattr(interpolation, "_stack_character", kernel)
+    return stacks
 
 
 def test_audit_draws_the_shapes_a_grid_lookup_draws(monkeypatch):
-    # the band test makes the RNG calls of a lookup in the grid's axes, in
-    # the same order, so each seed audits the same shapes; each of these
-    # seeds draws points on the grid, which are drawn again
-    for m, mu, seed in ((1, (2,), 5), (2, (2, 2), 7), (3, (3, 1), 10)):
+    # the band test rejects the draws a lookup in the grid's axes rejects,
+    # so each seed audits the same shapes; each of these seeds draws points
+    # on the grid, which are drawn again
+    for m, mu, seed in ((1, (2,), 5), (2, (2, 2), 7), (3, (3, 1), 12)):
+        on_grid = []
+        expected = _audit_draws(m, sum(mu), seed, 40, on_grid)
+        assert on_grid, (m, mu)
+        assert _audited_stacks(monkeypatch, m, mu, 40, seed) == expected, (m, mu)
+
+
+def test_audit_draws_cover_the_box_off_the_grid(monkeypatch):
+    # over a few seeds every p in 1..k + 4 and every width in 1..m(k + 3) + 6
+    # is drawn, and no audited stack is on the grid or below k cells
+    for m, mu in ((1, (2,)), (2, (2, 2)), (3, (2, 1))):
         k = sum(mu)
-        rng = random.Random(seed)
         axes = [set(axis) for axis in interpolation_grid(m, k)]
-        expected, on_grid = [], 0
-        while len(expected) < 40:
-            ps = tuple([rng.randint(1, k + 4) for _ in range(m)])
-            qs = tuple(sorted(rng.sample(range(1, m * (k + 3) + 7), m), reverse=True))
-            if sum(map(operator.mul, ps, qs)) < k:
-                continue
-            if all(map(operator.contains, axes, ps + qs)):
-                on_grid += 1
-                continue
-            expected.append(_stack(m, ps + qs))
-        assert on_grid > 0
-        poly = f_mu_interpolate(m, mu)
-        kernel = interpolation._bead_character
-        shapes = []
-
-        def counted(beads, swept, k):
-            shapes.append(_rows(beads))
-            return kernel(beads, swept, k)
-
-        monkeypatch.setattr(interpolation, "_bead_character", counted)
-        assert off_grid_fidelity(m, mu, poly, samples=40, seed=seed)
-        monkeypatch.setattr(interpolation, "_bead_character", kernel)
-        assert shapes == expected, (m, mu)
+        ps_seen, qs_seen = set(), set()
+        for seed in range(8):
+            for ps, qs in _audited_stacks(monkeypatch, m, mu, 20, seed):
+                assert sum(map(operator.mul, ps, qs)) >= k
+                assert not all(map(operator.contains, axes, ps + qs))
+                assert list(qs) == sorted(set(qs), reverse=True)
+                ps_seen.update(ps)
+                qs_seen.update(qs)
+        assert ps_seen == set(range(1, k + 5)), (m, mu)
+        assert qs_seen == set(range(1, m * (k + 3) + 7)), (m, mu)
 
 
 def test_negative_samples_rejected():
@@ -332,14 +373,14 @@ def test_kernel_runs_once_per_shape_of_at_least_k_cells(monkeypatch):
     # of F_(2,2)'s 44 face nodes at m = 2, the 5 below 4 cells take no
     # kernel call
     _clear_caches()
-    kernel = interpolation._bead_character
+    kernel = interpolation._stack_character
     shapes = []
 
-    def counted(beads, swept, k):
-        shapes.append(_rows(beads))
-        return kernel(beads, swept, k)
+    def counted(ps, qs, swept, k):
+        shapes.append(_stack(len(ps), ps + qs))
+        return kernel(ps, qs, swept, k)
 
-    monkeypatch.setattr(interpolation, "_bead_character", counted)
+    monkeypatch.setattr(interpolation, "_stack_character", counted)
     f_mu_interpolate(2, (2, 2))
     assert len(shapes) == 39 + 1  # and the guard point
     assert len(set(shapes)) == len(shapes)

@@ -20,6 +20,10 @@ def poly_strategy(nvars=NVARS, max_terms=5, coef_bound=9, max_exp=3):
 
 
 points = st.tuples(*([st.integers(-4, 4)] * NVARS))
+# zero, negative and Fraction coordinates
+rational_points = st.tuples(
+    *([st.integers(-4, 4) | st.fractions(-4, 4, max_denominator=6)] * NVARS)
+)
 
 
 @given(poly_strategy(), poly_strategy(), poly_strategy())
@@ -39,8 +43,8 @@ def test_evaluation_is_ring_homomorphism(f, g, pt):
     assert (f + g).evaluate(pt) == f.evaluate(pt) + g.evaluate(pt)
 
 
-@given(poly_strategy(), st.lists(points, max_size=6))
-@settings(max_examples=60)
+@given(poly_strategy(), st.lists(rational_points, max_size=6))
+@settings(max_examples=100)
 def test_evaluate_many_is_evaluate_per_point(f, pts):
     half = f / 2 + MultivarPoly(NVARS, {(1, 0, 2): Fraction(1, 3)})
     for poly in (f, half, MultivarPoly.zero(NVARS)):
