@@ -36,16 +36,14 @@ content sums, whichever way they were summed.  From p_4 on the power sums
 bring in classes of several cycles, so a last part of 5 or more is swept
 and merged like every other level.
 
-The sweep takes any parts, but a swept prefix that is empty or is itself
-such a tail, as every prefix of a mu of size at most 4 is, has a fast
-path: the kernel returns Ch_tau(lam) (1 for the empty prefix) times
-(n - k')_(k - k') at once, with no entry list, lcm or division.
-
-A stack of rectangles is never expanded into rows.  Its tail is read from
-its blocks (_stack_character): a block's run of consecutive beads adds a
-difference of two Faulhaber sums of its bead range to each content sum,
-so the read takes O(m) for m blocks.  Any other prefix sweeps the stack's
-bead tuple, each block giving a run of consecutive beads.
+The kernel has one entry, _stack_character, and every shape enters it as
+its blocks, a partition as its runs of equal parts (_blocks), so no shape
+is expanded into rows.  A swept prefix that is empty or is itself such a
+tail, as every prefix of a mu of size at most 4 is, is read at once: each
+block adds a difference of two Faulhaber sums of its bead range to each
+content sum, and the value is Ch_tau (1 for the empty prefix) times
+(n - k')_(k - k'), in O(m) for m blocks, with no entry list, lcm or
+division.  Any other prefix sweeps the stack's bead tuple.
 
 At k = n the left side is chi * H_lam, so the character itself is that value
 divided by H_lam.  Nothing is kept between calls and no recursion depth
@@ -66,9 +64,18 @@ Runs = list[tuple[int, int, int]]
 Sums = tuple[int, int, int, int, int]
 
 
-def _beads(lam: Partition) -> Beads:
-    """The bead tuple of lam, ascending: lam_i + r - 1 - i over its r rows."""
-    return tuple(part + i for i, part in enumerate(reversed(lam)))
+def _blocks(lam: Partition) -> tuple[Partition, Partition]:
+    """lam as a stack (ps, qs): its runs of equal parts, top first, each a
+    block of ps[i] rows of width qs[i]."""
+    ps: list[int] = []
+    qs: list[int] = []
+    for part in lam:
+        if qs and qs[-1] == part:
+            ps[-1] += 1
+        else:
+            ps.append(1)
+            qs.append(part)
+    return tuple(ps), tuple(qs)
 
 
 def _stack_beads(ps: Sequence[int], qs: Sequence[int]) -> Beads:
@@ -81,11 +88,6 @@ def _stack_beads(ps: Sequence[int], qs: Sequence[int]) -> Beads:
             low = q + len(beads)
             beads += range(low, low + p)
     return tuple(beads)
-
-
-def _rows(beads: Beads) -> Partition:
-    """The shape of a bead tuple, its empty rows cut off."""
-    return tuple(b - i for i, b in reversed(list(enumerate(beads))) if b > i)
 
 
 def _runs(beads: Beads) -> Runs:
@@ -169,12 +171,10 @@ def _bead_sums(beads: Beads, tail: tuple[int, ...]) -> Sums:
     """The content sums (r, n, sum t, sum t(2x + 1), sum t^2) of the shape of
     a bead tuple of r beads and n cells, t = x(x + 1) over x = b - r for each
     bead b: the row of bead b has the contents up to x.  Only the sums that
-    Ch_tail reads are summed, the others given as 0: sum t for every
-    nonempty tail, sum t(2x + 1) for (3) and (2, 2), sum t^2 for (4)."""
+    the nonempty tail's Ch_tail reads are summed, the others given as 0:
+    sum t for every tail, sum t(2x + 1) for (3) and (2, 2), sum t^2 for (4)."""
     r = len(beads)
     n = sum(beads) - r * (r - 1) // 2
-    if not tail:
-        return r, n, 0, 0, 0
     ts = [(b - r) * (b - r + 1) for b in beads]
     s1, s2, s3 = sum(ts), 0, 0
     if tail == (4,):
@@ -248,14 +248,6 @@ def _tail_character(sums: Sums, tail: tuple[int, ...]) -> int:
     if tail == (3,):
         return ch3
     return twice_p1 * twice_p1 - 4 * ch3 - 2 * n * (n - 1)
-
-
-def _closed_character(sums: Sums, swept: tuple[int, ...], k: int) -> int:
-    """normalized_character for a shape of n >= k cells given by its content
-    sums and a swept prefix that is empty or a closed-form tail:
-    Ch_swept times (n - |swept|)_(k - |swept|)."""
-    k1 = sum(swept)
-    return _tail_character(sums, swept) * math.perm(sums[1] - k1, k - k1)
 
 
 def _merged_level(level: dict[Beads, list[int]], part: int) -> dict[Beads, list[int]]:
@@ -332,7 +324,7 @@ def mn_character(lam: Partition, nu: Sequence[int]) -> int:
 def _mn_character(lam: Partition, nu: tuple[int, ...]) -> int:
     """mn_character for a trusted lam and positive parts nu of size |lam|: the
     normalized character at k = n, which is chi * H_lam, divided by H_lam."""
-    theta = _bead_character(_beads(lam), nu[: _sweep_depth(nu)], sum(lam))
+    theta = _stack_character(*_blocks(lam), nu[: _sweep_depth(nu)], sum(lam))
     return theta // _hook_product(lam)
 
 
@@ -352,45 +344,30 @@ def normalized_character(lam: Partition, mu: Partition) -> int:
     k = sum(mu)
     if k > n:
         raise ValueError(f"|mu| = {k} exceeds |lam| = {n}")
-    return _bead_character(_beads(lam), mu[: _sweep_depth(mu)], k)
-
-
-def _bead_character(beads: Beads, swept: tuple[int, ...], k: int) -> int:
-    """normalized_character for the shape lam of a bead tuple (empty rows
-    allowed), the swept prefix of mu (mu without its trailing 1s) and
-    k = |mu| <= |lam|.  A stack of rectangles comes here from
-    _stack_character as its beads, a block of p rows giving p consecutive
-    beads, never as rows, when its swept prefix is not a closed-form tail.
-
-    Every prefix goes through _strip_sweep's entries, except as a fast
-    path an empty prefix or one that is itself a closed-form tail, (2),
-    (3), (4) or (2, 2): that is Ch_swept(lam) (1 for the empty one) times
-    (n - |swept|)_(k - |swept|), the same value with no entry list, lcm or
-    division."""
-    if swept == _tail(swept):
-        return _closed_character(_bead_sums(beads, swept), swept, k)
-    r = len(beads)
-    n, k1 = sum(beads) - r * (r - 1) // 2, sum(swept)
-    entries = _strip_sweep(beads, swept)
-    den = math.lcm(*(d for _, _, d in entries))
-    num = sum(c * h * (den // d) for c, h, d in entries) * math.perm(n - k1, k - k1)
-    value, rest = divmod(num, den)
-    if rest:
-        raise ArithmeticError(
-            f"normalized character of {_rows(beads)} at {swept}, k={k}, came out "
-            f"non-integral: {num}/{den}"
-        )
-    return value
+    return _stack_character(*_blocks(lam), mu[: _sweep_depth(mu)], k)
 
 
 def _stack_character(
     ps: Sequence[int], qs: Sequence[int], swept: tuple[int, ...], k: int
 ) -> int:
-    """_bead_character for the stack of ps[i] rows of length qs[i], top block
-    first and widths strictly decreasing, of at least k cells.  A swept
-    prefix that is empty or a closed-form tail is read off the blocks'
-    content sums (_block_sums) in O(m); any other goes to _bead_character
-    with the stack's bead tuple."""
+    """The kernel's one entry: normalized_character for the stack of ps[i]
+    rows of length qs[i], top block first and widths strictly decreasing,
+    of n >= k cells, at the swept prefix of mu (mu without its trailing 1s)
+    and k = |mu|.  A prefix that is empty or a closed-form tail is read off
+    the blocks' content sums (_block_sums) in O(m); any other is swept on
+    the stack's bead tuple, each block giving a run of consecutive beads."""
+    k1 = sum(swept)
     if swept == _tail(swept):
-        return _closed_character(_block_sums(ps, qs), swept, k)
-    return _bead_character(_stack_beads(ps, qs), swept, k)
+        sums = _block_sums(ps, qs)
+        return _tail_character(sums, swept) * math.perm(sums[1] - k1, k - k1)
+    n = sum(map(operator.mul, ps, qs))
+    entries = _strip_sweep(_stack_beads(ps, qs), swept)
+    den = math.lcm(*(d for _, _, d in entries))
+    num = sum(c * h * (den // d) for c, h, d in entries) * math.perm(n - k1, k - k1)
+    value, rest = divmod(num, den)
+    if rest:
+        raise ArithmeticError(
+            f"normalized character of the stack {ps} x {qs} at {swept}, k={k}, "
+            f"came out non-integral: {num}/{den}"
+        )
+    return value

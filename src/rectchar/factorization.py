@@ -19,14 +19,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, wraps
 
-from .characters import _mn_character, normalized_character
+from .characters import _mn_character, _stack_character, _sweep_depth
 from .partitions import (
     Partition,
+    _box,
     _hook_product,
     _size,
     as_partition,
     partitions_of,
-    rectangle,
 )
 from .permutations import Permutation, canonical_permutation
 from .polynomials import MultivarPoly
@@ -152,13 +152,15 @@ def factorization_poly(mu: Partition) -> MultivarPoly:
 
 
 def theorem1_check(p: int, q: int, mu: Partition) -> bool:
-    """Normalized box character equals the pair-sum polynomial at (p, q)."""
-    p, q = _size(p), _size(q)
+    """Normalized box character equals the pair-sum polynomial at (p, q).
+    The box goes to the character kernel as its one block, never as rows."""
+    p, q = _box(p, q)
     mu = as_partition(mu)
-    if sum(mu) > p * q:
-        raise ValueError(f"|mu| = {sum(mu)} exceeds box size {p * q}")
+    k = sum(mu)
+    if k > p * q:
+        raise ValueError(f"|mu| = {k} exceeds box size {p * q}")
     rhs = factorization_poly(mu).evaluate((p, q))
-    return normalized_character(rectangle(p, q), mu) == rhs
+    return _stack_character((p,), (q,), mu[: _sweep_depth(mu)], k) == rhs
 
 
 @lru_cache(maxsize=64)

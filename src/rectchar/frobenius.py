@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .partitions import Partition, as_partition
+from .partitions import Partition, _size, as_partition
 from .polynomials import MultivarPoly
 from .series import linear_product
 
@@ -51,6 +51,7 @@ def frobenius_normalized(lam: Partition, k: int) -> int:
     """Normalized character of lam at a single k-cycle plus fixed points; an
     integer, so a remainder raises ArithmeticError."""
     lam = as_partition(lam)
+    k = _size(k)
     n = sum(lam)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= |lam| = {n}, got {k}")
@@ -97,7 +98,7 @@ def _stack_roots(ps, qs) -> tuple[list, list]:
     return upper[::-1], lower[::-1]
 
 
-def _stack_character(k: int, upper, lower):
+def _residue_character(k: int, upper, lower):
     """-(1/k) [x^-1] of (x)_k prod (x - A_i)_k / prod (x - B_i)_k."""
     num_roots: list = list(range(k))
     num_roots.extend(a + j for a in upper for j in range(k))
@@ -115,7 +116,7 @@ def f_k_residue(m: int, k: int) -> MultivarPoly:
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    return _stack_character(k, *_stack_roots(*_dimension_vars(m)))
+    return _residue_character(k, *_stack_roots(*_dimension_vars(m)))
 
 
 def flipped_polynomial(poly: MultivarPoly, m: int, k: int) -> MultivarPoly:
@@ -145,7 +146,7 @@ def f_k_special_value(m: int, k: int) -> int:
     """
     if m < 1 or k < 1:
         raise ValueError("need m >= 1 and k >= 1")
-    value = _stack_character(k, *_stack_roots((1,) * m, (-1,) * m))
+    value = _residue_character(k, *_stack_roots((1,) * m, (-1,) * m))
     return _integral(-value if k % 2 else value)
 
 

@@ -21,18 +21,21 @@ CellSet = frozenset[Cell]
 
 def _integers(parts: Iterable[int]) -> tuple[int, ...]:
     """The parts as a tuple of ints; a part that is not an integer is rejected,
-    never truncated."""
+    never truncated.  The parts are converted in one map, and only a failed
+    conversion looks for the part to name."""
     try:
-        parts = iter(parts)
+        parts = tuple(parts)
     except TypeError:
         raise ValueError(f"parts must be a sequence of integers: {parts!r}") from None
-    out = []
-    for x in parts:
-        try:
-            out.append(operator.index(x))
-        except TypeError:
-            raise ValueError(f"parts must be integers: {x!r}") from None
-    return tuple(out)
+    try:
+        return tuple(map(operator.index, parts))
+    except TypeError:
+        for x in parts:
+            try:
+                operator.index(x)
+            except TypeError:
+                raise ValueError(f"parts must be integers: {x!r}") from None
+        raise
 
 
 def _size(x: int) -> int:
@@ -55,9 +58,9 @@ def as_partition(parts: Iterable[int]) -> Partition:
     while end and lam[end - 1] == 0:
         end -= 1
     lam = lam[:end]
-    if any(x <= 0 for x in lam):
+    if lam and min(lam) <= 0:
         raise ValueError(f"parts must be positive: {lam}")
-    if any(a < b for a, b in zip(lam, lam[1:])):
+    if not all(map(operator.ge, lam, lam[1:])):
         raise ValueError(f"parts must be weakly decreasing: {lam}")
     return lam
 
@@ -82,13 +85,20 @@ def format_partition(lam: Partition) -> str:
     return ",".join(str(x) for x in lam) if lam else "-"
 
 
-def rectangle(p: int, q: int) -> Partition:
-    """The p-by-q rectangular partition (p rows of length q)."""
+def _box(p: int, q: int) -> tuple[int, int]:
+    """The sides of the p-by-q rectangle, checked as rectangle checks them,
+    for callers that never build its rows."""
     p, q = _size(p), _size(q)
     if p < 0 or q < 0:
         raise ValueError("rectangle sides must be nonnegative")
     if q and p > sys.maxsize:
         raise ValueError(f"rectangle side p = {p} is more rows than a tuple holds")
+    return p, q
+
+
+def rectangle(p: int, q: int) -> Partition:
+    """The p-by-q rectangular partition (p rows of length q)."""
+    p, q = _box(p, q)
     return (q,) * p if q else ()
 
 
@@ -102,9 +112,10 @@ def fits_in_box(lam: Partition, p: int, q: int) -> bool:
 
 
 def cells(lam: Partition) -> Iterator[Cell]:
-    for i, row_len in enumerate(lam, start=1):
-        for j in range(1, row_len + 1):
-            yield (i, j)
+    """The cells of lam's diagram, row by row.  Raises ValueError at the call
+    when lam is not a partition."""
+    lam = as_partition(lam)
+    return ((i, j) for i, row in enumerate(lam, start=1) for j in range(1, row + 1))
 
 
 def conjugate(lam: Partition) -> Partition:

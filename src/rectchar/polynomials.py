@@ -30,6 +30,8 @@ from fractions import Fraction
 from itertools import repeat
 from types import MappingProxyType
 
+from .partitions import _size
+
 Scalar = int | Fraction
 
 
@@ -267,6 +269,9 @@ def default_names(m: int) -> list[str]:
     rectangle and (a, p, b, q) for two, matching the usual way these
     polynomials are written out.
     """
+    m = _size(m)
+    if m < 1:
+        raise ValueError(f"need m >= 1 rectangles, got {m}")
     if m == 1:
         return ["p", "q"]
     if m == 2:

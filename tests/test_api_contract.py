@@ -1,7 +1,7 @@
 """Property test of the Python API's argument contract, for the entry points
 of the character kernel, the pair-sum routes, the residue and leading-term
-routes, the interpolation, the verify runner, the partition helpers and
-narayana_number.
+routes, the interpolation, the verify runner, the partition helpers, the
+box lemma, canonical_permutation, default_names and narayana_number.
 
 Each function gets arguments drawn from edge values: integers weighted to
 small values, with 0, -1..-3 and -2^63..-2^70 now and then, and shapes
@@ -29,15 +29,19 @@ from itertools import islice
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from oracles import cycle_type
 from rectchar import (
     ConjectureReport,
     MultivarPoly,
+    canonical_permutation,
     catalan_pair_count,
+    cells,
     cellset_hooks,
     complement,
     conjecture1_check,
     conjugate,
     content,
+    default_names,
     elizalde_formula,
     f_k_polynomial,
     f_k_special_value,
@@ -46,6 +50,7 @@ from rectchar import (
     fits_in_box,
     flipped_polynomial,
     format_partition,
+    frobenius_normalized,
     g_k_leading,
     g_k_via_lagrange,
     gk_generating_check,
@@ -53,6 +58,7 @@ from rectchar import (
     hook_product,
     integrality_witness,
     interpolation_grid,
+    lemma_check,
     mn_character,
     narayana_check,
     narayana_number,
@@ -192,6 +198,18 @@ def normalized_case(data):
     assert ok == valid
     if ok:
         assert type(value) is int
+
+
+def frobenius_case(data):
+    # k is drawn small: a valid k builds k numerator roots, and a huge lam
+    # would admit a huge one
+    lam = data.draw(shapes(5, 4, huge=True), label="lam")
+    k = data.draw(sizes(8), label="k")
+    ok, value = call(frobenius_normalized, lam, k)
+    valid = is_partition(lam) and type(k) is int and 1 <= k <= sum(lam)
+    assert ok == valid, value
+    if ok:
+        assert type(value) is int and value == normalized_character(lam, (k,))
 
 
 def composition(n: int, cuts: list[int]) -> list[int]:
@@ -374,6 +392,8 @@ def complement_case(data, function):
     if ok and function is complement:
         assert type(value) is tuple and is_partition(value)
         assert sum(value) == p * q - sum(lam)
+    elif ok and function is lemma_check:
+        assert value is True
     elif ok:
         assert type(value) is frozenset and len(value) == p * q + sum(lam)
 
@@ -400,8 +420,9 @@ NOT_SHAPES = st.sampled_from([None, 5, 2.5, "21", [2, None], (2, 1.5)])
 def shape_case(data, function):
     """function(lam) for a shape of up to 4 parts up to 5, or now and then
     something that is not a sequence of integers; huge parts would build
-    huge columns or hook lists, so only format_partition draws them."""
-    huge = function is format_partition
+    huge columns, hook lists or permutations, so only format_partition and
+    cells, whose cells come one at a time, draw them."""
+    huge = function in (format_partition, cells)
     lam = data.draw(mostly(shapes(5, 4, huge=huge), NOT_SHAPES), label="lam")
     ok, value = call(function, lam)
     assert ok == is_shape(lam), value
@@ -418,6 +439,15 @@ def shape_case(data, function):
         assert type(value) is int and value >= 1
     elif function is syt_count:
         assert type(value) is int and value * hook_product(parts) == math.factorial(sum(parts))
+    elif function is cells:
+        # distinct cells of the diagram, as many as it has up to 50
+        assert iter(value) is value
+        got = list(islice(value, 50))
+        assert len(set(got)) == len(got) == min(50, sum(parts))
+        assert all(is_cell(c) and c[0] <= len(parts) and c[1] <= parts[c[0] - 1] for c in got)
+    elif function is canonical_permutation:
+        assert type(value) is tuple and sorted(value) == list(range(1, sum(parts) + 1))
+        assert cycle_type(value) == parts
     else:
         assert type(value) is str and parse_partition(value) == parts
 
@@ -491,6 +521,16 @@ def cellset_case(data):
         assert sum(value.values()) == len(set(diagram))
 
 
+def default_names_case(data):
+    # a huge m is drawn only below 1: a valid one would name 2m variables
+    m = data.draw(sizes(6), label="m")
+    ok, value = call(default_names, m)
+    assert ok == (type(m) is int and m >= 1), value
+    if ok:
+        assert type(value) is list and all(type(name) is str for name in value)
+        assert len(set(value)) == len(value) == 2 * m
+
+
 def narayana_number_case(data):
     # a huge i is cheap, the count being 0 above k; a huge k is not drawn,
     # as C(k, i) for i near k/2 is slow
@@ -509,6 +549,7 @@ CASES = {
     "conjecture1_check": lambda data: interpolate_case(data, conjecture1_check, ConjectureReport),
     "off_grid_fidelity": fidelity_case,
     "normalized_character": normalized_case,
+    "frobenius_normalized": frobenius_case,
     "mn_character": mn_case,
     "narayana_check": narayana_case,
     "run_criteria": criteria_case,
@@ -533,11 +574,15 @@ CASES = {
     "narayana_refinement": lambda data: k_cycle_case(data, narayana_refinement, dict),
     "complement": lambda data: complement_case(data, complement),
     "sq_shape": lambda data: complement_case(data, sq_shape),
+    "lemma_check": lambda data: complement_case(data, lemma_check),
     "conjugate": lambda data: shape_case(data, conjugate),
     "hook_lengths": lambda data: shape_case(data, hook_lengths),
     "hook_product": lambda data: shape_case(data, hook_product),
     "syt_count": lambda data: shape_case(data, syt_count),
     "format_partition": lambda data: shape_case(data, format_partition),
+    "cells": lambda data: shape_case(data, cells),
+    "canonical_permutation": lambda data: shape_case(data, canonical_permutation),
+    "default_names": default_names_case,
     "parse_partition": parse_case,
     "content": content_case,
     "cellset_hooks": cellset_case,

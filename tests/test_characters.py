@@ -19,16 +19,16 @@ from oracles import (
 )
 from rectchar import characters
 from rectchar.characters import (
-    _bead_character,
     _bead_move_ratio,
     _bead_sums,
-    _beads,
     _block_sums,
+    _blocks,
     _free_moves,
     _runs,
     _stack_beads,
     _stack_character,
     _strip_sweep,
+    _sweep_depth,
     _tail_character,
     mn_character,
     normalized_character,
@@ -103,9 +103,23 @@ def test_non_integer_cycle_lengths_are_rejected():
         mn_character((3, 1), (2.5, 2))
 
 
+def _beads(rows):
+    """The bead tuple of rows, ascending: rows[i] + r - 1 - i over its r rows,
+    empty rows included."""
+    return tuple(part + i for i, part in enumerate(reversed(rows)))
+
+
 def _rows(beads):
     """The shape an ascending bead tuple stands for, empty rows cut off."""
     return as_partition(b - i for i, b in reversed(list(enumerate(beads))))
+
+
+def _swept(beads, swept, k):
+    """The normalized character of the shape of beads at the swept prefix
+    and k = |mu|, summed from _strip_sweep's entries: the bead route."""
+    n = sum(beads) - len(beads) * (len(beads) - 1) // 2
+    total = sum(Fraction(c * h, d) for c, h, d in _strip_sweep(beads, swept))
+    return total * math.perm(n - sum(swept), k - sum(swept))
 
 
 def _bead_moves(beads, size):
@@ -154,6 +168,19 @@ def test_stack_beads_are_the_beads_of_its_rows():
             assert _stack_beads(ps, qs) == _beads(rows), (ps, qs)
 
 
+def test_a_partition_is_the_stack_of_its_runs():
+    # runs of equal parts, top first, with strictly decreasing widths
+    assert _blocks(()) == ((), ())
+    assert _blocks((3, 3, 1)) == ((2, 1), (3, 1))
+    assert _blocks((1,) * 5) == ((5,), (1,))
+    for n in range(13):
+        for lam in partitions_of(n):
+            ps, qs = _blocks(lam)
+            assert tuple(q for p, q in zip(ps, qs) for _ in range(p)) == lam
+            assert all(ps) and all(qs) and all(a > b for a, b in zip(qs, qs[1:]))
+            assert _stack_beads(ps, qs) == _beads(lam), lam
+
+
 def test_bead_move_ratio_is_the_hook_product_ratio():
     for n in range(1, 13):
         for lam in partitions_of(n):
@@ -168,15 +195,19 @@ def test_bead_move_ratio_is_the_hook_product_ratio():
 
 
 def test_sweep_matches_the_f_based_route():
+    # every shape enters the kernel's one entry as its blocks, at every mu
+    # with trailing 1s or without
     for n in range(1, 11):
         for lam in partitions_of(n):
-            for k in range(1, n + 1):
+            blocks = _blocks(lam)
+            for k in range(n + 1):
                 for mu in partitions_of(k):
                     typ = mu + (1,) * (n - k)
                     assert mn_character(lam, typ) == reference_mn_character(lam, typ)
                     value = normalized_character(lam, mu)
                     expected = reference_normalized_character(lam, mu)
                     assert (type(value), value) == (type(expected), expected)
+                    assert value == _stack_character(*blocks, mu[: _sweep_depth(mu)], k)
 
 
 def test_transposition_is_the_content_sum():
@@ -327,13 +358,10 @@ def test_closed_form_prefixes_skip_the_sweep():
                 beads = _beads(lam + (0,) * pad)
                 for swept in ((), (2,), (3,), (4,), (2, 2)):
                     # the empty prefix sums to 1: (n)_k is the character at 1^k
-                    entries = _strip_sweep(beads, swept)
-                    total = sum(Fraction(c * h, d) for c, h, d in entries)
                     for k in range(sum(swept), n + 1):
-                        value = _bead_character(beads, swept, k)
+                        value = _stack_character(*_blocks(lam), swept, k)
                         assert type(value) is int
-                        expected = total * math.perm(n - sum(swept), k - sum(swept))
-                        assert value == expected, (lam, pad, swept, k)
+                        assert value == _swept(beads, swept, k), (lam, pad, swept, k)
 
 
 def _stacks(m, p_max, q_max):
@@ -376,7 +404,7 @@ def test_block_reads_match_the_bead_route():
                     if k1 <= k <= n:
                         value = _stack_character(ps, qs, swept, k)
                         assert type(value) is int
-                        assert value == _bead_character(beads, swept, k), (ps, qs, swept, k)
+                        assert value == _swept(beads, swept, k), (ps, qs, swept, k)
 
 
 def test_block_reads_match_the_reference():
@@ -399,19 +427,12 @@ def test_block_reads_match_the_reference():
 
 
 def test_other_prefixes_read_the_stack_beads(monkeypatch):
-    # a prefix that is not a closed-form tail, such as (3, 2), goes to the
-    # bead route with the stack's beads; a tail does not
-    kernel = characters._bead_character
-    calls = []
-
-    def counted(beads, swept, k):
-        calls.append((beads, swept, k))
-        return kernel(beads, swept, k)
-
-    monkeypatch.setattr(characters, "_bead_character", counted)
+    # a prefix that is not a closed-form tail, such as (3, 2), is swept on
+    # the stack's beads; a tail is not
+    calls = _count_calls(monkeypatch, "_strip_sweep")
     ps, qs = (2, 0, 3), (6, 4, 2)
     value = characters._stack_character(ps, qs, (3, 2), 7)
-    assert calls == [(_stack_beads(ps, qs), (3, 2), 7)]
+    assert calls == [(_stack_beads(ps, qs), (3, 2))]
     assert value == normalized_character((6, 6, 2, 2, 2), (3, 2, 1, 1))
     calls.clear()
     for swept in ((), (2,), (3,), (4,), (2, 2)):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -62,6 +63,13 @@ def test_theorem1_evaluation(capsys):
     assert int(out) == normalized_character(rectangle(3, 4), (2, 1))
 
 
+def test_theorem1_reads_a_tall_box_as_one_block(capsys):
+    # p = 3 * 10^8 rows would take gigabytes as a tuple; the box's one block
+    # is read in O(1), and at (2, 2) the column's value is (p)_4
+    code, out, _ = run_cli(capsys, "theorem1", "--mu", "2,2", "--p", "300000000", "--q", "1")
+    assert (code, out) == (0, str(math.perm(300000000, 4)))
+
+
 def test_lemma_sweep(capsys):
     code, out, _ = run_cli(capsys, "lemma", "--p", "4", "--q", "6")
     assert code == 0
@@ -111,7 +119,7 @@ def test_fk_and_gk_never_reach_the_residue_route(capsys, monkeypatch):
     def refuse(k, upper, lower):
         raise AssertionError("residue route reached")
 
-    monkeypatch.setattr(frobenius, "_stack_character", refuse)
+    monkeypatch.setattr(frobenius, "_residue_character", refuse)
     with pytest.raises(AssertionError, match="residue route reached"):
         frobenius.f_k_residue(1, 1)
     flipped = frobenius.flipped_polynomial(f_k_polynomial(2, 3), 2, 3)

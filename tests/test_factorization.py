@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -171,6 +172,19 @@ def test_theorem_single_evaluations():
     assert factorization_poly((2,)).evaluate((3, 2)) == normalized_character(
         rectangle(3, 2), (2,)
     )
+
+
+def test_a_box_is_read_as_one_block():
+    # a column of 3 * 10^8 rows at a closed-form prefix is read off its one
+    # block at once, never built as rows; the side p is refused past
+    # sys.maxsize, as rectangle refuses it
+    assert theorem1_check(3 * 10**8, 1, (2, 2))
+    assert theorem1_check(sys.maxsize, 1, (2,))
+    assert theorem1_check(sys.maxsize + 1, 0, ())
+    with pytest.raises(ValueError, match="more rows than a tuple holds"):
+        theorem1_check(sys.maxsize + 1, 1, (2,))
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        theorem1_check(-1, -3, (2,))
 
 
 def test_oversized_mu_rejected():
