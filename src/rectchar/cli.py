@@ -16,13 +16,9 @@ import json
 import os
 import sys
 
-from .characters import (
-    _stack_character,
-    _sweep_depth,
-    mn_character,
-    normalized_character,
-)
+from .characters import mn_character, normalized_character
 from .factorization import (
+    _theorem1_sides,
     catalan_pair_count,
     factorization_poly,
     narayana_refinement,
@@ -111,13 +107,7 @@ def cmd_theorem1(args) -> int:
         raise ValueError("give both --p and --q, or neither")
     p = _require_positive("p", args.p)
     q = _require_positive("q", args.q)
-    # the character route rejects |mu| > p*q before the k! enumeration runs;
-    # the box is read as one block, never built as p rows
-    k = sum(mu)
-    if k > p * q:
-        raise ValueError(f"|mu| = {k} exceeds |lam| = {p * q}")
-    lhs = _stack_character((p,), (q,), mu[: _sweep_depth(mu)], k)
-    rhs = factorization_poly(mu).evaluate((p, q))
+    lhs, rhs = _theorem1_sides(p, q, mu)
     if lhs != rhs:
         print(f"MISMATCH: character route {lhs}, pair-sum route {rhs}")
         return 1

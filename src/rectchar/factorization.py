@@ -12,19 +12,23 @@ along with one short walk each instead of a rebuild per permutation.  Which
 positions each step swaps, and whether the swap splits or merges a cycle of
 u, are the same for every mu of k: they are built once per k, as the Heap
 schedule, and each mu replays it, walking only x = w^-1 u.
+
+Each pair-sum check is written once: Theorem 1 at a box (_theorem1_sides,
+behind theorem1_check and the CLI) and the shape sum (sss_identity_check,
+in integers), both reading the cached enumerator _pair_sum after validation.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache, wraps
+import math
+from functools import lru_cache
 
 from .characters import _mn_character, _stack_character, _sweep_depth
 from .partitions import (
     Partition,
     _box,
-    _hook_product,
     _size,
+    _syt_count,
     as_partition,
     partitions_of,
 )
@@ -114,29 +118,10 @@ def _pair_cycle_counts(w: Permutation) -> list[list[int]]:
     return [tally[a * stride : (a + 1) * stride] for a in range(stride)]
 
 
-def _partition_cache(fn):
-    """lru_cache for factorization_poly, whose partition may be any iterable.
-
-    The argument is normalized by as_partition before the lookup, so a list
-    or a generator can be passed without being hashed, padding with zeros
-    adds no key, and a part that only equals an integer (2.0) is refused
-    rather than found under that integer's key.  The cache stays reachable
-    as cache_info() and cache_clear() on the returned function.
-    """
-    cached = lru_cache(maxsize=None)(fn)
-
-    @wraps(fn)
-    def wrapper(lam):
-        return cached(as_partition(lam))
-
-    wrapper.cache_info = cached.cache_info
-    wrapper.cache_clear = cached.cache_clear
-    return wrapper
-
-
-@_partition_cache
-def factorization_poly(mu: Partition) -> MultivarPoly:
-    """Sum of (-1)^k p^cycles(u) (-q)^cycles(v) over pairs u v = w_mu."""
+@lru_cache(maxsize=None)
+def _pair_sum(mu: Partition) -> MultivarPoly:
+    """Sum of (-1)^k p^cycles(u) (-q)^cycles(v) over pairs u v = w_mu, for a
+    validated mu; one entry per cycle type, since callers validate first."""
     k = sum(mu)
     if k > _ENUMERATION_CAP:  # before w_mu is built: k may be huge
         raise ValueError(f"k={k} exceeds enumeration cap {_ENUMERATION_CAP}")
@@ -151,24 +136,39 @@ def factorization_poly(mu: Partition) -> MultivarPoly:
     return MultivarPoly(2, terms)
 
 
-def theorem1_check(p: int, q: int, mu: Partition) -> bool:
-    """Normalized box character equals the pair-sum polynomial at (p, q).
-    The box goes to the character kernel as its one block, never as rows."""
+def factorization_poly(mu: Partition) -> MultivarPoly:
+    """Sum of (-1)^k p^cycles(u) (-q)^cycles(v) over pairs u v = w_mu, for
+    any iterable mu: validated before the cache lookup, so padding zeros add
+    no key and a part 2.0 is refused, not found under the key of 2."""
+    return _pair_sum(as_partition(mu))
+
+
+def _theorem1_sides(p: int, q: int, mu: Partition) -> tuple[int, int]:
+    """(normalized character of the p-by-q box at mu, pair sum at (p, q)).
+    The pair sum goes first, so the enumeration cap refuses mu before the box
+    is read; the box goes to the character kernel as one block, not as rows."""
     p, q = _box(p, q)
     mu = as_partition(mu)
     k = sum(mu)
     if k > p * q:
-        raise ValueError(f"|mu| = {k} exceeds box size {p * q}")
-    rhs = factorization_poly(mu).evaluate((p, q))
-    return _stack_character((p,), (q,), mu[: _sweep_depth(mu)], k) == rhs
+        raise ValueError(f"|mu| = {k} exceeds |lam| = {p * q}")
+    rhs = _pair_sum(mu).evaluate((p, q))
+    return _stack_character((p,), (q,), mu[: _sweep_depth(mu)], k), rhs
+
+
+def theorem1_check(p: int, q: int, mu: Partition) -> bool:
+    """Normalized box character equals the pair-sum polynomial at (p, q)."""
+    lhs, rhs = _theorem1_sides(p, q, mu)
+    return lhs == rhs
 
 
 @lru_cache(maxsize=64)
-def _character_table(mu: Partition) -> tuple[tuple[Partition, int, int], ...]:
-    """(lam, chi^lam(mu), H_lam) for every lam of |mu| where the character is
-    nonzero, for a trusted mu; one table serves every box (p, q)."""
+def _character_table(mu: Partition) -> tuple[tuple[Partition, int], ...]:
+    """(lam, chi^lam(mu) * f^lam) for every lam of |mu| where the character is
+    nonzero, f^lam = |mu|!/H_lam, for a trusted mu; one table serves every
+    box (p, q)."""
     rows = ((lam, _mn_character(lam, mu)) for lam in partitions_of(sum(mu)))
-    return tuple((lam, chi, _hook_product(lam)) for lam, chi in rows if chi)
+    return tuple((lam, chi * _syt_count(lam)) for lam, chi in rows if chi)
 
 
 def sss_identity_check(k: int, p: int, q: int, mu: Partition) -> bool:
@@ -176,25 +176,24 @@ def sss_identity_check(k: int, p: int, q: int, mu: Partition) -> bool:
 
     Left side: (-1)^k sum over lam of k of H_lam s_lam(1^p) s_lam(1^-q)
     chi^lam(mu), with the principal specialization
-    s_lam(1^a) = content_product(lam, a) / H_lam (H the hook product).  Each
-    term is summed as content_product(lam, p) * content_product(lam, -q)
-    * chi^lam(mu) / H_lam, over mu's cached character table.
-    Right side: factorization_poly(mu) at (p, q).  Both sides are
-    polynomials in p and q, so any integers may be given; the right side
-    goes first, so a mu above the enumeration cap is refused before its
-    character table is built.
+    s_lam(1^a) = content_product(lam, a) / H_lam (H the hook product).
+    Right side: the pair sum of mu at (p, q).  Both are compared times k!, in
+    integers: each term is content_product(lam, p) * content_product(lam, -q)
+    * chi^lam(mu) * f^lam, over mu's cached character table.  Both sides are
+    polynomials in p and q, so any integers may be given; the right side goes
+    first, so the enumeration cap refuses mu before its table is built.
     """
     k, p, q = _size(k), _size(p), _size(q)
     mu = as_partition(mu)
     if sum(mu) != k:
         raise ValueError(f"mu = {mu} is not a partition of {k}")
-    rhs = factorization_poly(mu).evaluate((p, q))
+    rhs = _pair_sum(mu).evaluate((p, q))
     sign = -1 if k % 2 else 1
     lhs = sign * sum(
-        Fraction(_content_product(lam, p) * _content_product(lam, -q) * chi, hooks)
-        for lam, chi, hooks in _character_table(mu)
+        _content_product(lam, p) * _content_product(lam, -q) * chi_f
+        for lam, chi_f in _character_table(mu)
     )
-    return lhs == rhs
+    return lhs == math.factorial(k) * rhs
 
 
 def catalan_pair_count(k: int) -> int:

@@ -10,7 +10,9 @@ coefficient sums to Catalan numbers (one rectangle) and big Schroeder numbers
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from collections.abc import Iterator
 from fractions import Fraction
 
@@ -135,13 +137,11 @@ def narayana_check(kmax: int) -> bool:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` nonnegative integers summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """All tuples of `parts` nonnegative integers summing to total, in
+    lexicographic order, by stars and bars without recursion: each part is
+    the gap between consecutive cuts of 0 <= c_1 <= ... <= c_(parts-1) <= total."""
+    for cuts in itertools.combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(operator.sub, (*cuts, total), (0, *cuts)))
 
 
 def _comb_nonneg(n: int, r: int) -> int:

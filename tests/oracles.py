@@ -384,6 +384,18 @@ def recursive_partitions_in_box(p: int, q: int):
     return rec(p, q)
 
 
+def recursive_compositions(total: int, parts: int):
+    """Tuples of `parts` nonnegative integers summing to total, in
+    lexicographic order, one recursion level per part (the reference route
+    for leading._compositions; few parts only)."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in recursive_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
 def _cycles0(w: tuple[int, ...]) -> list[list[int]]:
     """The cycles of a permutation of 0..k-1, each as a list of its points."""
     seen = [False] * len(w)

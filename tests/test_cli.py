@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from rectchar import cli
+from rectchar import characters, cli, factorization
 from rectchar.polynomials import MultivarPoly
 
 
@@ -68,6 +68,17 @@ def test_theorem1_reads_a_tall_box_as_one_block(capsys):
     # is read in O(1), and at (2, 2) the column's value is (p)_4
     code, out, _ = run_cli(capsys, "theorem1", "--mu", "2,2", "--p", "300000000", "--q", "1")
     assert (code, out) == (0, str(math.perm(300000000, 4)))
+
+
+def test_theorem1_refuses_the_cap_before_reading_the_box(capsys, monkeypatch):
+    # the pair sum goes first: k = 11 is refused before a sweep over the
+    # box's 3 * 10^6 beads starts
+    def sweep(*args):
+        raise AssertionError("the box was swept before the cap was checked")
+
+    monkeypatch.setattr(characters, "_strip_sweep", sweep)
+    code, out, err = run_cli(capsys, "theorem1", "--mu", "11", "--p", "3000000", "--q", "1")
+    assert (code, out, err) == (2, "", "error: k=11 exceeds enumeration cap 10\n")
 
 
 def test_lemma_sweep(capsys):
@@ -260,9 +271,9 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
 )
 def test_theorem1_usage_errors_come_before_enumeration(capsys, monkeypatch, argv, err):
     def enumerate_pairs(mu):
-        raise AssertionError("factorization_poly called before validation")
+        raise AssertionError("the pair sum was enumerated before validation")
 
-    monkeypatch.setattr(cli, "factorization_poly", enumerate_pairs)
+    monkeypatch.setattr(factorization, "_pair_sum", enumerate_pairs)
     code, out, stderr = run_cli(capsys, "theorem1", *argv)
     assert (code, out, stderr) == (2, "", f"error: {err}\n")
 

@@ -14,18 +14,21 @@ from oracles import (
     inverse,
     itertools_pair_counts,
 )
+from rectchar import factorization
 from rectchar.factorization import (
     _ENUMERATION_CAP,
+    _character_table,
     _heap_schedule,
     _pair_cycle_counts,
+    _pair_sum,
     catalan_pair_count,
     factorization_poly,
     narayana_refinement,
     sss_identity_check,
     theorem1_check,
 )
-from rectchar.characters import normalized_character
-from rectchar.partitions import partitions_of, rectangle
+from rectchar.characters import mn_character, normalized_character
+from rectchar.partitions import hook_product, partitions_of, rectangle
 from rectchar.permutations import canonical_permutation
 from rectchar.polynomials import MultivarPoly
 
@@ -233,6 +236,39 @@ def test_sss_identity_small_grid():
                     assert sss_identity_check(k, p, q, mu)
 
 
+def _content_product(lam, a):
+    return math.prod(a + j - i for i, row in enumerate(lam) for j in range(row))
+
+
+def test_sss_identity_in_integers_at_any_sides():
+    # the shape sum is compared in integers, scaled by k!; the unscaled sum
+    # over Fraction, sum C(lam, p) C(lam, -q) chi / H_lam, is recomputed here
+    # from the public character and hook product
+    for k in range(1, 7):
+        for mu in partitions_of(k):
+            pair_sum = factorization_poly(mu)
+            table = [(lam, mn_character(lam, mu), hook_product(lam))
+                     for lam in partitions_of(k)]
+            for p in range(-3, 5):
+                for q in range(-3, 5):
+                    assert sss_identity_check(k, p, q, mu), (mu, p, q)
+                    shape_sum = (-1) ** k * sum(
+                        Fraction(_content_product(lam, p) * _content_product(lam, -q), hooks)
+                        * chi
+                        for lam, chi, hooks in table
+                    )
+                    assert shape_sum == pair_sum.evaluate((p, q)), (mu, p, q)
+
+
+def test_sss_identity_sees_a_wrong_table_entry(monkeypatch):
+    mu = (2, 1)
+    assert sss_identity_check(3, 4, 4, mu)
+    (lam, chi_f), *rest = _character_table(mu)
+    perturbed = ((lam, chi_f + 1), *rest)
+    monkeypatch.setattr(factorization, "_character_table", lambda mu: perturbed)
+    assert not sss_identity_check(3, 4, 4, mu)
+
+
 def test_catalan_pair_counts():
     for k in range(1, 10):
         assert catalan_pair_count(k) == CATALAN[k]
@@ -247,9 +283,9 @@ def test_narayana_refinement_matches_table():
 
 def test_factorization_poly_takes_any_iterable():
     expected = factorization_poly((2, 1))
-    size = factorization_poly.cache_info().currsize
+    size = _pair_sum.cache_info().currsize
     assert factorization_poly([2, 1]) == expected
     assert factorization_poly(part for part in (2, 1)) == expected
     # trailing zeros do not add cache keys
     assert factorization_poly((2, 1, 0, 0)) == expected
-    assert factorization_poly.cache_info().currsize == size
+    assert _pair_sum.cache_info().currsize == size

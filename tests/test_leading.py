@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import CATALAN, NARAYANA_ROWS, SCHROEDER
+from oracles import CATALAN, NARAYANA_ROWS, SCHROEDER, recursive_compositions
 from rectchar.factorization import narayana_refinement
 from rectchar.frobenius import f_k_residue, flipped_polynomial
 from rectchar.interpolation import f_k_polynomial
 from rectchar.leading import (
+    _compositions,
     elizalde_formula,
     g_k_leading,
     g_k_via_lagrange,
@@ -104,6 +105,20 @@ def test_elizalde_formula_matches_leading_terms():
             assert elizalde_formula(m, k) == flipped_polynomial(
                 g_k_leading(m, k), m, k
             ), (m, k)
+
+
+def test_compositions_match_the_recursive_walk():
+    for total in range(7):
+        for parts in range(1, 7):
+            assert list(_compositions(total, parts)) == list(
+                recursive_compositions(total, parts)
+            ), (total, parts)
+
+
+def test_compositions_run_without_recursion():
+    # the walk once recursed once per part, so elizalde at m = 600 (1200
+    # parts) raised RecursionError; the first of 3000 parts comes at once
+    assert next(_compositions(2, 3000)) == (0,) * 2999 + (2,)
 
 
 def test_elizalde_known_coefficients():
