@@ -22,28 +22,29 @@ bottom shape's hook product is computed:
     (n)_k chi / f^lam = (n - k')_(k - k') * sum c(nu) H_lam/H_nu.
 
 The last levels are summed without being expanded into shapes where they
-need not be.  When the swept parts end in (2), (3), (4) or (2, 2), the
-sweep stops above that tail tau and weights each shape nu it reached by
-Ch_tau(nu), the normalized character of nu at tau, which is a polynomial
+need not be.  When the swept parts end in (2), (3), (4) or (2, 2), only
+the head above that tail tau is swept, and each shape nu reached is
+weighted by Ch_tau(nu), the normalized character of nu at tau, a polynomial
 in n = |nu| and the power sums p_e of nu's contents: Ch_(2) = 2 p_1,
 Ch_(3) = 3 p_2 - 3 C(n, 2), Ch_(4) = 4 p_3 - 4 (2n - 3) p_1 (Corteel,
 Goupil & Schaeffer, Adv. Math. 2004, from the Jucys-Murphy elements), and
 Ch_(2,2) = Ch_(2)^2 - 4 Ch_(3) - 2n(n - 1) (Ivanov & Kerov's product
-Ch_(2) Ch_(2)).  Each row's contents are consecutive integers, so a bead
-adds a difference of two Faulhaber sums and an empty row adds 0.  These
-closed forms are written once (_tail_character) and take the shape's
-content sums, whichever way they were summed.  From p_4 on the power sums
-bring in classes of several cycles, so a last part of 5 or more is swept
-and merged like every other level.
+Ch_(2) Ch_(2)).  These closed forms are written once (_tail_character),
+and their content sums are read off blocks only (_block_sums): each block
+adds a difference of two Faulhaber sums, and a swept shape's blocks are
+its bead tuple's runs (_bead_blocks).  From p_4 on the power sums bring in
+classes of several cycles, so a last part of 5 or more is swept and
+merged like every other level.
 
-The kernel has one entry, _stack_character, and every shape enters it as
-its blocks, a partition as its runs of equal parts (_blocks), so no shape
-is expanded into rows.  A swept prefix that is empty or is itself such a
-tail, as every prefix of a mu of size at most 4 is, is read at once: each
-block adds a difference of two Faulhaber sums of its bead range to each
-content sum, and the value is Ch_tau (1 for the empty prefix) times
-(n - k')_(k - k'), in O(m) for m blocks, with no entry list, lcm or
-division.  Any other prefix sweeps the stack's bead tuple.
+The kernel has one entry, _stack_character, which takes mu as its callers
+have it and decides its trailing 1s, tail, swept head and falling
+factorial; every shape enters it as its blocks, a partition as its runs
+of equal parts (_blocks), so no shape is expanded into rows.  A swept
+prefix that is empty or is itself such a tail, as every prefix of a mu of
+size at most 4 is, is read at once, in O(m) for m blocks: Ch_tau (1 for
+the empty prefix) of the stack's content sums times (n - k')_(k - k').
+Any other prefix has its head swept on the stack's bead tuple
+(_strip_sweep, which only sweeps).
 
 At k = n the left side is chi * H_lam, so the character itself is that value
 divided by H_lam.  Nothing is kept between calls and no recursion depth
@@ -101,6 +102,15 @@ def _runs(beads: Beads) -> Runs:
             start = i
     runs.append((beads[start], beads[-1], start))
     return runs
+
+
+def _bead_blocks(beads: Beads) -> tuple[Partition, Partition]:
+    """The shape of a nonempty bead tuple as a stack (ps, qs), top block
+    first: the run low..top starting at index i is top - low + 1 rows of
+    width low - i.  Rows emptied by the sweep form a block of width 0."""
+    runs = _runs(beads)[::-1]
+    ps = tuple(top - low + 1 for low, top, _ in runs)
+    return ps, tuple(low - i for low, _, i in runs)
 
 
 def _free_moves(beads: Beads, runs: Runs, size: int) -> list[tuple[int, int, int]]:
@@ -167,26 +177,10 @@ def _tail(parts: tuple[int, ...]) -> tuple[int, ...]:
     return parts[-1:] if parts[-1:] in ((2,), (3,), (4,)) else ()
 
 
-def _bead_sums(beads: Beads, tail: tuple[int, ...]) -> Sums:
-    """The content sums (r, n, sum t, sum t(2x + 1), sum t^2) of the shape of
-    a bead tuple of r beads and n cells, t = x(x + 1) over x = b - r for each
-    bead b: the row of bead b has the contents up to x.  Only the sums that
-    the nonempty tail's Ch_tail reads are summed, the others given as 0:
-    sum t for every tail, sum t(2x + 1) for (3) and (2, 2), sum t^2 for (4)."""
-    r = len(beads)
-    n = sum(beads) - r * (r - 1) // 2
-    ts = [(b - r) * (b - r + 1) for b in beads]
-    s1, s2, s3 = sum(ts), 0, 0
-    if tail == (4,):
-        s3 = sum(map(operator.mul, ts, ts))
-    elif tail != (2,):  # t(2x + 1) = 2tx + t
-        s2 = 2 * sum(map(operator.mul, ts, [b - r for b in beads])) + s1
-    return r, n, s1, s2, s3
-
-
 def _block_sums(ps: Sequence[int], qs: Sequence[int]) -> Sums:
-    """_bead_sums(_stack_beads(ps, qs), tail) for every tail at once, read
-    off the blocks in O(m).
+    """The content sums (r, n, sum t, sum t(2x + 1), sum t^2) of the stack's
+    r rows and n cells, in O(m), t = x(x + 1) over x = b - r for each bead b
+    of its bead tuple, the row of bead b having the contents up to x.
 
     Below the rows of the blocks above it, a block of p rows and width q
     gives the beads whose x = b - r run over u..v = q - above - p ..
@@ -215,7 +209,7 @@ def _block_sums(ps: Sequence[int], qs: Sequence[int]) -> Sums:
 
 def _tail_character(sums: Sums, tail: tuple[int, ...]) -> int:
     """Ch_tail(nu) = (n)_|tail| chi^nu(tail, 1^(n - |tail|)) / chi^nu(1), for
-    nu of size n given by its content sums (_bead_sums, _block_sums) and tail
+    nu of size n given by its content sums (_block_sums) and tail
     one of (), (2), (3), (4) and (2, 2); 0 when n < |tail|.
 
     With p_e = sum of c^e over the contents c of nu's cells (Corteel, Goupil
@@ -271,31 +265,16 @@ def _merged_level(level: dict[Beads, list[int]], part: int) -> dict[Beads, list[
     return {beads: entry for beads, entry in below.items() if entry[0]}
 
 
-def _strip_sweep(beads: Beads, parts: tuple[int, ...]) -> list[list[int]]:
-    """Weighted entries [w, num, den] whose sum of w * num/den is the sum,
-    over the shapes nu left after removing strips of the given sizes from
-    the shape lam of the bead tuple in order, of c(nu) H_lam / H_nu, c(nu)
-    being the signed number of removal paths lam -> nu.
-
-    Every level goes down in integers on bead tuples, merged by shape
-    (_merged_level), one entry per shape with w = c(nu), except a tail tau
-    of (2), (3), (4) or (2, 2) at the end of parts: the sweep stops above
-    it and weights each shape nu by Ch_tau(nu), the signed sum of
-    H_nu / H_xi over the removal paths nu -> xi of tau, read off nu's
-    content power sums (_tail_character).  For a last part of 5 or more
-    those sums bring in classes of several cycles, so such parts are swept.
-    No parts leave lam itself, the entry [1, 1, 1].
-    """
-    tail = _tail(parts)
+def _strip_sweep(beads: Beads, parts: tuple[int, ...]) -> dict[Beads, list[int]]:
+    """The level left after removing strips of the given sizes, in order,
+    from the shape lam of the bead tuple: {beads of nu: [c(nu), num, den]},
+    c(nu) the signed number of removal paths lam -> nu and num/den =
+    H_lam / H_nu.  Every level goes down in integers on bead tuples, merged
+    by shape (_merged_level); no parts leave lam itself, [1, 1, 1]."""
     level = {beads: [1, 1, 1]}
-    for part in parts[: len(parts) - len(tail)]:
+    for part in parts:
         level = _merged_level(level, part)
-    if not tail:
-        return list(level.values())
-    return [
-        [count * _tail_character(_bead_sums(beads, tail), tail), num, den]
-        for beads, (count, num, den) in level.items()
-    ]
+    return level
 
 
 def _sweep_depth(nu: Sequence[int]) -> int:
@@ -324,8 +303,7 @@ def mn_character(lam: Partition, nu: Sequence[int]) -> int:
 def _mn_character(lam: Partition, nu: tuple[int, ...]) -> int:
     """mn_character for a trusted lam and positive parts nu of size |lam|: the
     normalized character at k = n, which is chi * H_lam, divided by H_lam."""
-    theta = _stack_character(*_blocks(lam), nu[: _sweep_depth(nu)], sum(lam))
-    return theta // _hook_product(lam)
+    return _stack_character(*_blocks(lam), nu) // _hook_product(lam)
 
 
 def normalized_character(lam: Partition, mu: Partition) -> int:
@@ -340,30 +318,37 @@ def normalized_character(lam: Partition, mu: Partition) -> int:
     """
     lam = as_partition(lam)
     mu = as_partition(mu)
-    n = sum(lam)
     k = sum(mu)
-    if k > n:
-        raise ValueError(f"|mu| = {k} exceeds |lam| = {n}")
-    return _stack_character(*_blocks(lam), mu[: _sweep_depth(mu)], k)
+    if k > sum(lam):
+        raise ValueError(f"|mu| = {k} exceeds |lam| = {sum(lam)}")
+    return _stack_character(*_blocks(lam), mu)
 
 
-def _stack_character(
-    ps: Sequence[int], qs: Sequence[int], swept: tuple[int, ...], k: int
-) -> int:
+def _stack_character(ps: Sequence[int], qs: Sequence[int], mu: tuple[int, ...]) -> int:
     """The kernel's one entry: normalized_character for the stack of ps[i]
     rows of length qs[i], top block first and widths strictly decreasing,
-    of n >= k cells, at the swept prefix of mu (mu without its trailing 1s)
-    and k = |mu|.  A prefix that is empty or a closed-form tail is read off
-    the blocks' content sums (_block_sums) in O(m); any other is swept on
-    the stack's bead tuple, each block giving a run of consecutive beads."""
+    of n >= k = |mu| cells, at positive parts mu in the order given.  Only
+    mu's swept prefix (mu without its trailing 1s) of size k' is summed,
+    times (n - k')_(k - k').  A prefix that is empty or a closed-form tail
+    is read off the blocks' content sums in O(m).  Any other ends in a tail
+    tau, perhaps (): its head is swept on the stack's bead tuple, and each
+    shape nu reached is weighted by Ch_tau of nu's blocks (_bead_blocks)."""
+    k = sum(mu)
+    swept = mu[: _sweep_depth(mu)]
+    tail = _tail(swept)
     k1 = sum(swept)
-    if swept == _tail(swept):
+    if swept == tail:
         sums = _block_sums(ps, qs)
-        return _tail_character(sums, swept) * math.perm(sums[1] - k1, k - k1)
+        return _tail_character(sums, tail) * math.perm(sums[1] - k1, k - k1)
     n = sum(map(operator.mul, ps, qs))
-    entries = _strip_sweep(_stack_beads(ps, qs), swept)
-    den = math.lcm(*(d for _, _, d in entries))
-    num = sum(c * h * (den // d) for c, h, d in entries) * math.perm(n - k1, k - k1)
+    level = _strip_sweep(_stack_beads(ps, qs), swept[: len(swept) - len(tail)])
+    den = math.lcm(*(d for _, _, d in level.values()))
+    num = 0
+    for beads, (c, h, d) in level.items():
+        if tail:
+            c *= _tail_character(_block_sums(*_bead_blocks(beads)), tail)
+        num += c * h * (den // d)
+    num *= math.perm(n - k1, k - k1)
     value, rest = divmod(num, den)
     if rest:
         raise ArithmeticError(

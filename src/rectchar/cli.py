@@ -4,7 +4,9 @@ Exit codes: 0 on success, 1 when a mathematical check fails, 2 on usage
 errors, 3 on an internal error: any other exception, reported on stderr as
 "internal error: <Type>: <message>" without a traceback.  A reader that
 closes stdout early (``rectchar fk --m 3 --k 6 | head``) is not an error:
-the run stops quietly with exit code 0.  Every polynomial
+the run stops quietly with exit code 0.  Answers of any length are
+printed in full: Python's limit on int-to-str digits is lifted while a
+command runs and restored afterwards.  Every polynomial
 is printed in canonical order (total degree descending, ties by leading
 exponents descending); --json switches to the documented term schema.
 """
@@ -422,6 +424,10 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
+    # the limit dates from Python 3.11; without it there is nothing to lift
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except BrokenPipeError:
@@ -437,6 +443,9 @@ def run(argv: list[str] | None = None) -> int:
             return 1
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .characters import _mn_character, _stack_character, _sweep_depth
+from .characters import _mn_character, _stack_character
 from .partitions import (
     Partition,
     _box,
@@ -153,7 +153,7 @@ def _theorem1_sides(p: int, q: int, mu: Partition) -> tuple[int, int]:
     if k > p * q:
         raise ValueError(f"|mu| = {k} exceeds |lam| = {p * q}")
     rhs = _pair_sum(mu).evaluate((p, q))
-    return _stack_character((p,), (q,), mu[: _sweep_depth(mu)], k), rhs
+    return _stack_character((p,), (q,), mu), rhs
 
 
 def theorem1_check(p: int, q: int, mu: Partition) -> bool:

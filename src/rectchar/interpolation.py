@@ -37,10 +37,11 @@ stack of s nonempty blocks with strictly decreasing widths.
 Its value is the character there, less the faces below s at each proper
 subset of its blocks, over p_1..p_s q_s; a face H^(t) below is read once
 per distinct projection of the nodes onto t of their s blocks.  The
-character is taken from the trusted kernel as an exact integer, the stack
-given as its blocks (characters._stack_character), or is 0 with no kernel
-call below |mu| cells, where Ch_mu vanishes (Kerov & Olshanski, C. R.
-Acad. Sci. Paris 319, 1994).  The Newton solve runs in
+character is taken from the trusted kernel as an exact integer, given the
+stack as its blocks and mu as it is (characters._stack_character, which
+makes every decision about mu's parts), or is 0 with no kernel call below
+|mu| cells, where Ch_mu vanishes (Kerov & Olshanski, C. R. Acad. Sci.
+Paris 319, 1994).  The Newton solve runs in
 integers on node indices, and F_mu is then audited at a point outside the
 grid before being returned.
 
@@ -232,17 +233,17 @@ def _sweep_fibres(
                 values[i] = value
 
 
-def _shape_value(m: int, swept: Partition, k: int, point: tuple[int, ...]) -> int:
-    """The normalized character at the stack of point[i] rows of length
-    point[m + i], i < m, for mu of size k with swept prefix swept (mu without
-    its trailing 1s).  A block with no rows or no columns adds nothing; the
-    widths of the other blocks must strictly decrease.  A stack of fewer than
-    k cells gives 0, the falling factorial (n)_k being 0 there, without a
-    kernel call; the kernel is given the stack's blocks."""
+def _shape_value(m: int, mu: Partition, point: tuple[int, ...]) -> int:
+    """The normalized character at mu of the stack of point[i] rows of
+    length point[m + i], i < m.  A block with no rows or no columns adds
+    nothing; the widths of the other blocks must strictly decrease.  A stack
+    of fewer than |mu| cells gives 0, the falling factorial (n)_|mu| being 0
+    there, without a kernel call; the kernel is given the stack's blocks and
+    mu as it is."""
     ps, qs = point[:m], point[m:]
-    if sum(map(operator.mul, ps, qs)) < k:
+    if sum(map(operator.mul, ps, qs)) < sum(mu):
         return 0
-    return _stack_character(ps, qs, swept, k)
+    return _stack_character(ps, qs, mu)
 
 
 def _fill(m: int, faces: list[MultivarPoly]) -> MultivarPoly:
@@ -291,7 +292,7 @@ def _face(s: int, nu: Partition) -> MultivarPoly:
     axes = [axis[d:] for axis, d in zip(interpolation_grid(s, k), shift)]
     nodes = _face_nodes(s, k, len(nu))
     points = [tuple(map(list.__getitem__, axes, beta)) for beta in nodes]
-    rests = [_shape_value(s, nu, k, point) for point in points]
+    rests = [_shape_value(s, nu, point) for point in points]
     for t in range(1, s):
         # the nodes' projections onto t of their blocks, each read once
         reads: dict[tuple[int, ...], int] = {}
@@ -395,7 +396,7 @@ def f_mu_interpolate(
             2 * m, {e: _clean_coef(c) for e, c in terms.items() if c}
         )
     guard = _guard_point(m, k)
-    expected = _shape_value(m, swept, k, guard)
+    expected = _shape_value(m, mu, guard)
     if poly.evaluate(guard) != expected:
         raise ArithmeticError(
             f"interpolant for mu={format_partition(mu)}, m={m} disagrees with "
@@ -463,7 +464,6 @@ def off_grid_fidelity(
         seed = hash((m, mu)) & 0xFFFFFFFF
     rng = random.Random(seed)
     randrange = rng.randrange
-    swept = mu[: _sweep_depth(mu)]
     top_p, top_q = k + 4, m * (k + 3) + 6
     choices = top_p * top_q  # a block (p, q) is drawn as (p - 1) top_q + q - 1
     d, bands = k + 2, list(range(m - 1, -1, -1))  # q_i // d is m - i on the grid
@@ -483,7 +483,7 @@ def off_grid_fidelity(
             if max(ps) < d and [q // d for q in qs] == bands:
                 continue  # landed on the grid; draw again
             points.append(ps + qs)
-            expected.append(_stack_character(ps, qs, swept, k))
+            expected.append(_stack_character(ps, qs, mu))
         if poly.evaluate_many(points) != expected:
             return False
         done += chunk

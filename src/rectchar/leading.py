@@ -159,7 +159,8 @@ def elizalde_formula(m: int, k: int) -> MultivarPoly:
     """Closed-form expansion of the flipped G_k, coefficient by coefficient.
 
     Sums over exponent vectors (i_1..i_m, j_1..j_m) of total k+1; the inner
-    sums run over r with the final binomial read as C(..., i_s - r).  The
+    sums run over r with the final binomial read as C(..., i_s - r); a block
+    s >= 1 with i_s = j_s = 0 has the inner sum 1 and is skipped.  The
     result must match flipped_polynomial(g_k_leading(m, k), m, k); the match
     is asserted by the test suite, not assumed here.
     """
@@ -174,6 +175,8 @@ def elizalde_formula(m: int, k: int) -> MultivarPoly:
         for s in range(1, m):
             if not weight:
                 break
+            if not (iv[s] or jv[s]):
+                continue
             inner = 0
             for r in range(min(iv[s], jv[s]) + 1):
                 inner += (

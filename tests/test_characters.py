@@ -19,8 +19,8 @@ from oracles import (
 )
 from rectchar import characters
 from rectchar.characters import (
+    _bead_blocks,
     _bead_move_ratio,
-    _bead_sums,
     _block_sums,
     _blocks,
     _free_moves,
@@ -28,7 +28,6 @@ from rectchar.characters import (
     _stack_beads,
     _stack_character,
     _strip_sweep,
-    _sweep_depth,
     _tail_character,
     mn_character,
     normalized_character,
@@ -116,9 +115,10 @@ def _rows(beads):
 
 def _swept(beads, swept, k):
     """The normalized character of the shape of beads at the swept prefix
-    and k = |mu|, summed from _strip_sweep's entries: the bead route."""
+    and k = |mu|, summed from the level _strip_sweep leaves after every
+    swept part, tail included: the expanded bead route."""
     n = sum(beads) - len(beads) * (len(beads) - 1) // 2
-    total = sum(Fraction(c * h, d) for c, h, d in _strip_sweep(beads, swept))
+    total = sum(Fraction(c * h, d) for c, h, d in _strip_sweep(beads, swept).values())
     return total * math.perm(n - sum(swept), k - sum(swept))
 
 
@@ -207,7 +207,7 @@ def test_sweep_matches_the_f_based_route():
                     value = normalized_character(lam, mu)
                     expected = reference_normalized_character(lam, mu)
                     assert (type(value), value) == (type(expected), expected)
-                    assert value == _stack_character(*blocks, mu[: _sweep_depth(mu)], k)
+                    assert value == _stack_character(*blocks, mu)
 
 
 def test_transposition_is_the_content_sum():
@@ -297,7 +297,7 @@ def test_tails_match_the_expanded_sweep():
             for pad in (0, 1, 2) if lam else (1, 2):
                 beads = _beads(lam + (0,) * pad)
                 for tau in ((2,), (3,), (4,), (2, 2)):
-                    value = _tail_character(_bead_sums(beads, tau), tau)
+                    value = _tail_character(_block_sums(*_bead_blocks(beads)), tau)
                     assert type(value) is int
                     assert value == _expanded_tail(beads, tau), (lam, pad, tau)
                     if n < sum(tau):
@@ -334,19 +334,20 @@ def test_normalized_character_is_an_int():
 
 
 def test_non_integral_normalized_character_raises(monkeypatch):
-    # a sweep whose sum 1/2 does not divide: the value is an error, never a
+    # a sweep whose sum 2/4 does not divide: the value is an error, never a
     # Fraction; the kernel hands the sweep lam's bead tuple.  (3, 2) still
-    # expands its first level, so it reaches the sweep and the remainder check
+    # expands its first level, so it reaches the sweep and the remainder
+    # check; the tail (2) weights the shape (2) of beads (0, 3) by 2
     sweeps = []
 
-    def half(beads, parts):
+    def quarter(beads, parts):
         sweeps.append((beads, parts))
-        return [[1, 1, 2]]
+        return {(0, 3): [1, 1, 4]}
 
-    monkeypatch.setattr(characters, "_strip_sweep", half)
-    with pytest.raises(ArithmeticError, match="non-integral: 1/2$"):
+    monkeypatch.setattr(characters, "_strip_sweep", quarter)
+    with pytest.raises(ArithmeticError, match="non-integral: 2/4$"):
         normalized_character((3, 2), (3, 2))
-    assert sweeps == [((2, 4), (3, 2))]
+    assert sweeps == [((2, 4), (3,))]
 
 
 def test_closed_form_prefixes_skip_the_sweep():
@@ -359,7 +360,8 @@ def test_closed_form_prefixes_skip_the_sweep():
                 for swept in ((), (2,), (3,), (4,), (2, 2)):
                     # the empty prefix sums to 1: (n)_k is the character at 1^k
                     for k in range(sum(swept), n + 1):
-                        value = _stack_character(*_blocks(lam), swept, k)
+                        mu = swept + (1,) * (k - sum(swept))
+                        value = _stack_character(*_blocks(lam), mu)
                         assert type(value) is int
                         assert value == _swept(beads, swept, k), (lam, pad, swept, k)
 
@@ -372,9 +374,21 @@ def _stacks(m, p_max, q_max):
             yield ps, qs
 
 
+def _bead_content_sums(beads):
+    """The five content sums of _block_sums summed bead by bead: r, n, and
+    sum t, sum t(2x + 1), sum t^2 with t = x(x + 1) over x = b - r."""
+    r = len(beads)
+    xs = [b - r for b in beads]
+    ts = [x * (x + 1) for x in xs]
+    n = sum(beads) - r * (r - 1) // 2
+    return r, n, sum(ts), sum(t * (2 * x + 1) for t, x in zip(ts, xs)), sum(t * t for t in ts)
+
+
 def test_block_sums_are_the_bead_sums():
     # empty blocks included; the Faulhaber differences are polynomial
     # identities, so the widths below the rows above them need no case.
+    # The blocks read back off the stack's beads are its nonempty blocks,
+    # and the sums of either are those summed bead by bead.
     # Four blocks of up to 5 rows and widths up to 12 are 926,640 stacks, so
     # past 3 rows and width 8 they are sampled
     rng = random.Random(5)
@@ -387,10 +401,16 @@ def test_block_sums_are_the_bead_sums():
     ]
     every = ((1, 5, 12), (2, 5, 12), (3, 5, 12), (4, 3, 8))
     for ps, qs in itertools.chain(*itertools.starmap(_stacks, every), sampled):
-        # (3) reads every sum but sum t^2, which (4) reads
         beads = _stack_beads(ps, qs)
-        expected = _bead_sums(beads, (3,))[:4] + _bead_sums(beads, (4,))[4:]
+        expected = _bead_content_sums(beads)
         assert _block_sums(ps, qs) == expected, (ps, qs)
+        nonempty = [(p, q) for p, q in zip(ps, qs) if p and q]
+        if nonempty:
+            read = _bead_blocks(beads)
+            assert list(zip(*read)) == nonempty, (ps, qs)
+            assert _block_sums(*read) == expected, (ps, qs)
+        else:
+            assert beads == (), (ps, qs)
 
 
 def test_block_reads_match_the_bead_route():
@@ -402,7 +422,7 @@ def test_block_reads_match_the_bead_route():
                 k1 = sum(swept)
                 for k in {k1, k1 + 1, n}:
                     if k1 <= k <= n:
-                        value = _stack_character(ps, qs, swept, k)
+                        value = _stack_character(ps, qs, swept + (1,) * (k - k1))
                         assert type(value) is int
                         assert value == _swept(beads, swept, k), (ps, qs, swept, k)
 
@@ -423,20 +443,20 @@ def test_block_reads_match_the_reference():
             for k in range(sum(swept), sum(rows) + 1):
                 mu = swept + (1,) * (k - sum(swept))
                 expected = reference_normalized_character(rows, mu)
-                assert _stack_character(ps, qs, swept, k) == expected, (ps, qs, mu)
+                assert _stack_character(ps, qs, mu) == expected, (ps, qs, mu)
 
 
 def test_other_prefixes_read_the_stack_beads(monkeypatch):
-    # a prefix that is not a closed-form tail, such as (3, 2), is swept on
-    # the stack's beads; a tail is not
+    # a prefix that is not a closed-form tail, such as (3, 2), has its head
+    # (3) swept on the stack's beads; a tail is not swept
     calls = _count_calls(monkeypatch, "_strip_sweep")
     ps, qs = (2, 0, 3), (6, 4, 2)
-    value = characters._stack_character(ps, qs, (3, 2), 7)
-    assert calls == [(_stack_beads(ps, qs), (3, 2))]
+    value = characters._stack_character(ps, qs, (3, 2, 1, 1))
+    assert calls == [(_stack_beads(ps, qs), (3,))]
     assert value == normalized_character((6, 6, 2, 2, 2), (3, 2, 1, 1))
     calls.clear()
     for swept in ((), (2,), (3,), (4,), (2, 2)):
-        characters._stack_character(ps, qs, swept, 7)
+        characters._stack_character(ps, qs, swept + (1,) * (7 - sum(swept)))
     assert calls == []
 
 

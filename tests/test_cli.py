@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 import os
@@ -37,6 +38,37 @@ def test_chi_rectangle_flags(capsys):
 def test_normalized(capsys):
     code, out, _ = run_cli(capsys, "normalized", "--shape", "2,2,2", "--mu", "2")
     assert (code, out) == (0, "-6")
+
+
+def _digits(value: int) -> str:
+    """value in decimal, by a route that Python's int-to-str digit limit
+    does not cover."""
+    return str(decimal.Decimal(value))
+
+
+def _str_digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+def test_answers_past_the_str_digit_limit_print_in_full(capsys):
+    # f^lam of the 60-by-60 box has 5018 digits and (3000)_2000 has 6564,
+    # above the default limit of 4300; the caller's limit is kept
+    from rectchar.partitions import rectangle, syt_count
+
+    limit = _str_digit_limit()
+    ones = ",".join(["1"] * 3600)
+    code, out, err = run_cli(capsys, "chi", "--p", "60", "--q", "60", "--type", ones)
+    expected = _digits(syt_count(rectangle(60, 60)))
+    assert (code, out, err) == (0, expected, "") and len(expected) == 5018
+    mu = ",".join(["1"] * 2000)
+    code, out, err = run_cli(capsys, "normalized", "--p", "3000", "--q", "1", "--mu", mu)
+    expected = _digits(math.perm(3000, 2000))
+    assert (code, out, err) == (0, expected, "") and len(expected) == 6564
+    code, out, err = run_cli(
+        capsys, "normalized", "--p", "3000", "--q", "1", "--mu", mu, "--json"
+    )
+    assert (code, err) == (0, "") and json.loads(out)["value"] == expected
+    assert _str_digit_limit() == limit
 
 
 def test_theorem1_poly(capsys):

@@ -169,9 +169,9 @@ def _audited_stacks(monkeypatch, m, mu, samples, seed):
     kernel = interpolation._stack_character
     stacks = []
 
-    def counted(ps, qs, swept, k):
+    def counted(ps, qs, mu):
         stacks.append((ps, qs))
-        return kernel(ps, qs, swept, k)
+        return kernel(ps, qs, mu)
 
     poly = f_mu_interpolate(m, mu)
     monkeypatch.setattr(interpolation, "_stack_character", counted)
@@ -376,9 +376,9 @@ def test_kernel_runs_once_per_shape_of_at_least_k_cells(monkeypatch):
     kernel = interpolation._stack_character
     shapes = []
 
-    def counted(ps, qs, swept, k):
+    def counted(ps, qs, mu):
         shapes.append(_stack(len(ps), ps + qs))
-        return kernel(ps, qs, swept, k)
+        return kernel(ps, qs, mu)
 
     monkeypatch.setattr(interpolation, "_stack_character", counted)
     f_mu_interpolate(2, (2, 2))
@@ -462,9 +462,9 @@ def test_rational_data_gives_rational_coefficients(monkeypatch, fresh_caches):
     # C(p_j, 2) q_j added for each block j
     shape_value = interpolation._shape_value
 
-    def skewed(m, swept, k, point):
+    def skewed(m, mu, point):
         extra = sum(math.comb(p, 2) * q for p, q in zip(point[:m], point[m:]))
-        return shape_value(m, swept, k, point) + extra
+        return shape_value(m, mu, point) + extra
 
     monkeypatch.setattr(interpolation, "_shape_value", skewed)
     p, q = (MultivarPoly(2, {e: 1}) for e in ((1, 0), (0, 1)))
@@ -475,9 +475,9 @@ def test_rational_data_gives_rational_coefficients(monkeypatch, fresh_caches):
     # rational node values at the top face, over a rational face below
     _clear_caches()
 
-    def halved(m, swept, k, point):
+    def halved(m, mu, point):
         extra = Fraction(math.prod(point[:m]) * point[-1], 2) if m == 2 else 0
-        return skewed(m, swept, k, point) + extra
+        return skewed(m, mu, point) + extra
 
     monkeypatch.setattr(interpolation, "_shape_value", halved)
     a, p, b, q = (MultivarPoly(4, {tuple(int(i == v) for i in range(4)): 1}) for v in range(4))
@@ -520,7 +520,7 @@ def test_rational_product_is_cleaned(monkeypatch):
     product = half * (p * q - 2)
     monkeypatch.setattr(interpolation, "_interpolate", lambda m, nu: half)
     monkeypatch.setattr(
-        interpolation, "_shape_value", lambda m, swept, k, point: product.evaluate(point)
+        interpolation, "_shape_value", lambda m, mu, point: product.evaluate(point)
     )
     poly = f_mu_interpolate(1, (2, 1))
     assert poly == product and poly.coefficient((1, 1)) == -1
@@ -588,10 +588,9 @@ def _cold_points(points: list, m: int, mu) -> list:
 
 @pytest.mark.parametrize("m, mu", WORKLOAD_CASES)
 def test_node_kernel_matches_the_validated_route(m, mu, monkeypatch):
-    swept = mu[: _sweep_depth(mu)]
     for point, shape in _cold_points(_counted_points(monkeypatch), m, mu):
         blocks, k = len(point) // 2, sum(shape)
-        value = _shape_value(blocks, swept, k, point)
+        value = _shape_value(blocks, shape, point)
         lam = _stack(blocks, point)
         assert type(value) is int
         if sum(lam) < k:

@@ -100,11 +100,12 @@ def test_narayana_check_and_refinement_bridge():
 
 
 def test_elizalde_formula_matches_leading_terms():
-    for m in (1, 2, 3):
-        for k in range(1, 5):
-            assert elizalde_formula(m, k) == flipped_polynomial(
-                g_k_leading(m, k), m, k
-            ), (m, k)
+    # (4, 3) and (5, 2) put empty blocks between nonempty ones
+    cases = [(m, k) for m in (1, 2, 3) for k in range(1, 5)] + [(4, 3), (5, 2)]
+    for m, k in cases:
+        assert elizalde_formula(m, k) == flipped_polynomial(
+            g_k_leading(m, k), m, k
+        ), (m, k)
 
 
 def test_compositions_match_the_recursive_walk():
