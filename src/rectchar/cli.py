@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -45,9 +46,19 @@ from .schur import lemma_check
 from .verify import CRITERIA, _check_criterion_number, hook_identities, run_criteria
 
 
-# sk --kmax 250 takes about 10 s at m = sys.maxsize and 1.3 s at m = 2 on a
-# 2-core Xeon host, and each doubling of kmax costs about ten times more
-_SK_KMAX_CAP = 250
+# the recurrence takes 0.02 s for S_1..S_1000 at m = sys.maxsize, and
+# printing the answer is the cost: sk --kmax 1500 there writes 21 MB in
+# 6.7 s, 1700 writes 27 MB in 9.5 s and 2000 writes 38 MB in 16 s (2-core
+# Xeon, Python 3.11), so the cap keeps the worst case inside about 10 s
+_SK_KMAX_CAP = 1500
+
+# elizalde_formula walks the C(k + 2m, k + 1) exponent vectors of total
+# k + 1 in 2m entries, each over its 2m entries and binomials of about k
+# bits, at 70 to 210 ns per unit of C(k + 2m, k + 1)(2m + k) (2-core Xeon,
+# Python 3.11); with printing, elizalde at the largest k inside the budget
+# takes 7.1 s at m = 1 (k = 6322), 8.0 s at m = 3 (k = 36) and 9.4 s at
+# m = 4 (k = 20)
+_ELIZALDE_BUDGET = 4 * 10**7
 
 
 def _emit_json(obj) -> None:
@@ -220,9 +231,27 @@ def cmd_narayana(args) -> int:
     return 0 if matches else 1
 
 
+def _elizalde_oversize(m: int, k: int) -> str | None:
+    """The work of elizalde_formula(m, k), C(k + 2m, k + 1)(2m + k), as text
+    if it is above _ELIZALDE_BUDGET, else None.  C(a + b, b) is at least
+    2^min(a, b), so when both m and k are large the work is refused by that
+    floor before any large binomial is taken."""
+    floor_bits = min(2 * m - 1, k + 1)
+    if floor_bits >= _ELIZALDE_BUDGET.bit_length():
+        return f"over 2^{floor_bits}"
+    work = math.comb(k + 2 * m, k + 1) * (2 * m + k)
+    return str(work) if work > _ELIZALDE_BUDGET else None
+
+
 def cmd_elizalde(args) -> int:
     m = _require_positive("m", args.m)
     k = _require_positive("k", args.k)
+    work = _elizalde_oversize(m, k)
+    if work:
+        raise ValueError(
+            f"m={m}, k={k} takes {work} steps (C(k + 2m, k + 1) exponent "
+            f"vectors times 2m + k), above the bound {_ELIZALDE_BUDGET}"
+        )
     poly = elizalde_formula(m, k)
     if args.check:
         oracle = flipped_polynomial(g_k_leading(m, k), m, k)

@@ -114,6 +114,7 @@ def f_k_residue(m: int, k: int) -> MultivarPoly:
     Used only by integrality_witness, verify and the tests; the production
     route is interpolation.f_k_polynomial.  Nothing is cached.
     """
+    m, k = _size(m), _size(k)
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     return _residue_character(k, *_stack_roots(*_dimension_vars(m)))
@@ -123,6 +124,7 @@ def flipped_polynomial(poly: MultivarPoly, m: int, k: int) -> MultivarPoly:
     """(-1)^k times poly with every q_i negated; the sign convention under
     which the character data is displayed with nonnegative coefficients.
     poly must be in the 2m variables p_1..p_m, q_1..q_m."""
+    m, k = _size(m), _size(k)
     if m < 1 or poly.nvars != 2 * m:
         raise ValueError(
             f"need m >= 1 and a polynomial in 2m variables, got m={m} and "
@@ -144,6 +146,7 @@ def f_k_special_value(m: int, k: int) -> int:
     value is the falling factorial (k+m-1)_k, so a remainder raises
     ArithmeticError.
     """
+    m, k = _size(m), _size(k)
     if m < 1 or k < 1:
         raise ValueError("need m >= 1 and k >= 1")
     value = _residue_character(k, *_stack_roots((1,) * m, (-1,) * m))

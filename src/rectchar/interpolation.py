@@ -70,7 +70,7 @@ from functools import lru_cache
 # this module's name, so the name stays
 from .characters import _stack_character, _sweep_depth, normalized_character
 from .frobenius import flipped_polynomial
-from .partitions import Partition, as_partition, format_partition
+from .partitions import Partition, _size, as_partition, format_partition
 from .polynomials import MultivarPoly, Scalar, _clean_coef
 
 DEFAULT_MAX_NODES = 20_000
@@ -89,6 +89,7 @@ def interpolation_grid(m: int, k: int) -> list[list[int]]:
     the face nodes use its first k+1 entries, and the guard point sits one
     past the last, a stack with every block nonempty and at least k cells.
     """
+    m, k = _size(m), _size(k)
     if m < 1 or k < 1:
         raise ValueError(f"need m >= 1 and k >= 1, got m={m}, k={k}")
     d = k + 2
@@ -368,6 +369,7 @@ def f_mu_interpolate(
     assumed bound on the monomials of F_mu is wrong for this mu; that
     situation is surfaced, never papered over.
     """
+    m, max_nodes = _size(m), _size(max_nodes)
     mu = as_partition(mu)
     k = sum(mu)
     if m < 1 or k < 1:
@@ -417,6 +419,7 @@ def f_k_polynomial(m: int, k: int) -> MultivarPoly:
     residue formula; it is the reference that verify and the tests compare
     this route against.
     """
+    m, k = _size(m), _size(k)
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     if m < 1:
@@ -454,6 +457,7 @@ def off_grid_fidelity(
     of up to _AUDIT_CHUNK, poly being evaluated once per chunk
     (MultivarPoly.evaluate_many), so memory stays bounded for any number of
     samples."""
+    m, samples = _size(m), _size(samples)
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
     mu = as_partition(mu)

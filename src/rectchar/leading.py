@@ -5,7 +5,10 @@ descriptions implemented here: filtering F_k, a Lagrange-inversion residue of
 the multiplicative kernel M(x), and (summed over k) the reciprocal of a
 compositional inverse.  Specializing all dimensions to 1 and -1 collapses the
 coefficient sums to Catalan numbers (one rectangle) and big Schroeder numbers
-(two rectangles); the m=1 coefficients themselves are Narayana numbers.
+(two rectangles); the m=1 coefficients themselves are Narayana numbers.  The
+signed sums S_k are produced from their three-term linear recurrence
+(s_k_sequence) and read off the polynomials only as a reference
+(s_k_from_coefficient_sums).
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ def _inverse_reciprocal(ratio: PowerSeries) -> PowerSeries:
 
 def g_k_via_lagrange(m: int, k: int) -> MultivarPoly:
     """G_k as -(1/k) [x^(k+1)] M(x)^k, M = prod(1-A_i x)/prod(1-B_i x)."""
+    m, k = _size(m), _size(k)
     if k < 1:
         raise ValueError("k must be positive")
     M = _kernel_ratio(*_stack_roots(*_dimension_vars(m)), k + 1)
@@ -61,6 +65,7 @@ def gk_generating_check(m: int, kmax: int) -> bool:
     The reciprocal of the inverse of x*prod(1-B_i x)/prod(1-A_i x) is
     1/x + sum G_k x^k; the constant slot (k = 0) carries p_1 + ... + p_m.
     """
+    m, kmax = _size(m), _size(kmax)
     if kmax < 0:
         raise ValueError(f"kmax must be nonnegative, got {kmax}")
     ps, qs = _dimension_vars(m)
@@ -72,32 +77,30 @@ def gk_generating_check(m: int, kmax: int) -> bool:
 
 
 def s_k_sequence(m: int, kmax: int) -> list[int]:
-    """S_1..S_kmax: signed all-ones coefficient sums of the G_k, from the
-    quadratic-kernel route.
-
-    The kernel x(1-x)/(1+(m-1)x) is the all-ones specialization of the G_k
-    generating kernel after the sign flip; S_k is minus the (k+1)st
-    coefficient of the reciprocal of (inverse kernel)/x.  Catalan numbers for
-    m = 1, big Schroeder numbers for m = 2.
-    """
+    """S_1..S_kmax, the signed all-ones coefficient sums of the G_k: the
+    Narayana polynomials at m (Catalan numbers at m = 1, big Schroeder at
+    m = 2), D-finite (Stanley, Enumerative Combinatorics 2, 6.4), so from
+    S_1 = m, (k + 2) S_(k+1) = (m + 1)(2k + 1) S_k - (m - 1)^2 (k - 1) S_(k-1),
+    whose last term is 0 at k = 1.  A remainder raises ArithmeticError."""
+    m, kmax = _size(m), _size(kmax)
     if m < 1:
         raise ValueError("m must be positive")
     if kmax < 0:
         raise ValueError(f"kmax must be nonnegative, got {kmax}")
-    u = _inverse_reciprocal(_kernel_ratio([1], [1 - m], kmax + 1))
-    out: list[int] = []
-    for k in range(1, kmax + 1):
-        value = -u.coefficient(k + 1)
-        if isinstance(value, Fraction):
-            if value.denominator != 1:
-                raise ArithmeticError(f"S_{k} came out non-integral: {value}")
-            value = int(value)
+    a, b = m + 1, (m - 1) ** 2
+    out = [m] if kmax else []
+    for k in range(1, kmax):  # out[k - 2] is out[-1] at k = 1, times k - 1 = 0
+        top = a * (2 * k + 1) * out[k - 1] - b * (k - 1) * out[k - 2]
+        value, rest = divmod(top, k + 2)
+        if rest:
+            raise ArithmeticError(f"S_{k + 1} came out non-integral: {top}/{k + 2}")
         out.append(value)
     return out
 
 
 def s_k_from_coefficient_sums(m: int, kmax: int) -> list[int]:
     """S_1..S_kmax read off the polynomials: (-1)^k G_k at p_i = 1, q_i = -1."""
+    m, kmax = _size(m), _size(kmax)
     if m < 1:
         raise ValueError("m must be positive")
     if kmax < 0:
@@ -124,6 +127,7 @@ def narayana_number(k: int, i: int) -> int:
 def narayana_check(kmax: int) -> bool:
     """Flipped one-rectangle G_k coefficients against the closed form, for
     k = 1..kmax."""
+    kmax = _size(kmax)
     if kmax < 0:
         raise ValueError(f"kmax must be nonnegative, got {kmax}")
     for k in range(1, kmax + 1):
@@ -164,6 +168,7 @@ def elizalde_formula(m: int, k: int) -> MultivarPoly:
     result must match flipped_polynomial(g_k_leading(m, k), m, k); the match
     is asserted by the test suite, not assumed here.
     """
+    m, k = _size(m), _size(k)
     if m < 1 or k < 1:
         raise ValueError("need m >= 1 and k >= 1")
     terms: dict[tuple[int, ...], Fraction] = {}

@@ -141,6 +141,10 @@ def is_size(x) -> bool:
     return type(x) is int and x >= 0
 
 
+def is_positive(x) -> bool:
+    return type(x) is int and x >= 1
+
+
 def fits(parts, p, q) -> bool:
     """The parts, zeros dropped, fit in a p-by-q box."""
     parts = [x for x in parts if x]
@@ -156,34 +160,34 @@ def call(function, *args):
 
 
 def grid_case(data):
-    m, k = data.draw(ints(4), label="m"), data.draw(ints(6), label="k")
+    m, k = data.draw(sizes(4), label="m"), data.draw(sizes(6), label="k")
     ok, axes = call(interpolation_grid, m, k)
-    assert ok == (m >= 1 and k >= 1)
+    assert ok == (is_positive(m) and is_positive(k))
     if ok:
         assert isinstance(axes, list) and len(axes) == 2 * m
         assert all(type(x) is int for axis in axes for x in axis)
 
 
 def interpolate_case(data, function, kind):
-    m = data.draw(ints(2, huge=True), label="m")
+    m = data.draw(sizes(2, huge=True), label="m")
     mu = data.draw(shapes(3, 2, huge=True, min_size=1), label="mu")
-    max_nodes = data.draw(st.just(20_000) | ints(400, huge=True), label="max_nodes")
+    max_nodes = data.draw(st.just(20_000) | sizes(400, huge=True), label="max_nodes")
     ok, value = call(function, m, mu, max_nodes)
-    valid = m >= 1 and is_partition(mu) and any(mu)
+    valid = is_positive(m) and is_partition(mu) and any(mu) and type(max_nodes) is int
     assert ok == (valid and within_budget(m, mu, max_nodes)), value
     if ok:
         assert isinstance(value, kind)
 
 
 def fidelity_case(data):
-    m = data.draw(ints(3), label="m")
+    m = data.draw(sizes(3), label="m")
     mu = data.draw(shapes(3, 2, min_size=1), label="mu")
     poly_mu = data.draw(st.sampled_from([(1,), (2,), (1, 1)]), label="poly_mu")
-    poly = f_mu_interpolate(max(m, 1), poly_mu)
-    samples = data.draw(ints(3) | st.just(0), label="samples")
+    poly = f_mu_interpolate(m if is_positive(m) else 1, poly_mu)
+    samples = data.draw(sizes(3) | st.just(0), label="samples")
     seed = data.draw(st.none() | st.integers(-(2**70), 2**70), label="seed")
     ok, value = call(off_grid_fidelity, m, mu, poly, samples, seed)
-    assert ok == (m >= 1 and is_partition(mu) and any(mu) and samples >= 0)
+    assert ok == (is_positive(m) and is_partition(mu) and any(mu) and is_size(samples))
     if ok:
         assert type(value) is bool
         if tuple(x for x in mu if x) == poly_mu:
@@ -237,18 +241,18 @@ def mn_case(data):
 
 def stack_case(data, function, kind):
     """function(m, k) for a stack of m rectangles at a k-cycle."""
-    m, k = data.draw(ints(3), label="m"), data.draw(ints(4), label="k")
+    m, k = data.draw(sizes(3), label="m"), data.draw(sizes(4), label="k")
     ok, value = call(function, m, k)
-    assert ok == (m >= 1 and k >= 1), value
+    assert ok == (is_positive(m) and is_positive(k)), value
     if ok:
         assert type(value) is kind
 
 
 def kmax_case(data, function):
     """function(m, kmax), for k = 1..kmax; kmax = 0 asks for nothing."""
-    m, kmax = data.draw(ints(3), label="m"), data.draw(ints(5), label="kmax")
+    m, kmax = data.draw(sizes(3), label="m"), data.draw(sizes(5), label="kmax")
     ok, value = call(function, m, kmax)
-    assert ok == (m >= 1 and kmax >= 0), value
+    assert ok == (is_positive(m) and is_size(kmax)), value
     if ok and function is gk_generating_check:
         assert value is True
     elif ok:
@@ -257,9 +261,9 @@ def kmax_case(data, function):
 
 
 def narayana_case(data):
-    kmax = data.draw(ints(6), label="kmax")
+    kmax = data.draw(sizes(6), label="kmax")
     ok, value = call(narayana_check, kmax)
-    assert ok == (kmax >= 0), value
+    assert ok == is_size(kmax), value
     if ok:
         assert value is True
 
@@ -401,10 +405,10 @@ def complement_case(data, function):
 def flip_case(data):
     blocks = data.draw(st.integers(1, 3), label="blocks")
     poly = f_k_polynomial(blocks, data.draw(st.integers(1, 3), label="poly_k"))
-    m = data.draw(ints(4), label="m")
-    k = data.draw(st.integers(-3, 4), label="k")
+    m = data.draw(sizes(4), label="m")
+    k = data.draw(mostly(st.integers(-3, 4), NOT_INTEGERS), label="k")
     ok, value = call(flipped_polynomial, poly, m, k)
-    assert ok == (m == blocks), value
+    assert ok == (type(m) is int and m == blocks and type(k) is int), value
     if ok:
         assert type(value) is MultivarPoly and value.nvars == 2 * m
         assert flipped_polynomial(value, m, k) == poly

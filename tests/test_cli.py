@@ -200,6 +200,30 @@ def test_elizalde_check(capsys):
     assert out == "a^2*b + 2*a*p*q + a*b^2 + p^2*q + p*q^2"
 
 
+def test_elizalde_budget_edge():
+    # one rectangle takes (k + 2)^2 steps, 6324^2 inside the budget
+    assert cli._elizalde_oversize(1, 6322) is None
+    assert cli._elizalde_oversize(1, 6323) == "40005625"
+
+
+@pytest.mark.parametrize(
+    "m, k, work",
+    [
+        ("1", "6323", "40005625"),
+        ("40", "3", "152522460"),
+        # C(a + b, b) >= 2^min(a, b) refuses both at once, with no binomial
+        ("9223372036854775807", "9223372036854775807", "over 2^9223372036854775808"),
+    ],
+)
+def test_elizalde_over_its_budget_is_a_usage_error(capsys, m, k, work):
+    assert run_cli(capsys, "elizalde", "--m", m, "--k", k) == (
+        2,
+        "",
+        f"error: m={m}, k={k} takes {work} steps (C(k + 2m, k + 1) exponent "
+        "vectors times 2m + k), above the bound 40000000\n",
+    )
+
+
 def test_catalan_pairs(capsys):
     code, out, _ = run_cli(capsys, "catalan-pairs", "--k", "5")
     assert (code, out) == (0, "42")
@@ -340,11 +364,11 @@ BIG = "10000000000000000000"
     [
         (("sk", "--m", "1", "--kmax", BIG), f"error: kmax={BIG} is too large\n"),
         (
-            # fits a machine index, but its series would not fit in memory
+            # fits a machine index, but its values would not fit in memory
             ("sk", "--m", "1", "--kmax", "4611686018427387904"),
-            "error: kmax=4611686018427387904 exceeds the cap 250\n",
+            "error: kmax=4611686018427387904 exceeds the cap 1500\n",
         ),
-        (("sk", "--m", "2", "--kmax", "251"), "error: kmax=251 exceeds the cap 250\n"),
+        (("sk", "--m", "2", "--kmax", "1501"), "error: kmax=1501 exceeds the cap 1500\n"),
         (("fk", "--m", "1", "--k", BIG), f"error: k={BIG} is too large\n"),
         (("gk", "--m", "1", "--k", BIG), f"error: k={BIG} is too large\n"),
         (

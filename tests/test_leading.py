@@ -1,3 +1,6 @@
+import decimal
+import hashlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -79,6 +82,22 @@ def test_sk_two_rectangles_is_schroeder():
 def test_sk_routes_agree():
     for m in (1, 2, 3):
         assert s_k_sequence(m, 7) == s_k_from_coefficient_sums(m, 7)
+
+
+@pytest.mark.parametrize(
+    "m, digest", [(2, "82783822c43931bb"), (sys.maxsize, "bf877e02f811b66b")]
+)
+def test_sk_values_are_pinned(m, digest):
+    # the first 16 hex digits of the SHA-256 of S_1..S_250 space-joined, as
+    # sk prints them, measured from the Lagrange-inversion route; decimal
+    # writes values past Python's int-to-str digit limit
+    line = " ".join(str(decimal.Decimal(v)) for v in s_k_sequence(m, 250))
+    assert hashlib.sha256(line.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7])
+def test_sk_values_are_ints(m):
+    assert all(type(v) is int for v in s_k_sequence(m, 60))
 
 
 def test_narayana_numbers():
