@@ -30,21 +30,24 @@ Ch_(3) = 3 p_2 - 3 C(n, 2), Ch_(4) = 4 p_3 - 4 (2n - 3) p_1 (Corteel,
 Goupil & Schaeffer, Adv. Math. 2004, from the Jucys-Murphy elements), and
 Ch_(2,2) = Ch_(2)^2 - 4 Ch_(3) - 2n(n - 1) (Ivanov & Kerov's product
 Ch_(2) Ch_(2)).  These closed forms are written once (_tail_character),
-and their content sums are read off blocks only (_block_sums): each block
-adds a difference of two Faulhaber sums, and a swept shape's blocks are
-its bead tuple's runs (_bead_blocks).  From p_4 on the power sums bring in
-classes of several cycles, so a last part of 5 or more is swept and
-merged like every other level.
+and a stack's content sums are read off its blocks (_block_sums): each
+block adds a difference of two Faulhaber sums.  A swept shape's sums are
+carried down the sweep from the stack's: a border strip has consecutive
+contents, so moving bead b down to x changes each sum by one difference of
+its summand (_moved_sums), in O(1) per strip.  From p_4 on the power sums
+bring in classes of several cycles, so a last part of 5 or more is swept
+and merged like every other level.
 
 The kernel has one entry, _stack_character, which takes mu as its callers
-have it and decides its trailing 1s, tail, swept head and falling
-factorial; every shape enters it as its blocks, a partition as its runs
-of equal parts (_blocks), so no shape is expanded into rows.  A swept
-prefix that is empty or is itself such a tail, as every prefix of a mu of
-size at most 4 is, is read at once, in O(m) for m blocks: Ch_tau (1 for
-the empty prefix) of the stack's content sums times (n - k')_(k - k').
-Any other prefix has its head swept on the stack's bead tuple
-(_strip_sweep, which only sweeps).
+have it and a batch of stacks, and decides mu's trailing 1s, tail, swept
+head and falling factorial once for the whole batch; every shape enters it
+as its blocks, a partition as its runs of equal parts (_blocks), so no
+shape is expanded into rows.  A swept prefix that is empty or is itself
+such a tail, as every prefix of a mu of size at most 4 is, is read at once,
+in O(m) for m blocks: Ch_tau (1 for the empty prefix) of the stack's
+content sums times (n - k')_(k - k').  Any other prefix has its head swept
+on each stack's bead tuple (_strip_sweep, which only sweeps), the level
+entries carrying the content sums when a tail weights them.
 
 At k = n the left side is chi * H_lam, so the character itself is that value
 divided by H_lam.  Nothing is kept between calls and no recursion depth
@@ -53,16 +56,19 @@ grows with the input.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from .partitions import Partition, _hook_product, _integers, as_partition
 
 Beads = tuple[int, ...]
 Runs = list[tuple[int, int, int]]
 Sums = tuple[int, int, int, int, int]
+Carried = tuple[int, int, int]
+Stack = tuple[Sequence[int], Sequence[int]]
 
 
 def _blocks(lam: Partition) -> tuple[Partition, Partition]:
@@ -102,15 +108,6 @@ def _runs(beads: Beads) -> Runs:
             start = i
     runs.append((beads[start], beads[-1], start))
     return runs
-
-
-def _bead_blocks(beads: Beads) -> tuple[Partition, Partition]:
-    """The shape of a nonempty bead tuple as a stack (ps, qs), top block
-    first: the run low..top starting at index i is top - low + 1 rows of
-    width low - i.  Rows emptied by the sweep form a block of width 0."""
-    runs = _runs(beads)[::-1]
-    ps = tuple(top - low + 1 for low, top, _ in runs)
-    return ps, tuple(low - i for low, _, i in runs)
 
 
 def _free_moves(beads: Beads, runs: Runs, size: int) -> list[tuple[int, int, int]]:
@@ -207,6 +204,16 @@ def _block_sums(ps: Sequence[int], qs: Sequence[int]) -> Sums:
     return above, n, s1, s2, s3
 
 
+def _moved_sums(sums: Carried, y: int, z: int) -> Carried:
+    """The last three content sums of _block_sums, (sum t, sum t(2x + 1),
+    sum t^2), after one bead moves from x = y to x = z, r being fixed: a
+    border strip's contents are consecutive, so each sum changes by one
+    difference of its summand, t = x(x + 1)."""
+    s1, s2, s3 = sums
+    ty, tz = y * (y + 1), z * (z + 1)
+    return s1 + tz - ty, s2 + tz * (2 * z + 1) - ty * (2 * y + 1), s3 + tz * tz - ty * ty
+
+
 def _tail_character(sums: Sums, tail: tuple[int, ...]) -> int:
     """Ch_tail(nu) = (n)_|tail| chi^nu(tail, 1^(n - |tail|)) / chi^nu(1), for
     nu of size n given by its content sums (_block_sums) and tail
@@ -244,16 +251,17 @@ def _tail_character(sums: Sums, tail: tuple[int, ...]) -> int:
     return twice_p1 * twice_p1 - 4 * ch3 - 2 * n * (n - 1)
 
 
-def _merged_level(level: dict[Beads, list[int]], part: int) -> dict[Beads, list[int]]:
+def _merged_level(level: dict[Beads, list], part: int) -> dict[Beads, list]:
     """The next level of the sweep: every strip of the given size removed
     from every shape of level, by slice and insert, and the paths to one
     shape merged by its bead tuple.  A shape whose count cancels to 0 is
     dropped and not expanded; H_lam / H_nu is the product of the bead-move
     ratios along the first path that reaches nu, as every path gives the
-    same."""
-    below: dict[Beads, list[int]] = {}
-    for beads, (count, num, den) in level.items():
+    same, and so are its content sums, when they are carried."""
+    below: dict[Beads, list] = {}
+    for beads, (count, num, den, sums) in level.items():
         runs = _runs(beads)
+        r = len(beads)
         for pos, i, bead in _free_moves(beads, runs, part):
             result = beads[:pos] + (bead - part,) + beads[pos:i] + beads[i + 1 :]
             step = -count if (i - pos) % 2 else count
@@ -261,17 +269,23 @@ def _merged_level(level: dict[Beads, list[int]], part: int) -> dict[Beads, list[
                 below[result][0] += step
             else:
                 up, down = _bead_move_ratio(runs, bead, part)
-                below[result] = [step, num * up, den * down]
+                x = bead - r  # the top content of the bead's row
+                moved = None if sums is None else _moved_sums(sums, x, x - part)
+                below[result] = [step, num * up, den * down, moved]
     return {beads: entry for beads, entry in below.items() if entry[0]}
 
 
-def _strip_sweep(beads: Beads, parts: tuple[int, ...]) -> dict[Beads, list[int]]:
+def _strip_sweep(
+    beads: Beads, parts: tuple[int, ...], sums: Carried | None
+) -> dict[Beads, list]:
     """The level left after removing strips of the given sizes, in order,
-    from the shape lam of the bead tuple: {beads of nu: [c(nu), num, den]},
-    c(nu) the signed number of removal paths lam -> nu and num/den =
-    H_lam / H_nu.  Every level goes down in integers on bead tuples, merged
-    by shape (_merged_level); no parts leave lam itself, [1, 1, 1]."""
-    level = {beads: [1, 1, 1]}
+    from the shape lam of the bead tuple: {beads of nu: [c(nu), num, den,
+    sums of nu]}, c(nu) the signed number of removal paths lam -> nu and
+    num/den = H_lam / H_nu.  Every level goes down in integers on bead
+    tuples, merged by shape (_merged_level).  sums are lam's last three
+    content sums of _block_sums, carried to each nu (_moved_sums), or None,
+    which is carried as it is; no parts leave lam itself, [1, 1, 1, sums]."""
+    level = {beads: [1, 1, 1, sums]}
     for part in parts:
         level = _merged_level(level, part)
     return level
@@ -297,13 +311,8 @@ def mn_character(lam: Partition, nu: Sequence[int]) -> int:
         raise ValueError(f"cycle lengths must be positive: {nu}")
     if sum(nu) != sum(lam):
         raise ValueError(f"type {nu} does not have size |{lam}| = {sum(lam)}")
-    return _mn_character(lam, nu)
-
-
-def _mn_character(lam: Partition, nu: tuple[int, ...]) -> int:
-    """mn_character for a trusted lam and positive parts nu of size |lam|: the
-    normalized character at k = n, which is chi * H_lam, divided by H_lam."""
-    return _stack_character(*_blocks(lam), nu) // _hook_product(lam)
+    # the normalized character at k = n is chi * H_lam
+    return _stack_character(nu, [_blocks(lam)])[0] // _hook_product(lam)
 
 
 def normalized_character(lam: Partition, mu: Partition) -> int:
@@ -321,38 +330,51 @@ def normalized_character(lam: Partition, mu: Partition) -> int:
     k = sum(mu)
     if k > sum(lam):
         raise ValueError(f"|mu| = {k} exceeds |lam| = {sum(lam)}")
-    return _stack_character(*_blocks(lam), mu)
+    return _stack_character(mu, [_blocks(lam)])[0]
 
 
-def _stack_character(ps: Sequence[int], qs: Sequence[int], mu: tuple[int, ...]) -> int:
-    """The kernel's one entry: normalized_character for the stack of ps[i]
-    rows of length qs[i], top block first and widths strictly decreasing,
-    of n >= k = |mu| cells, at positive parts mu in the order given.  Only
-    mu's swept prefix (mu without its trailing 1s) of size k' is summed,
-    times (n - k')_(k - k').  A prefix that is empty or a closed-form tail
-    is read off the blocks' content sums in O(m).  Any other ends in a tail
-    tau, perhaps (): its head is swept on the stack's bead tuple, and each
-    shape nu reached is weighted by Ch_tau of nu's blocks (_bead_blocks)."""
+def _stack_character(mu: tuple[int, ...], stacks: Iterable[Stack]) -> list[int]:
+    """The kernel's one entry: normalized_character at positive parts mu, in
+    the order given, of each stack (ps, qs) of the batch, in order, the stack
+    of ps[i] rows of length qs[i], top block first and widths strictly
+    decreasing, of n >= k = |mu| cells.
+
+    Only mu's swept prefix (mu without its trailing 1s) of size k' is
+    summed, times (n - k')_(k - k'); the prefix, its tail tau and its head
+    are found once for the batch.  A prefix that is empty or a closed-form
+    tail is read off each stack's blocks' content sums in O(m).  Any other
+    has its head swept on each stack's bead tuple, and each shape nu reached
+    is weighted by Ch_tau of the content sums carried down to it."""
     k = sum(mu)
     swept = mu[: _sweep_depth(mu)]
     tail = _tail(swept)
     k1 = sum(swept)
+    fixed = k - k1
     if swept == tail:
-        sums = _block_sums(ps, qs)
-        return _tail_character(sums, tail) * math.perm(sums[1] - k1, k - k1)
-    n = sum(map(operator.mul, ps, qs))
-    level = _strip_sweep(_stack_beads(ps, qs), swept[: len(swept) - len(tail)])
-    den = math.lcm(*(d for _, _, d in level.values()))
-    num = 0
-    for beads, (c, h, d) in level.items():
-        if tail:
-            c *= _tail_character(_block_sums(*_bead_blocks(beads)), tail)
-        num += c * h * (den // d)
-    num *= math.perm(n - k1, k - k1)
-    value, rest = divmod(num, den)
-    if rest:
-        raise ArithmeticError(
-            f"normalized character of the stack {ps} x {qs} at {swept}, k={k}, "
-            f"came out non-integral: {num}/{den}"
-        )
-    return value
+        return [
+            _tail_character(sums, tail) * math.perm(sums[1] - k1, fixed)
+            for sums in itertools.starmap(_block_sums, stacks)
+        ]
+    head = swept[: len(swept) - len(tail)]
+    values = []
+    for ps, qs in stacks:
+        beads = _stack_beads(ps, qs)
+        n = sum(map(operator.mul, ps, qs))
+        level = _strip_sweep(beads, head, _block_sums(ps, qs)[2:] if tail else None)
+        den = math.lcm(*(entry[2] for entry in level.values()))
+        # every shape reached has r = len(beads) rows and n - |head| cells
+        left = (len(beads), n - sum(head))
+        num = 0
+        for c, h, d, sums in level.values():
+            if tail:
+                c *= _tail_character(left + sums, tail)
+            num += c * h * (den // d)
+        num *= math.perm(n - k1, fixed)
+        value, rest = divmod(num, den)
+        if rest:
+            raise ArithmeticError(
+                f"normalized character of the stack {ps} x {qs} at {swept}, k={k}, "
+                f"came out non-integral: {num}/{den}"
+            )
+        values.append(value)
+    return values

@@ -23,10 +23,11 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .characters import _mn_character, _stack_character
+from .characters import _blocks, _stack_character
 from .partitions import (
     Partition,
     _box,
+    _hook_product,
     _size,
     _syt_count,
     as_partition,
@@ -153,7 +154,7 @@ def _theorem1_sides(p: int, q: int, mu: Partition) -> tuple[int, int]:
     if k > p * q:
         raise ValueError(f"|mu| = {k} exceeds |lam| = {p * q}")
     rhs = _pair_sum(mu).evaluate((p, q))
-    return _stack_character((p,), (q,), mu), rhs
+    return _stack_character(mu, [((p,), (q,))])[0], rhs
 
 
 def theorem1_check(p: int, q: int, mu: Partition) -> bool:
@@ -167,7 +168,10 @@ def _character_table(mu: Partition) -> tuple[tuple[Partition, int], ...]:
     """(lam, chi^lam(mu) * f^lam) for every lam of |mu| where the character is
     nonzero, f^lam = |mu|!/H_lam, for a trusted mu; one table serves every
     box (p, q)."""
-    rows = ((lam, _mn_character(lam, mu)) for lam in partitions_of(sum(mu)))
+    shapes = list(partitions_of(sum(mu)))
+    # at k = n the kernel reads chi^lam(mu) * H_lam, one batch for every lam
+    values = _stack_character(mu, map(_blocks, shapes))
+    rows = ((lam, value // _hook_product(lam)) for lam, value in zip(shapes, values))
     return tuple((lam, chi * _syt_count(lam)) for lam, chi in rows if chi)
 
 

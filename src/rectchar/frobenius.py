@@ -24,16 +24,27 @@ from .polynomials import MultivarPoly
 from .series import linear_product
 
 
+_ROOT_TYPES = frozenset((int, Fraction, MultivarPoly))
+
+
 def rational_x_inverse_coefficient(num_roots, den_roots):
     """[x^-1] of prod(x - a)/prod(x - b), expanded in descending powers of x.
 
-    Roots may be integers or polynomial values.  With t = 1/x and N, D the
-    numbers of numerator and denominator roots, the ratio is x^(N-D) times
+    The roots are two iterables of ints, Fractions or MultivarPolys; any
+    other root, a bool or a float among them, raises ValueError, as does an
+    argument that is not iterable.  With t = 1/x and N, D the numbers of
+    numerator and denominator roots, the ratio is x^(N-D) times
     prod(1 - a t)/prod(1 - b t), so the answer is the t^(N-D+1) coefficient
     of that power series; it is 0 when N - D + 1 is negative.
     """
-    num_roots = list(num_roots)
-    den_roots = list(den_roots)
+    try:
+        num_roots = list(num_roots)
+        den_roots = list(den_roots)
+    except TypeError:
+        raise ValueError("roots must be given as iterables") from None
+    if not _ROOT_TYPES.issuperset(map(type, num_roots + den_roots)):
+        bad = next(x for x in num_roots + den_roots if type(x) not in _ROOT_TYPES)
+        raise ValueError(f"roots must be ints, Fractions or MultivarPolys: {bad!r}")
     order = len(num_roots) - len(den_roots) + 1
     series = linear_product(num_roots, max(order, 0) + 1)
     for b in den_roots:

@@ -37,13 +37,13 @@ stack of s nonempty blocks with strictly decreasing widths.
 Its value is the character there, less the faces below s at each proper
 subset of its blocks, over p_1..p_s q_s; a face H^(t) below is read once
 per distinct projection of the nodes onto t of their s blocks.  The
-character is taken from the trusted kernel as an exact integer, given the
-stack as its blocks and mu as it is (characters._stack_character, which
-makes every decision about mu's parts), or is 0 with no kernel call below
-|mu| cells, where Ch_mu vanishes (Kerov & Olshanski, C. R. Acad. Sci.
-Paris 319, 1994).  The Newton solve runs in
-integers on node indices, and F_mu is then audited at a point outside the
-grid before being returned.
+character is taken from the trusted kernel as an exact integer, given a
+face's nodes as one batch of blocks and mu as it is
+(characters._stack_character, which makes every decision about mu's parts
+once per batch), or is 0 with no kernel read below |mu| cells, where
+Ch_mu vanishes (Kerov & Olshanski, C. R. Acad. Sci. Paris 319, 1994).  The
+Newton solve runs in integers on node indices, and F_mu is then audited at
+a point outside the grid before being returned.
 
 Only mu's swept prefix nu (mu without its trailing 1s) is interpolated:
 Ch_(mu, 1) = (n - |mu|) Ch_mu (Kerov & Olshanski) gives
@@ -234,17 +234,18 @@ def _sweep_fibres(
                 values[i] = value
 
 
-def _shape_value(m: int, mu: Partition, point: tuple[int, ...]) -> int:
-    """The normalized character at mu of the stack of point[i] rows of
-    length point[m + i], i < m.  A block with no rows or no columns adds
-    nothing; the widths of the other blocks must strictly decrease.  A stack
-    of fewer than |mu| cells gives 0, the falling factorial (n)_|mu| being 0
-    there, without a kernel call; the kernel is given the stack's blocks and
-    mu as it is."""
-    ps, qs = point[:m], point[m:]
-    if sum(map(operator.mul, ps, qs)) < sum(mu):
-        return 0
-    return _stack_character(ps, qs, mu)
+def _shape_value(m: int, mu: Partition, points: list[tuple[int, ...]]) -> list[int]:
+    """The normalized character at mu of each stack point, of point[i] rows
+    of length point[m + i], i < m, in order.  A block with no rows or no
+    columns adds nothing; the widths of the other blocks must strictly
+    decrease.  A stack of fewer than |mu| cells gives 0, the falling
+    factorial (n)_|mu| being 0 there, without a kernel read; the others go
+    to the kernel as one batch of blocks, with mu as it is."""
+    k = sum(mu)
+    stacks = [(point[:m], point[m:]) for point in points]
+    large = [sum(map(operator.mul, ps, qs)) >= k for ps, qs in stacks]
+    read = iter(_stack_character(mu, itertools.compress(stacks, large)))
+    return [next(read) if big else 0 for big in large]
 
 
 def _fill(m: int, faces: list[MultivarPoly]) -> MultivarPoly:
@@ -276,7 +277,9 @@ def _face(s: int, nu: Partition) -> MultivarPoly:
     is interpolated on _face_nodes(s, |nu|, len(nu)), each node moved up by
     one in those coordinates on the axes.  The node (p, q) is a stack with
     every block nonempty, and its value is the character there, less the
-    faces below s at each proper subset of its blocks, over p_1..p_s q_s.
+    faces below s at each proper subset of its blocks, over p_1..p_s q_s;
+    the characters are read in one batch (_shape_value), the nodes of at
+    least |nu| cells going to the kernel in one call.
     Each face H^(t) below is evaluated once per distinct projection of the
     nodes onto t of their blocks, in one batch per t, not filled into an
     s-block polynomial and read at every node.
@@ -293,7 +296,7 @@ def _face(s: int, nu: Partition) -> MultivarPoly:
     axes = [axis[d:] for axis, d in zip(interpolation_grid(s, k), shift)]
     nodes = _face_nodes(s, k, len(nu))
     points = [tuple(map(list.__getitem__, axes, beta)) for beta in nodes]
-    rests = [_shape_value(s, nu, point) for point in points]
+    rests = _shape_value(s, nu, points)
     for t in range(1, s):
         # the nodes' projections onto t of their blocks, each read once
         reads: dict[tuple[int, ...], int] = {}
@@ -398,7 +401,7 @@ def f_mu_interpolate(
             2 * m, {e: _clean_coef(c) for e, c in terms.items() if c}
         )
     guard = _guard_point(m, k)
-    expected = _shape_value(m, mu, guard)
+    expected = _shape_value(m, mu, [guard])[0]
     if poly.evaluate(guard) != expected:
         raise ArithmeticError(
             f"interpolant for mu={format_partition(mu)}, m={m} disagrees with "
@@ -431,9 +434,11 @@ def f_k_polynomial(m: int, k: int) -> MultivarPoly:
 
 
 def _guard_point(m: int, k: int) -> tuple[int, ...]:
-    """The point one past each axis's last node: a stack with every block
-    nonempty, strictly decreasing widths and at least k cells."""
-    return tuple(axis[-1] + 1 for axis in interpolation_grid(m, k))
+    """The point one past each axis's last node of interpolation_grid(m, k):
+    a stack with every block nonempty, strictly decreasing widths and at
+    least k cells."""
+    d = k + 2
+    return (d,) * m + tuple((m - i) * d for i in range(m))
 
 
 def off_grid_fidelity(
@@ -452,11 +457,11 @@ def off_grid_fidelity(
     p's are uniform and the widths a uniform m-set.  A draw of fewer than
     k cells is drawn again, and so is one on the grid of
     interpolation_grid, where every p_i is at most k + 1 and every q_i lies
-    in its band; each shape goes to the kernel as its blocks
-    (characters._stack_character).  The draws are compared in chunks
-    of up to _AUDIT_CHUNK, poly being evaluated once per chunk
-    (MultivarPoly.evaluate_many), so memory stays bounded for any number of
-    samples."""
+    in its band.  The draws are compared in chunks of up to _AUDIT_CHUNK:
+    poly is evaluated once per chunk (MultivarPoly.evaluate_many), and the
+    chunk's shapes go to the kernel as one batch of blocks
+    (characters._stack_character), so memory stays bounded for any number
+    of samples."""
     m, samples = _size(m), _size(samples)
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
@@ -471,24 +476,26 @@ def off_grid_fidelity(
     top_p, top_q = k + 4, m * (k + 3) + 6
     choices = top_p * top_q  # a block (p, q) is drawn as (p - 1) top_q + q - 1
     d, bands = k + 2, list(range(m - 1, -1, -1))  # q_i // d is m - i on the grid
+    blocks = range(m)
     done = 0
     while done < samples:
         chunk = min(_AUDIT_CHUNK, samples - done)
-        points, expected = [], []
-        while len(points) < chunk:
-            draws = [randrange(choices) for _ in range(m)]
+        stacks = []
+        while len(stacks) < chunk:
+            draws = [randrange(choices) for _ in blocks]
             qs = {c % top_q + 1 for c in draws}
             if len(qs) < m:
                 continue  # a repeated width; draw again
             ps = tuple([c // top_q + 1 for c in draws])
-            qs = tuple(sorted(qs, reverse=True))
-            if sum(map(operator.mul, ps, qs)) < k:
-                continue
+            qs = sorted(qs, reverse=True)
             if max(ps) < d and [q // d for q in qs] == bands:
                 continue  # landed on the grid; draw again
-            points.append(ps + qs)
-            expected.append(_stack_character(ps, qs, mu))
-        if poly.evaluate_many(points) != expected:
+            qs = tuple(qs)
+            if sum(map(operator.mul, ps, qs)) < k:
+                continue
+            stacks.append((ps, qs))
+        points = [ps + qs for ps, qs in stacks]
+        if poly.evaluate_many(points) != _stack_character(mu, stacks):
             return False
         done += chunk
     return True

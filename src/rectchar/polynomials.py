@@ -197,9 +197,11 @@ class MultivarPoly:
                 raise ValueError("value count mismatch")
         totals: list[Scalar] = [0] * len(points)
         powers = []
-        for v, column in enumerate(zip(*points)):
+        # each variable's largest exponent, all in one pass over the terms;
+        # the zero polynomial has none, so it builds no powers
+        for top, column in zip(map(max, zip(*self.terms)), zip(*points)):
             rows = [[1] * len(points)]
-            for _ in range(max((e[v] for e in self.terms), default=0)):
+            for _ in range(top):
                 rows.append(list(map(operator.mul, rows[-1], column)))
             powers.append(rows)
         for exps, c in self.terms.items():

@@ -31,9 +31,13 @@ class PowerSeries:
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs: Sequence, order: int):
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        coeffs = list(coeffs[: order + 1])
+        # by exact type, in O(1): a bool or a float order is refused
+        if type(order) is not int or order < 0:
+            raise ValueError(f"order must be a nonnegative int, got {order!r}")
+        try:
+            coeffs = list(coeffs[: order + 1])
+        except TypeError:
+            raise ValueError(f"coefficients must be a sequence: {coeffs!r}") from None
         coeffs += [0] * (order + 1 - len(coeffs))
         self.coeffs = coeffs
         self.order = order

@@ -1,7 +1,9 @@
 """Property test of the Python API's argument contract, for the entry points
 of the character kernel, the pair-sum routes, the residue and leading-term
-routes, the interpolation, the verify runner, the partition helpers, the
-box lemma, canonical_permutation, default_names and narayana_number.
+routes, the residue expansion (rational_x_inverse_coefficient and the
+PowerSeries it reads), the interpolation, the verify runner, the partition
+helpers, the box lemma, canonical_permutation, default_names and
+narayana_number.
 
 Each function gets arguments drawn from edge values: integers weighted to
 small values, with 0, -1..-3 and -2^63..-2^70 now and then, and shapes
@@ -29,10 +31,11 @@ from itertools import islice
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from oracles import cycle_type
+from oracles import cycle_type, partial_fraction_residue
 from rectchar import (
     ConjectureReport,
     MultivarPoly,
+    PowerSeries,
     canonical_permutation,
     catalan_pair_count,
     cells,
@@ -68,6 +71,7 @@ from rectchar import (
     parse_partition,
     partitions_in_box,
     partitions_of,
+    rational_x_inverse_coefficient,
     rectangle,
     VerifyReport,
     run_criteria,
@@ -535,6 +539,64 @@ def default_names_case(data):
         assert len(set(value)) == len(value) == 2 * m
 
 
+# polynomial roots share two variables: roots in different numbers of
+# variables cannot be multiplied together
+POLY_ROOTS = st.sampled_from(
+    [MultivarPoly(2, {(1, 0): 1}), MultivarPoly(2, {(0, 1): 1, (0, 0): -2}), MultivarPoly(2)]
+)
+RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+BAD_ROOTS = st.sampled_from([1.5, 2.0, True, False, None, "2", 1j])
+
+
+def root_lists(size: int):
+    """Lists or tuples of up to size roots, mostly ints, now and then
+    Fractions, polynomials or huge ints, and now and then a root of another
+    kind or an argument that is not iterable."""
+    root = mostly(st.integers(-5, 5), RATIONALS | POLY_ROOTS | HUGE | BAD_ROOTS)
+    drawn = st.tuples(st.lists(root, max_size=size), st.booleans())
+    valid = drawn.map(lambda d: tuple(d[0]) if d[1] else d[0])
+    return mostly(valid, st.sampled_from([None, 3, 2.5]))
+
+
+def is_root_list(roots) -> bool:
+    return isinstance(roots, (list, tuple)) and all(
+        type(x) in (int, Fraction, MultivarPoly) for x in roots
+    )
+
+
+def residue_case(data):
+    num = data.draw(root_lists(5), label="num_roots")
+    den = data.draw(root_lists(4), label="den_roots")
+    ok, value = call(rational_x_inverse_coefficient, num, den)
+    assert ok == (is_root_list(num) and is_root_list(den)), value
+    if not ok:
+        return
+    roots = list(num) + list(den)
+    if all(type(x) is int for x in roots):
+        assert type(value) is int
+    elif all(type(x) in (int, Fraction) for x in roots):
+        assert type(value) in (int, Fraction)
+    else:
+        assert type(value) in (int, Fraction, MultivarPoly)
+    if not any(type(x) is MultivarPoly for x in roots) and len(set(den)) == len(den):
+        assert value == partial_fraction_residue(num, den)
+
+
+def power_series_case(data):
+    # a huge order would build that many coefficients, so none is drawn
+    coefficient = mostly(st.integers(-5, 5), RATIONALS | HUGE)
+    coeffs = data.draw(
+        mostly(st.lists(coefficient, max_size=5), st.sampled_from([None, 5, 2.5])),
+        label="coeffs",
+    )
+    order = data.draw(mostly(sizes(6), st.booleans()), label="order")
+    ok, value = call(PowerSeries, coeffs, order)
+    assert ok == (isinstance(coeffs, list) and type(order) is int and order >= 0), value
+    if ok:
+        assert type(value) is PowerSeries and value.order == order
+        assert value.coeffs == (coeffs + [0] * (order + 1))[: order + 1]
+
+
 def narayana_number_case(data):
     # a huge i is cheap, the count being 0 above k; a huge k is not drawn,
     # as C(k, i) for i near k/2 is slow
@@ -591,6 +653,8 @@ CASES = {
     "content": content_case,
     "cellset_hooks": cellset_case,
     "narayana_number": narayana_number_case,
+    "rational_x_inverse_coefficient": residue_case,
+    "PowerSeries": power_series_case,
 }
 
 

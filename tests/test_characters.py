@@ -19,7 +19,6 @@ from oracles import (
 )
 from rectchar import characters
 from rectchar.characters import (
-    _bead_blocks,
     _bead_move_ratio,
     _block_sums,
     _blocks,
@@ -118,7 +117,8 @@ def _swept(beads, swept, k):
     and k = |mu|, summed from the level _strip_sweep leaves after every
     swept part, tail included: the expanded bead route."""
     n = sum(beads) - len(beads) * (len(beads) - 1) // 2
-    total = sum(Fraction(c * h, d) for c, h, d in _strip_sweep(beads, swept).values())
+    level = _strip_sweep(beads, swept, None)
+    total = sum(Fraction(c * h, d) for c, h, d, _ in level.values())
     return total * math.perm(n - sum(swept), k - sum(swept))
 
 
@@ -207,7 +207,7 @@ def test_sweep_matches_the_f_based_route():
                     value = normalized_character(lam, mu)
                     expected = reference_normalized_character(lam, mu)
                     assert (type(value), value) == (type(expected), expected)
-                    assert value == _stack_character(*blocks, mu)
+                    assert [value] == _stack_character(mu, [blocks])
 
 
 def test_transposition_is_the_content_sum():
@@ -283,10 +283,10 @@ def test_last_parts_of_five_or_more_match_the_oracle():
 def _expanded_tail(beads, tau):
     """Ch_tau of the shape of beads by the strips removed level by level,
     each path carrying its bead-move ratios."""
-    level = {beads: [1, 1, 1]}
+    level = {beads: [1, 1, 1, None]}
     for part in tau:
         level = characters._merged_level(level, part)
-    return sum(Fraction(count * num, den) for count, num, den in level.values())
+    return sum(Fraction(count * num, den) for count, num, den, _ in level.values())
 
 
 def test_tails_match_the_expanded_sweep():
@@ -297,7 +297,7 @@ def test_tails_match_the_expanded_sweep():
             for pad in (0, 1, 2) if lam else (1, 2):
                 beads = _beads(lam + (0,) * pad)
                 for tau in ((2,), (3,), (4,), (2, 2)):
-                    value = _tail_character(_block_sums(*_bead_blocks(beads)), tau)
+                    value = _tail_character(_bead_content_sums(beads), tau)
                     assert type(value) is int
                     assert value == _expanded_tail(beads, tau), (lam, pad, tau)
                     if n < sum(tau):
@@ -335,19 +335,20 @@ def test_normalized_character_is_an_int():
 
 def test_non_integral_normalized_character_raises(monkeypatch):
     # a sweep whose sum 2/4 does not divide: the value is an error, never a
-    # Fraction; the kernel hands the sweep lam's bead tuple.  (3, 2) still
-    # expands its first level, so it reaches the sweep and the remainder
-    # check; the tail (2) weights the shape (2) of beads (0, 3) by 2
+    # Fraction; the kernel hands the sweep lam's bead tuple and content sums.
+    # (3, 2) still expands its first level, so it reaches the sweep and the
+    # remainder check; the tail (2) weights the shape (2) of beads (0, 3),
+    # whose sums the level carries, by 2
     sweeps = []
 
-    def quarter(beads, parts):
-        sweeps.append((beads, parts))
-        return {(0, 3): [1, 1, 4]}
+    def quarter(beads, parts, sums):
+        sweeps.append((beads, parts, sums))
+        return {(0, 3): [1, 1, 4, _bead_content_sums((0, 3))[2:]]}
 
     monkeypatch.setattr(characters, "_strip_sweep", quarter)
     with pytest.raises(ArithmeticError, match="non-integral: 2/4$"):
         normalized_character((3, 2), (3, 2))
-    assert sweeps == [((2, 4), (3,))]
+    assert sweeps == [((2, 4), (3,), _bead_content_sums((2, 4))[2:])]
 
 
 def test_closed_form_prefixes_skip_the_sweep():
@@ -361,7 +362,7 @@ def test_closed_form_prefixes_skip_the_sweep():
                     # the empty prefix sums to 1: (n)_k is the character at 1^k
                     for k in range(sum(swept), n + 1):
                         mu = swept + (1,) * (k - sum(swept))
-                        value = _stack_character(*_blocks(lam), mu)
+                        [value] = _stack_character(mu, [_blocks(lam)])
                         assert type(value) is int
                         assert value == _swept(beads, swept, k), (lam, pad, swept, k)
 
@@ -387,8 +388,8 @@ def _bead_content_sums(beads):
 def test_block_sums_are_the_bead_sums():
     # empty blocks included; the Faulhaber differences are polynomial
     # identities, so the widths below the rows above them need no case.
-    # The blocks read back off the stack's beads are its nonempty blocks,
-    # and the sums of either are those summed bead by bead.
+    # The sums carried down the sweep from the stack's are, at every shape
+    # reached, those summed bead by bead.
     # Four blocks of up to 5 rows and widths up to 12 are 926,640 stacks, so
     # past 3 rows and width 8 they are sampled
     rng = random.Random(5)
@@ -404,13 +405,16 @@ def test_block_sums_are_the_bead_sums():
         beads = _stack_beads(ps, qs)
         expected = _bead_content_sums(beads)
         assert _block_sums(ps, qs) == expected, (ps, qs)
-        nonempty = [(p, q) for p, q in zip(ps, qs) if p and q]
-        if nonempty:
-            read = _bead_blocks(beads)
-            assert list(zip(*read)) == nonempty, (ps, qs)
-            assert _block_sums(*read) == expected, (ps, qs)
-        else:
+        if not any(p and q for p, q in zip(ps, qs)):
             assert beads == (), (ps, qs)
+    # heads of one and two levels over the first thousand sampled stacks;
+    # the sweep empties rows, which stay as low beads
+    for ps, qs in sampled[:1000]:
+        beads = _stack_beads(ps, qs)
+        for head in ((1,), (2,), (3,), (5,), (3, 2), (2, 3), (1, 4)) if beads else ():
+            level = _strip_sweep(beads, head, _block_sums(ps, qs)[2:])
+            for nu, (*_, sums) in level.items():
+                assert sums == _bead_content_sums(nu)[2:], (ps, qs, head, nu)
 
 
 def test_block_reads_match_the_bead_route():
@@ -422,42 +426,64 @@ def test_block_reads_match_the_bead_route():
                 k1 = sum(swept)
                 for k in {k1, k1 + 1, n}:
                     if k1 <= k <= n:
-                        value = _stack_character(ps, qs, swept + (1,) * (k - k1))
+                        [value] = _stack_character(swept + (1,) * (k - k1), [(ps, qs)])
                         assert type(value) is int
                         assert value == _swept(beads, swept, k), (ps, qs, swept, k)
 
 
 def test_block_reads_match_the_reference():
-    # random stacks of up to 10 cells, at every k the prefix allows
+    # random stacks of up to 10 cells, at every mu below: the closed-form
+    # prefixes and heads swept over each tail, with trailing 1s up to every k
+    # the prefix allows.  The stacks go in as one batch and as one-stack
+    # batches, and an empty batch reads nothing
     rng = random.Random(3)
-    tried = 0
-    while tried < 40:
+    stacks = []
+    while len(stacks) < 40:
         m = rng.randint(1, 4)
         ps = tuple(rng.randint(0, 3) for _ in range(m))
         qs = tuple(sorted(rng.sample(range(7), m), reverse=True))
         rows = tuple(q for p, q in zip(ps, qs) for _ in range(p) if q)
-        if sum(rows) > 10:
-            continue
-        tried += 1
-        for swept in ((), (2,), (3,), (4,), (2, 2)):
-            for k in range(sum(swept), sum(rows) + 1):
-                mu = swept + (1,) * (k - sum(swept))
-                expected = reference_normalized_character(rows, mu)
-                assert _stack_character(ps, qs, mu) == expected, (ps, qs, mu)
+        if sum(rows) <= 10:
+            stacks.append((ps, qs, rows))
+    tails = ((), (2,), (3,), (4,), (2, 2))
+    swept = tails + tuple(head + tail for head in ((1,), (3,), (5,), (2, 3)) for tail in tails)
+    for prefix in swept:
+        for k in range(sum(prefix), 11):
+            mu = prefix + (1,) * (k - sum(prefix))
+            batch = [(ps, qs) for ps, qs, rows in stacks if sum(rows) >= k]
+            expected = [
+                reference_normalized_character(rows, mu)
+                for _, _, rows in stacks
+                if sum(rows) >= k
+            ]
+            assert _stack_character(mu, batch) == expected, mu
+            assert [_stack_character(mu, [stack])[0] for stack in batch] == expected, mu
+            assert _stack_character(mu, []) == [], mu
 
 
 def test_other_prefixes_read_the_stack_beads(monkeypatch):
     # a prefix that is not a closed-form tail, such as (3, 2), has its head
-    # (3) swept on the stack's beads; a tail is not swept
+    # (3) swept on the stack's beads, carrying its content sums to weight
+    # by the tail (2); a tail is not swept
     calls = _count_calls(monkeypatch, "_strip_sweep")
     ps, qs = (2, 0, 3), (6, 4, 2)
-    value = characters._stack_character(ps, qs, (3, 2, 1, 1))
-    assert calls == [(_stack_beads(ps, qs), (3,))]
-    assert value == normalized_character((6, 6, 2, 2, 2), (3, 2, 1, 1))
+    value = characters._stack_character((3, 2, 1, 1), [(ps, qs)])
+    assert calls == [(_stack_beads(ps, qs), (3,), _block_sums(ps, qs)[2:])]
+    assert value == [normalized_character((6, 6, 2, 2, 2), (3, 2, 1, 1))]
+    calls.clear()
+    # no tail below the head: nothing is carried
+    characters._stack_character((5, 1, 1), [(ps, qs)])
+    assert calls == [(_stack_beads(ps, qs), (5,), None)]
     calls.clear()
     for swept in ((), (2,), (3,), (4,), (2, 2)):
-        characters._stack_character(ps, qs, swept + (1,) * (7 - sum(swept)))
+        characters._stack_character(swept + (1,) * (7 - sum(swept)), [(ps, qs)])
     assert calls == []
+    # a batch sweeps each of its stacks at the one head
+    stacks = [(ps, qs), ((1, 2), (4, 3)), ((3,), (3,))]
+    values = characters._stack_character((3, 2), stacks)
+    assert [beads for beads, _, _ in calls] == [_stack_beads(*stack) for stack in stacks]
+    shapes = ((6, 6, 2, 2, 2), (4, 3, 3), (3, 3, 3))
+    assert values == [normalized_character(lam, (3, 2)) for lam in shapes]
 
 
 def test_rect_character_sum_matches_direct_evaluation():

@@ -41,6 +41,11 @@ def _stack(m: int, point: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def test_grid_nodes_are_admissible():
+    # the guard point, in closed form, is one past each axis's last node
+    for m in range(1, 5):
+        for k in range(1, 7):
+            axes = interpolation_grid(m, k)
+            assert _guard_point(m, k) == tuple(axis[-1] + 1 for axis in axes), (m, k)
     for m in (1, 2, 3):
         for k in (1, 3):
             axes = interpolation_grid(m, k)
@@ -169,9 +174,10 @@ def _audited_stacks(monkeypatch, m, mu, samples, seed):
     kernel = interpolation._stack_character
     stacks = []
 
-    def counted(ps, qs, mu):
-        stacks.append((ps, qs))
-        return kernel(ps, qs, mu)
+    def counted(mu, batch):
+        batch = list(batch)
+        stacks.extend(batch)
+        return kernel(mu, batch)
 
     poly = f_mu_interpolate(m, mu)
     monkeypatch.setattr(interpolation, "_stack_character", counted)
@@ -339,13 +345,13 @@ def test_lower_set_holds_the_stanley_feray_support(s, k_cap):
 
 
 def _counted_points(monkeypatch) -> list:
-    """The points at which _shape_value is called from now on."""
+    """The points at which _shape_value evaluates from now on, in order."""
     shape_value = interpolation._shape_value
     points = []
 
-    def counted(*args):
-        points.append(args[-1])
-        return shape_value(*args)
+    def counted(m, mu, batch):
+        points.extend(batch)
+        return shape_value(m, mu, batch)
 
     monkeypatch.setattr(interpolation, "_shape_value", counted)
     return points
@@ -371,17 +377,22 @@ def test_node_count_is_the_lower_set(monkeypatch):
 
 def test_kernel_runs_once_per_shape_of_at_least_k_cells(monkeypatch):
     # of F_(2,2)'s 44 face nodes at m = 2, the 5 below 4 cells take no
-    # kernel call
+    # kernel read; each face reads its nodes in one call, and the guard
+    # point in one more
     _clear_caches()
     kernel = interpolation._stack_character
     shapes = []
+    calls = []
 
-    def counted(ps, qs, mu):
-        shapes.append(_stack(len(ps), ps + qs))
-        return kernel(ps, qs, mu)
+    def counted(mu, batch):
+        batch = list(batch)
+        calls.append(len(batch))
+        shapes.extend(_stack(len(ps), ps + qs) for ps, qs in batch)
+        return kernel(mu, batch)
 
     monkeypatch.setattr(interpolation, "_stack_character", counted)
     f_mu_interpolate(2, (2, 2))
+    assert calls == [13 - 5, 31, 1]
     assert len(shapes) == 39 + 1  # and the guard point
     assert len(set(shapes)) == len(shapes)
     assert all(sum(lam) >= 4 for lam in shapes)
@@ -462,9 +473,9 @@ def test_rational_data_gives_rational_coefficients(monkeypatch, fresh_caches):
     # C(p_j, 2) q_j added for each block j
     shape_value = interpolation._shape_value
 
-    def skewed(m, mu, point):
-        extra = sum(math.comb(p, 2) * q for p, q in zip(point[:m], point[m:]))
-        return shape_value(m, mu, point) + extra
+    def skewed(m, mu, points):
+        extra = [sum(math.comb(p, 2) * q for p, q in zip(x[:m], x[m:])) for x in points]
+        return list(map(operator.add, shape_value(m, mu, points), extra))
 
     monkeypatch.setattr(interpolation, "_shape_value", skewed)
     p, q = (MultivarPoly(2, {e: 1}) for e in ((1, 0), (0, 1)))
@@ -475,9 +486,9 @@ def test_rational_data_gives_rational_coefficients(monkeypatch, fresh_caches):
     # rational node values at the top face, over a rational face below
     _clear_caches()
 
-    def halved(m, mu, point):
-        extra = Fraction(math.prod(point[:m]) * point[-1], 2) if m == 2 else 0
-        return skewed(m, mu, point) + extra
+    def halved(m, mu, points):
+        extra = [Fraction(math.prod(x[:m]) * x[-1], 2) if m == 2 else 0 for x in points]
+        return list(map(operator.add, skewed(m, mu, points), extra))
 
     monkeypatch.setattr(interpolation, "_shape_value", halved)
     a, p, b, q = (MultivarPoly(4, {tuple(int(i == v) for i in range(4)): 1}) for v in range(4))
@@ -520,7 +531,7 @@ def test_rational_product_is_cleaned(monkeypatch):
     product = half * (p * q - 2)
     monkeypatch.setattr(interpolation, "_interpolate", lambda m, nu: half)
     monkeypatch.setattr(
-        interpolation, "_shape_value", lambda m, mu, point: product.evaluate(point)
+        interpolation, "_shape_value", lambda m, mu, points: list(map(product.evaluate, points))
     )
     poly = f_mu_interpolate(1, (2, 1))
     assert poly == product and poly.coefficient((1, 1)) == -1
@@ -590,7 +601,7 @@ def _cold_points(points: list, m: int, mu) -> list:
 def test_node_kernel_matches_the_validated_route(m, mu, monkeypatch):
     for point, shape in _cold_points(_counted_points(monkeypatch), m, mu):
         blocks, k = len(point) // 2, sum(shape)
-        value = _shape_value(blocks, shape, point)
+        [value] = _shape_value(blocks, shape, [point])
         lam = _stack(blocks, point)
         assert type(value) is int
         if sum(lam) < k:
