@@ -34,13 +34,16 @@ degree bounds are the only test.  Shifted back, node alpha sits at
 coordinate alpha_i of each axis.  The p-axes start at 0 and the q-axes are
 disjoint descending bands, the last starting at 0, so a face node is a
 stack of s nonempty blocks with strictly decreasing widths.
-Its value is the character there, less the faces below s at each proper
-subset of its blocks, over p_1..p_s q_s; a face H^(t) below is read once
-per distinct projection of the nodes onto t of their s blocks.  The
-character is taken from the trusted kernel as an exact integer, given a
-face's nodes as one batch of blocks and mu as it is
-(characters._stack_character, which makes every decision about mu's parts
-once per batch), or is 0 with no kernel read below |mu| cells, where
+F_mu at a stack is the sum of H^(|S|) at its sub-stacks S, the empty one
+giving 0, so Moebius inversion over the subsets of the blocks gives H^(s)
+at a node as the sum, over the nonempty sets T of its blocks, of
+(-1)^(s - |T|) times the character at the sub-stack T.  A sub-stack keeps
+nonempty blocks with strictly decreasing widths, so it is a stack too, and
+each distinct one is read once; no face reads another.  G at the node is
+that sum over p_1..p_s q_s.  The character is taken from the trusted
+kernel as an exact integer, given a batch of stacks of one block count and
+mu as it is (characters._stack_character, which makes every decision about
+mu's parts once per batch), or is 0 with no kernel read below |mu| cells, where
 Ch_mu vanishes (Kerov & Olshanski, C. R. Acad. Sci. Paris 319, 1994).  The
 Newton solve runs in integers on node indices, and F_mu is then audited at
 a point outside the grid before being returned.
@@ -264,10 +267,6 @@ def _fill(m: int, faces: list[MultivarPoly]) -> MultivarPoly:
     return MultivarPoly._from_clean(2 * m, terms)
 
 
-# _interpolate asks for faces 1, 2, .. in turn, so the faces below s are the
-# latest entries and are read back, not solved again, while s <= 65; a face
-# of 66 blocks needs m and |nu| of at least 66, whose degree set holds over
-# 10^50 points
 @lru_cache(maxsize=64)
 def _face(s: int, nu: Partition) -> MultivarPoly:
     """H^(s)_nu, the terms of F_nu at s blocks that hold every p_1..p_s, for
@@ -276,16 +275,16 @@ def _face(s: int, nu: Partition) -> MultivarPoly:
     Such a term's top colour s is a q-colour, so H = p_1..p_s q_s G, and G
     is interpolated on _face_nodes(s, |nu|, len(nu)), each node moved up by
     one in those coordinates on the axes.  The node (p, q) is a stack with
-    every block nonempty, and its value is the character there, less the
-    faces below s at each proper subset of its blocks, over p_1..p_s q_s;
-    the characters are read in one batch (_shape_value), the nodes of at
-    least |nu| cells going to the kernel in one call.
-    Each face H^(t) below is evaluated once per distinct projection of the
-    nodes onto t of their blocks, in one batch per t, not filled into an
-    s-block polynomial and read at every node.
-    Each factor is at most |nu|, so with integer coefficients below,
-    (|nu|!)^(s+1) times the value is an integer; a rational face below adds
-    the lcm of the denominators it leaves.  The solve then runs in integers.
+    every block nonempty, and its value, over p_1..p_s q_s, is the sum over
+    the nonempty sets T of its blocks of (-1)^(s - |T|) times the character
+    at the sub-stack T: F_nu at a stack is the sum of the faces at its
+    sub-stacks, and this inverts it, so no face reads another.  The
+    characters are read with _shape_value, the nodes in one batch and the
+    distinct sub-stacks of t blocks in one batch per t < s.
+    Each factor is at most |nu|, so with integer characters
+    (|nu|!)^(s+1) times the value is an integer; rational values, which
+    only a patched _shape_value gives, add the lcm of their denominators.
+    The solve then runs in integers.
 
     f_mu_interpolate and f_k_polynomial read every face from here; a whole
     verify --full run fills 41 of the 64 entries and evicts none.
@@ -298,15 +297,16 @@ def _face(s: int, nu: Partition) -> MultivarPoly:
     points = [tuple(map(list.__getitem__, axes, beta)) for beta in nodes]
     rests = _shape_value(s, nu, points)
     for t in range(1, s):
-        # the nodes' projections onto t of their blocks, each read once
+        # the nodes' sub-stacks of t blocks, each read once
         reads: dict[tuple[int, ...], int] = {}
         columns = []
         for blocks in itertools.combinations(range(s), t):
             project = operator.itemgetter(*blocks, *(s + j for j in blocks))
             columns.append([reads.setdefault(project(p), len(reads)) for p in points])
-        values = _face(t, nu).evaluate_many(list(reads))
+        values = _shape_value(t, nu, list(reads))
+        sign = (-1) ** (s - t)
         for column in columns:
-            rests = [r - values[i] for r, i in zip(rests, column)]
+            rests = [r + sign * values[i] for r, i in zip(rests, column)]
     spread = math.lcm(*(r.denominator for r in rests))
     room = math.factorial(k) ** (s + 1)
     # every fibre has at most k nodes, so the solve takes (k - 1)! per axis
@@ -452,9 +452,11 @@ def off_grid_fidelity(
     random admissible shapes drawn outside the interpolation grid.
 
     Each block's (p, q) is drawn as one integer below top_p * top_q, p up
-    to top_p = k + 4 and q up to top_q = m(k + 3) + 6, and a draw whose
-    widths repeat is drawn again; with the widths sorted descending, the
-    p's are uniform and the widths a uniform m-set.  A draw of fewer than
+    to top_p = k + 4 and q up to top_q = m(k + 3) + 6, and a block whose
+    width repeats an earlier block's is drawn again, alone: the widths are
+    drawn without replacement, so with them sorted descending the p's are
+    uniform and the widths a uniform m-set, and the draws a stack takes
+    stay near m however large m is.  A draw of fewer than
     k cells is drawn again, and so is one on the grid of
     interpolation_grid, where every p_i is at most k + 1 and every q_i lies
     in its band.  The draws are compared in chunks of up to _AUDIT_CHUNK:
@@ -476,18 +478,17 @@ def off_grid_fidelity(
     top_p, top_q = k + 4, m * (k + 3) + 6
     choices = top_p * top_q  # a block (p, q) is drawn as (p - 1) top_q + q - 1
     d, bands = k + 2, list(range(m - 1, -1, -1))  # q_i // d is m - i on the grid
-    blocks = range(m)
     done = 0
     while done < samples:
         chunk = min(_AUDIT_CHUNK, samples - done)
         stacks = []
         while len(stacks) < chunk:
-            draws = [randrange(choices) for _ in blocks]
-            qs = {c % top_q + 1 for c in draws}
-            if len(qs) < m:
-                continue  # a repeated width; draw again
-            ps = tuple([c // top_q + 1 for c in draws])
-            qs = sorted(qs, reverse=True)
+            draws: dict[int, int] = {}  # width - 1 -> the block's draw
+            while len(draws) < m:
+                c = randrange(choices)
+                draws.setdefault(c % top_q, c)  # a repeated width: draw again
+            ps = tuple([c // top_q + 1 for c in draws.values()])
+            qs = sorted([q + 1 for q in draws], reverse=True)
             if max(ps) < d and [q // d for q in qs] == bands:
                 continue  # landed on the grid; draw again
             qs = tuple(qs)

@@ -124,19 +124,19 @@ def test_off_grid_fidelity_rejects_a_wrong_coefficient():
 
 def test_off_grid_fidelity_reads_every_chunk(monkeypatch):
     # an error that shows only at p_1 = p_2 = k + 4, the top of the p draw:
-    # with seed 11 the first such sample is the 50th, in the second chunk
+    # with seed 11 the first such sample is the 51st, in the second chunk
     m, mu, k = 2, (2, 2), 4
     first = [ps for ps, _ in _audit_draws(m, k, 11, 70)].index((k + 4,) * m) + 1
-    assert first == 50
+    assert first == 51
     error = MultivarPoly.const(2 * m, 1)
     for v in range(m):
         x = MultivarPoly(2 * m, {tuple(int(i == v) for i in range(2 * m)): 1})
         for j in range(1, k + 4):
             error = error * (x - j)
     wrong = f_mu_interpolate(m, mu) + error
-    counts = (1, 31, 32, 33, 49, 50, 64, 65, 70)
+    counts = (1, 31, 32, 33, 50, 51, 64, 65, 70)
     chunked = [off_grid_fidelity(m, mu, wrong, samples=n, seed=11) for n in counts]
-    assert chunked == [n < 50 for n in counts]
+    assert chunked == [n < 51 for n in counts]
     # one sample at a time, as an unbatched loop would draw and compare
     monkeypatch.setattr(interpolation, "_AUDIT_CHUNK", 1)
     assert [off_grid_fidelity(m, mu, wrong, samples=n, seed=11) for n in counts] == chunked
@@ -145,18 +145,20 @@ def test_off_grid_fidelity_reads_every_chunk(monkeypatch):
 def _audit_draws(m, k, seed, count, on_grid=None):
     """The first count (ps, qs) the audit keeps for this seed, drawn block by
     block as written out here: one integer below top_p * top_q per block,
-    p - 1 and q - 1 its quotient and remainder by top_q, again when the
-    widths repeat; the widths sorted descending; again below k cells or on
-    the grid, looked up in the grid's axes.  Each draw on the grid is
-    appended to on_grid."""
+    p - 1 and q - 1 its quotient and remainder by top_q, that block alone
+    again when its width is an earlier block's; the widths sorted
+    descending; the whole stack again below k cells or on the grid, looked
+    up in the grid's axes.  Each draw on the grid is appended to on_grid."""
     rng = random.Random(seed)
     top_p, top_q = k + 4, m * (k + 3) + 6
     axes = [set(axis) for axis in interpolation_grid(m, k)]
     kept = []
     while len(kept) < count:
-        draws = [rng.randrange(top_p * top_q) for _ in range(m)]
-        if len({c % top_q for c in draws}) < m:
-            continue
+        draws = []
+        while len(draws) < m:
+            c = rng.randrange(top_p * top_q)
+            if all(c % top_q != other % top_q for other in draws):
+                draws.append(c)
         ps = tuple(c // top_q + 1 for c in draws)
         qs = tuple(sorted((c % top_q + 1 for c in draws), reverse=True))
         if sum(map(operator.mul, ps, qs)) < k:
@@ -213,6 +215,18 @@ def test_audit_draws_cover_the_box_off_the_grid(monkeypatch):
                 qs_seen.update(qs)
         assert ps_seen == set(range(1, k + 5)), (m, mu)
         assert qs_seen == set(range(1, m * (k + 3) + 7)), (m, mu)
+
+
+def test_audit_at_many_blocks_redraws_one_block():
+    # m = 140 is the largest m the default budget admits for mu = (1); a
+    # whole-stack redraw on any repeated width would keep about one draw in
+    # 1.5 * 10^8 here, so the audit redraws only the block whose width repeats
+    with pytest.raises(ValueError, match="^grid has 20164 nodes"):
+        f_mu_interpolate(141, (1,))
+    poly = f_mu_interpolate(140, (1,))
+    start = time.perf_counter()
+    assert off_grid_fidelity(140, (1,), poly, samples=20, seed=1)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_negative_samples_rejected():
@@ -357,58 +371,83 @@ def _counted_points(monkeypatch) -> list:
     return points
 
 
+def _counted_batches(monkeypatch) -> list:
+    """(blocks, points) for each batch _shape_value is given from now on, in
+    order."""
+    shape_value = interpolation._shape_value
+    batches = []
+
+    def counted(m, mu, batch):
+        batches.append((m, list(batch)))
+        return shape_value(m, mu, batch)
+
+    monkeypatch.setattr(interpolation, "_shape_value", counted)
+    return batches
+
+
+def _sizes(batches: list) -> list:
+    return [(blocks, len(points)) for blocks, points in batches]
+
+
 def _clear_caches() -> None:
     _face.cache_clear()
 
 
 def test_node_count_is_the_lower_set(monkeypatch):
     # mu = (2,2), m = 2: the faces take 13 nodes at one block and 31 at two,
-    # each a distinct shape; the budget counts the degree set, the 160 alpha
-    # in N^4 with alpha_1 + alpha_2 <= 4, alpha_3 + alpha_4 <= 4 and
-    # sum(alpha) <= 6
+    # each a distinct shape; the second face also reads the 18 distinct
+    # one-block sub-stacks of its nodes, and the guard point comes last.
+    # The budget counts the degree set, the 160 alpha in N^4 with
+    # alpha_1 + alpha_2 <= 4, alpha_3 + alpha_4 <= 4 and sum(alpha) <= 6
     _clear_caches()
-    points = _counted_points(monkeypatch)
+    batches = _counted_batches(monkeypatch)
     f_mu_interpolate(2, (2, 2), max_nodes=160)
-    assert len(points) == 13 + 31 + 1  # and the guard point
-    assert len({_stack(len(point) // 2, point) for point in points}) == len(points)
+    assert _sizes(batches) == [(1, 13), (2, 31), (1, 18), (2, 1)]
+    nodes = batches[0][1] + batches[1][1]
+    assert len({_stack(len(point) // 2, point) for point in nodes}) == 13 + 31
+    tops = batches[1][1]
+    assert batches[2][1] == list(dict.fromkeys(
+        (point[j], point[2 + j]) for j in range(2) for point in tops
+    ))
+    assert batches[3][1] == [_guard_point(2, 4)]
     with pytest.raises(ValueError, match="^grid has 160 nodes, above the limit 159;"):
         f_mu_interpolate(2, (2, 2), max_nodes=159)
 
 
 def test_kernel_runs_once_per_shape_of_at_least_k_cells(monkeypatch):
     # of F_(2,2)'s 44 face nodes at m = 2, the 5 below 4 cells take no
-    # kernel read; each face reads its nodes in one call, and the guard
-    # point in one more
+    # kernel read; each face reads its nodes in one call, the second face
+    # the 13 of its 18 one-block sub-stacks that hold 4 cells in one more,
+    # and the guard point in one more
     _clear_caches()
     kernel = interpolation._stack_character
-    shapes = []
     calls = []
 
     def counted(mu, batch):
         batch = list(batch)
-        calls.append(len(batch))
-        shapes.extend(_stack(len(ps), ps + qs) for ps, qs in batch)
+        calls.append([_stack(len(ps), ps + qs) for ps, qs in batch])
         return kernel(mu, batch)
 
     monkeypatch.setattr(interpolation, "_stack_character", counted)
     f_mu_interpolate(2, (2, 2))
-    assert calls == [13 - 5, 31, 1]
-    assert len(shapes) == 39 + 1  # and the guard point
-    assert len(set(shapes)) == len(shapes)
-    assert all(sum(lam) >= 4 for lam in shapes)
+    assert list(map(len, calls)) == [13 - 5, 31, 13, 1]
+    nodes = calls[0] + calls[1]
+    assert len(set(nodes)) == len(nodes) == 39
+    assert len(set(calls[2])) == 13
+    assert all(sum(lam) >= 4 for shapes in calls for lam in shapes)
 
 
 def test_trailing_fixed_points_take_no_nodes(monkeypatch):
     _clear_caches()
-    points = _counted_points(monkeypatch)
+    batches = _counted_batches(monkeypatch)
     # mu = (2,1,1) at m = 2 takes nu = (2)'s faces, 3 nodes at one block and
-    # 1 at two, then the guard point
+    # 1 at two with its 2 one-block sub-stacks, then the guard point
     f_mu_interpolate(2, (2, 1, 1))
-    assert len(points) == 3 + 1 + 1
-    points.clear()
+    assert _sizes(batches) == [(1, 3), (2, 1), (1, 2), (2, 1)]
+    batches.clear()
     # mu = 1^k is the falling factorial (N)_k: only the guard point
     f_mu_interpolate(2, (1, 1, 1))
-    assert points == [_guard_point(2, 3)]
+    assert batches == [(2, [_guard_point(2, 3)])]
     # the budget still counts mu's own set
     with pytest.raises(ValueError, match="^grid has 200 nodes, above the limit 199;"):
         f_mu_interpolate(2, (2, 1, 1), max_nodes=199)
@@ -421,6 +460,21 @@ def test_faces_are_shared_across_m(monkeypatch):
     points = _counted_points(monkeypatch)
     f_mu_interpolate(3, (2,))
     assert points == [_guard_point(3, 2)]
+
+
+def test_faces_read_only_the_kernel(monkeypatch):
+    # a face is solved from characters alone: with _face patched to raise,
+    # so that no face can read another, the uncached function still gives
+    # the cached face
+    cases = ((3, (2, 2, 2)), (2, (3, 2)))
+    cached = {case: dict(_face(*case).terms) for case in cases}
+
+    def refuse(s, nu):
+        raise AssertionError(f"face {s} of {nu} was read")
+
+    monkeypatch.setattr(interpolation, "_face", refuse)
+    for case in cases:
+        assert dict(_face.__wrapped__(*case).terms) == cached[case], case
 
 
 # (s, nu) for nu without trailing 1s, |nu| capped where the oracle's
