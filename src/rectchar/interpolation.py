@@ -50,9 +50,8 @@ a point outside the grid before being returned.
 
 Only mu's swept prefix nu (mu without its trailing 1s) is interpolated:
 Ch_(mu, 1) = (n - |mu|) Ch_mu (Kerov & Olshanski) gives
-F_mu = (N - |nu|)_(|mu| - |nu|) F_nu, N = sum p_i q_i, and that factor is
-expanded term by term and multiplied into F_nu (1 for an empty nu) in
-one term loop.
+F_mu = (N - |nu|)_(|mu| - |nu|) F_nu, N = sum p_i q_i, so F_nu (1 for an
+empty nu) is multiplied by N - j once for each j = |nu| .. |mu| - 1.
 The node budget counts mu's own degree set, which holds every face node of
 nu, shifted back, and every monomial of F_mu, in closed form.
 """
@@ -64,7 +63,6 @@ import math
 import operator
 import random
 import sys
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -281,10 +279,9 @@ def _face(s: int, nu: Partition) -> MultivarPoly:
     sub-stacks, and this inverts it, so no face reads another.  The
     characters are read with _shape_value, the nodes in one batch and the
     distinct sub-stacks of t blocks in one batch per t < s.
-    Each factor is at most |nu|, so with integer characters
-    (|nu|!)^(s+1) times the value is an integer; rational values, which
-    only a patched _shape_value gives, add the lcm of their denominators.
-    The solve then runs in integers.
+    The characters are integers and each of the s + 1 divisors is at most
+    |nu|, so (|nu|!)^(s+1) times the value is an integer, and the solve
+    runs in integers.
 
     f_mu_interpolate and f_k_polynomial read every face from here; a whole
     verify --full run fills 41 of the 64 entries and evicts none.
@@ -307,24 +304,22 @@ def _face(s: int, nu: Partition) -> MultivarPoly:
         sign = (-1) ** (s - t)
         for column in columns:
             rests = [r + sign * values[i] for r, i in zip(rests, column)]
-    spread = math.lcm(*(r.denominator for r in rests))
-    room = math.factorial(k) ** (s + 1)
-    # every fibre has at most k nodes, so the solve takes (k - 1)! per axis
-    scale = math.factorial(k - 1) ** (2 * s)
+    # (k!)^(s+1) takes the s + 1 divisors, each at most k; every fibre has
+    # at most k nodes, so the solve takes (k - 1)! per axis
+    scale = math.factorial(k) ** (s + 1) * math.factorial(k - 1) ** (2 * s)
     values = [
-        int(r * spread) * (room // (math.prod(point[:s]) * point[top])) * scale
+        r * (scale // (math.prod(point[:s]) * point[top]))
         for r, point in zip(rests, points)
     ]
     fibres = _fibres(nodes)
     _sweep_fibres(values, axes, fibres, lambda xs, ys: _divided_differences(ys))
     _sweep_fibres(values, axes, fibres, _newton_to_monomial)
-    denominator = spread * room * scale
     terms: dict[tuple[int, ...], Scalar] = {}
     for beta, c in zip(nodes, values):
-        quotient, rest = divmod(c, denominator)
+        quotient, rest = divmod(c, scale)
         if rest or quotient:
             terms[tuple(map(operator.add, beta, shift))] = (
-                Fraction(c, denominator) if rest else quotient
+                Fraction(c, scale) if rest else quotient
             )
     return MultivarPoly._from_clean(2 * s, terms)
 
@@ -334,29 +329,6 @@ def _interpolate(m: int, nu: Partition) -> MultivarPoly:
     of at most |nu| of the m blocks of H^(|S|)_nu at the blocks of S, each
     face read from _face's cache."""
     return _fill(m, [_face(s, nu) for s in range(1, min(m, sum(nu)) + 1)])
-
-
-def _falling_size(m: int, start: int, r: int) -> MultivarPoly:
-    """(N - start)_r for N = p_1 q_1 + .. + p_m q_m, term by term: the
-    coefficient c_d of x^d in (x - start)_r times N^d, whose terms are
-    d! / prod(e_i!) prod (p_i q_i)^(e_i) over the ways e to split d among
-    the m blocks."""
-    cs = [1]  # low degree first
-    for j in range(start, start + r):
-        cs = [below - j * c for below, c in zip([0] + cs, cs + [0])]
-    terms: dict[tuple[int, ...], Scalar] = {}
-    for d, c in enumerate(cs):
-        if not c:  # the constant term, 0 when start = 0
-            continue
-        scaled = c * math.factorial(d)
-        for colours in itertools.combinations_with_replacement(range(m), d):
-            exps = [0] * (2 * m)
-            for j in colours:
-                exps[j] += 1
-                exps[m + j] += 1
-            split = Counter(colours).values()
-            terms[tuple(exps)] = scaled // math.prod(map(math.factorial, split))
-    return MultivarPoly._from_clean(2 * m, terms)
 
 
 def f_mu_interpolate(
@@ -387,16 +359,20 @@ def f_mu_interpolate(
         )
     swept = mu[: _sweep_depth(mu)]
     poly = _interpolate(m, swept) if swept else MultivarPoly.const(2 * m, 1)
-    if len(swept) < len(mu):
-        factor = _falling_size(m, sum(swept), len(mu) - len(swept))
+    for j in range(sum(swept), k):
+        # times N - j: c x^e gives -j c at e and c at e + 1 in p_i and q_i
         terms: dict[tuple[int, ...], Scalar] = {}
         get = terms.get
-        for e1, c1 in poly.terms.items():
-            for e2, c2 in factor.terms.items():
-                key = tuple(map(operator.add, e1, e2))
-                terms[key] = get(key, 0) + c1 * c2
-        # drop what cancelled; a rational F_nu (from patched node values)
-        # may leave integral Fractions, which become ints
+        for e, c in poly.terms.items():
+            terms[e] = get(e, 0) - j * c
+            for i in range(m):
+                up = list(e)
+                up[i] += 1
+                up[m + i] += 1
+                key = tuple(up)
+                terms[key] = get(key, 0) + c
+        # drop what cancelled; an F_nu with Fraction coefficients may leave
+        # integral Fractions, which become ints
         poly = MultivarPoly._from_clean(
             2 * m, {e: _clean_coef(c) for e, c in terms.items() if c}
         )

@@ -7,12 +7,13 @@ changed by its caller.
 Rational coefficients that are actually integers are normalized to int, so a
 polynomial is integral exactly when every stored coefficient is an int.
 
-The public constructor and the ring operations validate every term: each
-exponent tuple is checked, zero coefficients are dropped and integral
-Fractions become ints.  MultivarPoly._from_clean takes a term dict already
-in that form as it is.  Only the interpolation's faces, its fill and its
-trailing-1 product, and the sign flip, use it; each builds its dict in one
-pass from clean terms.  The ring operations keep validating.  Trusting them
+The public constructor and the ring operations validate every term: the
+number of variables and each exponent must be ints (not bools) and each
+coefficient an int or a Fraction, so no float gets in; zero coefficients
+are dropped and integral Fractions become ints.  MultivarPoly._from_clean
+takes a term dict already in that form as it is.  Only the
+interpolation's faces, its fill and its trailing-1 product, and the sign
+flip, use it; each builds its dict in one pass from clean terms.  The ring operations keep validating.  Trusting them
 too would speed up the polynomial-heavy residue route, and the benchmark's
 peak memory would then read more passes of its own runner (ROADMAP item 1).
 
@@ -51,12 +52,17 @@ class MultivarPoly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: dict[tuple[int, ...], Scalar] | None = None):
+        # by exact type: a bool, a float or any other inexact value is refused
+        if type(nvars) is not int or nvars < 0:
+            raise ValueError(f"nvars must be a nonnegative int, got {nvars!r}")
         clean: dict[tuple[int, ...], Scalar] = {}
         if terms:
             for exps, c in terms.items():
                 exps = tuple(exps)
-                if len(exps) != nvars or any(e < 0 for e in exps):
+                if len(exps) != nvars or any(type(e) is not int or e < 0 for e in exps):
                     raise ValueError(f"bad exponent tuple {exps} for {nvars} variables")
+                if type(c) is not int and type(c) is not Fraction:
+                    raise ValueError(f"coefficients must be ints or Fractions, got {c!r}")
                 c = _clean_coef(c)
                 if c:
                     clean[exps] = c
@@ -257,7 +263,15 @@ class MultivarPoly:
 
     @classmethod
     def from_json_terms(cls, nvars: int, data: list[dict]) -> "MultivarPoly":
-        return cls(nvars, {tuple(item["exp"]): int(item["coef"]) for item in data})
+        """The inverse of to_json_terms: each coef must be a decimal string,
+        so a number is refused rather than truncated."""
+        terms: dict[tuple[int, ...], Scalar] = {}
+        for item in data:
+            coef = item["coef"]
+            if type(coef) is not str:
+                raise ValueError(f"coef must be a decimal string, got {coef!r}")
+            terms[tuple(item["exp"])] = int(coef)
+        return cls(nvars, terms)
 
     def __repr__(self):
         names = [f"x{i}" for i in range(self.nvars)]

@@ -1,9 +1,9 @@
 """Property test of the Python API's argument contract, for the entry points
 of the character kernel, the pair-sum routes, the residue and leading-term
 routes, the residue expansion (rational_x_inverse_coefficient and the
-PowerSeries it reads), the interpolation, the verify runner, the partition
-helpers, the box lemma, canonical_permutation, default_names and
-narayana_number.
+PowerSeries it reads), the MultivarPoly constructor, the interpolation,
+the verify runner, the partition helpers, the box lemma,
+canonical_permutation, default_names and narayana_number.
 
 Each function gets arguments drawn from edge values: integers weighted to
 small values, with 0, -1..-3 and -2^63..-2^70 now and then, and shapes
@@ -597,6 +597,30 @@ def power_series_case(data):
         assert value.coeffs == (coeffs + [0] * (order + 1))[: order + 1]
 
 
+BAD_EXPONENTS = st.sampled_from([1.5, 1.0, True, False, None, "1"])
+BAD_COEFFICIENTS = st.sampled_from([2.5, 2.0, True, False, None, "2"])
+
+
+def multivar_poly_case(data):
+    nvars = data.draw(mostly(sizes(3), st.booleans()), label="nvars")
+    exponent = mostly(st.integers(0, 3), st.integers(-2, -1) | BAD_EXPONENTS)
+    exps = st.lists(exponent, max_size=4).map(tuple)
+    if is_size(nvars):  # most keys have the right length
+        exps = mostly(st.lists(exponent, min_size=nvars, max_size=nvars).map(tuple), exps)
+    coefficient = mostly(st.integers(-5, 5), RATIONALS | HUGE | BAD_COEFFICIENTS)
+    terms = data.draw(st.none() | st.dictionaries(exps, coefficient, max_size=3), label="terms")
+    ok, value = call(MultivarPoly, nvars, terms)
+    valid = is_size(nvars) and all(
+        len(e) == nvars and all(map(is_size, e)) and type(c) in (int, Fraction)
+        for e, c in (terms or {}).items()
+    )
+    assert ok == valid, value
+    if ok:
+        assert type(value) is MultivarPoly and value.nvars == nvars
+        assert value.terms == {e: c for e, c in (terms or {}).items() if c}
+        assert all(type(c) is int or c.denominator > 1 for c in value.terms.values())
+
+
 def narayana_number_case(data):
     # a huge i is cheap, the count being 0 above k; a huge k is not drawn,
     # as C(k, i) for i near k/2 is slow
@@ -655,6 +679,7 @@ CASES = {
     "narayana_number": narayana_number_case,
     "rational_x_inverse_coefficient": residue_case,
     "PowerSeries": power_series_case,
+    "MultivarPoly": multivar_poly_case,
 }
 
 

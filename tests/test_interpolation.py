@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import operator
@@ -10,7 +11,7 @@ import pytest
 from oracles import stanley_feray_f_mu
 from rectchar import interpolation
 from rectchar.factorization import factorization_poly
-from rectchar.frobenius import f_k_residue, flipped_polynomial
+from rectchar.frobenius import _dimension_vars, f_k_residue, flipped_polynomial
 from rectchar.interpolation import (
     ConjectureReport,
     _face,
@@ -258,6 +259,48 @@ def test_matches_stanley_feray_formula(m, k_cap):
 )
 def test_fixed_points_match_stanley_feray_formula(m, mu):
     assert dict(f_mu_interpolate(m, mu).terms) == stanley_feray_f_mu(m, mu)
+
+
+# longer runs of fixed points and more blocks than the oracle above reaches,
+# each with its degree set, past the default node budget
+@pytest.mark.parametrize(
+    "m, mu, size",
+    [
+        (3, (4,) + (1,) * 6, 61215),
+        (4, (3, 2, 1, 1, 1, 1), 310200),
+        (5, (1,) * 8, 1656369),
+        (7, (2, 1, 1, 1), 413820),
+    ],
+)
+def test_fixed_points_multiply_by_the_number_of_squares(m, mu, size):
+    # F_mu = F_nu (N - |nu|)(N - |nu| - 1) .. (N - |mu| + 1), N = sum p_i q_i,
+    # taken with the validated ring operations
+    assert _degree_set_size(m, sum(mu), sum(mu) + len(mu)) == size
+    nu = mu[: _sweep_depth(mu)]
+    ps, qs = _dimension_vars(m)
+    n = sum(map(operator.mul, ps, qs))
+    expected = f_mu_interpolate(m, nu) if nu else MultivarPoly.const(2 * m, 1)
+    for j in range(sum(nu), sum(mu)):
+        expected = expected * (n - j)
+    poly = f_mu_interpolate(m, mu, max_nodes=10**7)
+    assert poly == expected
+    _assert_clean(poly)
+
+
+def test_trailing_fixed_points_digest():
+    # every mu with trailing 1s, to |mu| = 6 at m <= 2 and 5 at m = 3, 4:
+    # each term with its coefficient's type, so a change to the fixed-point
+    # product that moves any term or coefficient type shows here
+    digest = hashlib.sha256()
+    for m in range(1, 5):
+        for k in range(1, (6 if m <= 2 else 5) + 1):
+            for mu in partitions_of(k):
+                if mu[-1] != 1:
+                    continue
+                poly = f_mu_interpolate(m, mu, max_nodes=10**9)
+                terms = sorted((e, type(c).__name__, c) for e, c in poly.terms.items())
+                digest.update(repr((m, mu, terms)).encode())
+    assert digest.hexdigest()[:16] == "1e079b7a309e90fa"
 
 
 def _allowed(alpha: tuple[int, ...], m: int, k: int, total: int) -> bool:
@@ -537,24 +580,6 @@ def test_rational_data_gives_rational_coefficients(monkeypatch, fresh_caches):
     assert poly == f_k_residue(1, 2) + p * (p - 1) * q / 2
     assert {abs(c) for c in poly.terms.values() if type(c) is Fraction} == {Fraction(1, 2)}
     _assert_clean(poly)
-    # rational node values at the top face, over a rational face below
-    _clear_caches()
-
-    def halved(m, mu, points):
-        extra = [Fraction(math.prod(x[:m]) * x[-1], 2) if m == 2 else 0 for x in points]
-        return list(map(operator.add, skewed(m, mu, points), extra))
-
-    monkeypatch.setattr(interpolation, "_shape_value", halved)
-    a, p, b, q = (MultivarPoly(4, {tuple(int(i == v) for i in range(4)): 1}) for v in range(4))
-    expected = (
-        f_k_residue(2, 2)
-        + a * (a - 1) * b / 2
-        + p * (p - 1) * q / 2
-        + a * p * q / 2
-    )
-    poly = _interpolate(2, (2,))
-    assert poly == expected
-    _assert_clean(poly)
 
 
 def _assert_clean(poly: MultivarPoly) -> None:
@@ -579,7 +604,7 @@ def test_unvalidated_terms_are_clean():
 
 def test_rational_product_is_cleaned(monkeypatch):
     # a rational F_nu whose product with (N - 2) has integral Fraction
-    # coefficients: they come out as ints, by the validating constructor
+    # coefficients: they come out as ints
     p, q = (MultivarPoly(2, {e: 1}) for e in ((1, 0), (0, 1)))
     half = p * q / 2
     product = half * (p * q - 2)

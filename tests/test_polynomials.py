@@ -71,6 +71,44 @@ def test_constructor_drops_zeros_and_normalizes_fractions():
     assert isinstance(poly.terms[(1, 0)], int)
 
 
+@pytest.mark.parametrize(
+    "nvars, terms, message",
+    [
+        (1, {(1.5,): 1}, "^bad exponent tuple"),
+        (1, {(1.0,): 1}, "^bad exponent tuple"),
+        (1, {(True,): 1}, "^bad exponent tuple"),
+        (2, {(1, -1): 1}, "^bad exponent tuple"),
+        (1, {(1,): 2.5}, "^coefficients must be ints or Fractions"),
+        (1, {(1,): 2.0}, "^coefficients must be ints or Fractions"),
+        (1, {(1,): True}, "^coefficients must be ints or Fractions"),
+        (1, {(1,): False}, "^coefficients must be ints or Fractions"),
+        (1, {(1,): "2"}, "^coefficients must be ints or Fractions"),
+        (1, {(1,): None}, "^coefficients must be ints or Fractions"),
+        (True, {(1,): 1}, "^nvars must be a nonnegative int"),
+        (1.0, {(1,): 1}, "^nvars must be a nonnegative int"),
+        (-1, None, "^nvars must be a nonnegative int"),
+        ("1", None, "^nvars must be a nonnegative int"),
+    ],
+)
+def test_constructor_refuses_inexact_input(nvars, terms, message):
+    # a float exponent would evaluate to a float, a float coefficient would
+    # be stored as it is, and a float nvars would break repr
+    with pytest.raises(ValueError, match=message):
+        MultivarPoly(nvars, terms)
+
+
+def test_json_refuses_a_number_for_coef():
+    # the schema writes each coef as a decimal string; a number, which int()
+    # would truncate, is refused, and so is a string that is no integer
+    for coef in (2.7, 2, True, None):
+        with pytest.raises(ValueError, match="^coef must be a decimal string"):
+            MultivarPoly.from_json_terms(1, [{"exp": [1], "coef": coef}])
+    with pytest.raises(ValueError):
+        MultivarPoly.from_json_terms(1, [{"exp": [1], "coef": "2.7"}])
+    with pytest.raises(ValueError, match="^bad exponent tuple"):
+        MultivarPoly.from_json_terms(1, [{"exp": [1.5], "coef": "2"}])
+
+
 def test_scalar_arithmetic():
     p = MultivarPoly(2, {(1, 0): 1})
     q = MultivarPoly(2, {(0, 1): 1})
